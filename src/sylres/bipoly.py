@@ -3,10 +3,16 @@ vectorizations between K[x,y] and polynomial vectors.
 
 A BiPoly stores the full coefficient grid g with g[i, j] the coefficient of
 x^i y^j; the grid is trimmed so the top row and top column carry the exact
-degrees.  vec_y(f, n) stacks the y-coefficients of f as a length-n column of
-K[x] polynomials, zero-padded on top and ordered from highest y-power down,
-matching the column convention of the Sylvester matrices; vec_x is the same
-with the roles of the variables exchanged.
+degrees.
+
+A polynomial vector of length n over K[t] is one (n, width) int64 array:
+row i holds entry i's ascending coefficients in t, zero-padded to the
+common width.  vec(f, "y", n) stacks the y-coefficients of f as such a
+vector over K[x], zero-padded on top and ordered from highest y-power
+down, matching the column convention of the Sylvester matrices; it is a
+flip and transpose of f.g.  vec(f, "x", n) exchanges the variable roles
+and unvec inverts both.  The public vec_y/vec_x/unvec_y/unvec_x speak
+list[UPoly] and convert once through the to_array/to_list pair.
 """
 
 from __future__ import annotations
@@ -220,19 +226,10 @@ class BiPoly:
         """Substitute var -> var + alpha."""
         if alpha == 0:
             return self
-        if var == "y":
-            rows = [UPoly(self.ctx, self.g[i, :]).taylor_shift(alpha) for i in range(self.g.shape[0])]
-            ny = self.g.shape[1]
-            out = np.zeros((len(rows), ny), dtype=np.int64)
-            for i, r in enumerate(rows):
-                out[i, : len(r.c)] = r.c
-            return BiPoly(self.ctx, out)
-        cols = [UPoly(self.ctx, self.g[:, j]).taylor_shift(alpha) for j in range(self.g.shape[1])]
-        nx = self.g.shape[0]
-        out = np.zeros((nx, len(cols)), dtype=np.int64)
-        for j, cpoly in enumerate(cols):
-            out[: len(cpoly.c), j] = cpoly.c
-        return BiPoly(self.ctx, out)
+        g = self.g if var == "y" else self.g.T  # rows are polynomials in var
+        rows = [UPoly(self.ctx, r).taylor_shift(alpha).padded(g.shape[1]) for r in g]
+        out = np.array(rows, dtype=np.int64).reshape(g.shape)
+        return BiPoly(self.ctx, out if var == "y" else out.T)
 
     def rev(self, var: str, k: int) -> "BiPoly":
         """Reverse in var at formal degree k (k >= deg in var required)."""
@@ -244,9 +241,7 @@ class BiPoly:
 
     def trunc_deg(self, var: str, l: int) -> "BiPoly":
         """Coefficients of var-degree < l."""
-        if var == "x":
-            return BiPoly(self.ctx, self.g[: max(l, 1), :])
-        return BiPoly(self.ctx, self.g[:, : max(l, 1)])
+        return BiPoly(self.ctx, self.g[: max(l, 1)] if var == "x" else self.g[:, : max(l, 1)])
 
 
 def bimul(f: BiPoly, g: BiPoly) -> BiPoly:
@@ -266,68 +261,73 @@ def bimul(f: BiPoly, g: BiPoly) -> BiPoly:
     return BiPoly(f.ctx, out.reshape(nx, stride))
 
 
-def bipow_small(f: BiPoly, e: int) -> BiPoly:
-    acc = BiPoly.one(f.ctx)
-    base = f
-    while e:
-        if e & 1:
-            acc = bimul(acc, base)
-        base = bimul(base, base)
-        e >>= 1
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # vectorizations
 
 
+def to_array(v: list[UPoly]) -> np.ndarray:
+    """Array whose row i holds v[i]'s ascending coefficients, as wide as the
+    longest entry (at least 1)."""
+    out = np.zeros((len(v), max([len(e.c) for e in v] + [1])), dtype=np.int64)
+    for i, e in enumerate(v):
+        out[i, : len(e.c)] = e.c
+    return out
+
+
+def to_list(ctx: FieldCtx, V: np.ndarray) -> list[UPoly]:
+    """Inverse of to_array: one UPoly per row."""
+    return [UPoly(ctx, row) for row in V]
+
+
+def fit(V: np.ndarray, width: int) -> np.ndarray:
+    """V zero-padded or truncated to `width` columns."""
+    if V.shape[1] >= width:
+        return V[:, :width]
+    out = np.zeros((V.shape[0], width), dtype=np.int64)
+    out[:, : V.shape[1]] = V
+    return out
+
+
+def vec(f: BiPoly, var: str, n: int) -> np.ndarray:
+    """Row i holds the var^(n-1-i) coefficient of f, ascending in the other
+    variable."""
+    if n <= f.deg(var):
+        raise ValueError(f"vector length {n} too small for {var}-degree {f.deg(var)}")
+    g = f.g if var == "x" else f.g.T
+    k = min(g.shape[0], n)  # k < g.shape[0] only for f = 0
+    out = np.zeros((n, g.shape[1]), dtype=np.int64)
+    out[n - k :] = g[:k][::-1]
+    return out
+
+
+def unvec(ctx: FieldCtx, V: np.ndarray, var: str) -> BiPoly:
+    """Inverse of vec: sum_i V[i](outer) * var^(n-1-i)."""
+    if V.size == 0:
+        return BiPoly.zero(ctx)
+    return BiPoly(ctx, V[::-1] if var == "x" else V[::-1].T)
+
+
 def vec_y(f: BiPoly, n: int) -> list[UPoly]:
     """[0 ... 0  f_d ... f_0]^T with f_j the y^j coefficient, length n."""
-    if n <= f.deg_y:
-        raise ValueError(f"vector length {n} too small for y-degree {f.deg_y}")
-    return [f.upoly_coeff("y", n - 1 - i) for i in range(n)]
-
-
-def unvec_y(v: list[UPoly], n: int | None = None) -> BiPoly:
-    n = len(v) if n is None else n
-    if n != len(v):
-        raise ValueError("length mismatch")
-    ctx = v[0].ctx
-    nx = max((e.deg for e in v), default=-1) + 1
-    if nx == 0:
-        return BiPoly.zero(ctx)
-    g = np.zeros((nx, n), dtype=np.int64)
-    for i, e in enumerate(v):
-        g[: len(e.c), n - 1 - i] = e.c
-    return BiPoly(ctx, g)
+    return to_list(f.ctx, vec(f, "y", n))
 
 
 def vec_x(f: BiPoly, n: int) -> list[UPoly]:
-    if n <= f.deg_x:
-        raise ValueError(f"vector length {n} too small for x-degree {f.deg_x}")
-    return [f.upoly_coeff("x", n - 1 - i) for i in range(n)]
+    return to_list(f.ctx, vec(f, "x", n))
+
+
+def _unvec_list(v: list[UPoly], var: str, n: int | None) -> BiPoly:
+    if n is not None and n != len(v):
+        raise ValueError("length mismatch")
+    return unvec(v[0].ctx, to_array(v), var)
+
+
+def unvec_y(v: list[UPoly], n: int | None = None) -> BiPoly:
+    return _unvec_list(v, "y", n)
 
 
 def unvec_x(v: list[UPoly], n: int | None = None) -> BiPoly:
-    n = len(v) if n is None else n
-    if n != len(v):
-        raise ValueError("length mismatch")
-    ctx = v[0].ctx
-    ny = max((e.deg for e in v), default=-1) + 1
-    if ny == 0:
-        return BiPoly.zero(ctx)
-    g = np.zeros((n, ny), dtype=np.int64)
-    for i, e in enumerate(v):
-        g[n - 1 - i, : len(e.c)] = e.c
-    return BiPoly(ctx, g)
-
-
-def vec(f: BiPoly, var: str, n: int) -> list[UPoly]:
-    return vec_y(f, n) if var == "y" else vec_x(f, n)
-
-
-def unvec(v: list[UPoly], var: str, n: int | None = None) -> BiPoly:
-    return unvec_y(v, n) if var == "y" else unvec_x(v, n)
+    return _unvec_list(v, "x", n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ Polynomial files are UTF-8 text, one term per line `c i j` meaning
 c * x^i * y^j (j may be omitted for univariate files); `#` starts a
 comment and repeated monomials are summed.  Output mirrors the same term
 format.  Exit codes: 0 success, 1 usage or parse error, 2 computation
-failure, 3 oracle mismatch under --verify-oracle.
+failure (including --verify-oracle above the dense oracles' dimension
+gate), 3 oracle mismatch under --verify-oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .invariant import (
 )
 from .kucompose import FieldTooSmallError, KUParams, compose_rem
 from .normalform import normal_form
-from .oracle import dense_resultant, dense_smith
+from .oracle import OracleGateError, dense_resultant, dense_smith
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, dense_form, is_column_reduced
 from .upoly import UPoly
 
@@ -196,7 +197,10 @@ def _invariant_command(args, runner, verify) -> int:
     if report.status == STATUS_FAILURE:
         raise CliError("conditioning retries exhausted (computation failure)", 2)
     if args.verify_oracle:
-        err = verify(basis, report)
+        try:
+            err = verify(basis, report)
+        except OracleGateError as exc:
+            raise CliError(f"cannot verify: {exc}", 2)
         if err:
             raise CliError(f"oracle mismatch: {err}", 3)
     out = report.sigma if report.status != STATUS_CERTIFIED else report.sigma.scale(report.scale)

@@ -111,6 +111,15 @@ class FieldCtx:
     def inv(self, x: int) -> int:
         return int(self.vinv(_as_codes(x)))
 
+    def vsum(self, a) -> np.ndarray:
+        """Sum over the last axis, folding halves pairwise with vadd, so
+        O(log n) vector calls are exact in every field."""
+        a = _as_codes(a)
+        while a.shape[-1] > 1:
+            h = a.shape[-1] // 2
+            a = np.concatenate([self.vadd(a[..., :h], a[..., h : 2 * h]), a[..., 2 * h :]], axis=-1)
+        return a[..., 0] if a.shape[-1] else np.zeros(a.shape[:-1], dtype=np.int64)
+
     def eval_many(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         acc = np.zeros(len(pts), dtype=np.int64)
         for c in coeffs[::-1]:

@@ -96,15 +96,19 @@ def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> U
 
 
 _EXT_CACHE: dict[tuple, FieldCtx] = {}
+_EXT_CACHE_SIZE = 32
 
 
 def _working_field(ctx: FieldCtx, min_card: int) -> FieldCtx:
     """Deterministic cached extension reaching min_card (identity if large
-    enough already)."""
+    enough already).  Keyed on the field itself, so unequal fields never
+    share an entry; the oldest entry goes when the cache is full."""
     if ctx.q >= min_card:
         return ctx
-    key = (hash(ctx), min_card)
+    key = (ctx, min_card)
     if key not in _EXT_CACHE:
+        if len(_EXT_CACHE) >= _EXT_CACHE_SIZE:
+            del _EXT_CACHE[next(iter(_EXT_CACHE))]
         rng = random.Random(f"sylres-ext-{ctx.p}-{ctx.k}-{min_card}")
         _EXT_CACHE[key] = extend_field(ctx, min_card, rng)
     return _EXT_CACHE[key]

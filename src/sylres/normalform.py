@@ -23,7 +23,7 @@ import random
 
 import numpy as np
 
-from .bipoly import BiPoly, IdealBasis, bimul, unvec, unvec_y, vec, vec_x, vec_y
+from .bipoly import BiPoly, IdealBasis, bimul, fit, to_array, to_list, unvec, vec
 from .sylvester import (
     NotColumnReducedError,
     SylvMat,
@@ -31,10 +31,10 @@ from .sylvester import (
     build_Sy,
     build_Tx,
     is_column_reduced,
-    matvec,
-    matvec_T,
-    trunc_inv_apply,
-    trunc_inv_apply_T,
+    matvec_window,
+    matvec_window_T,
+    solve_window,
+    solve_window_T,
 )
 from .upoly import UPoly
 
@@ -48,32 +48,50 @@ def _require_reduced(S: SylvMat, name: str) -> None:
 # division with remainder
 
 
-def _divide(S: SylvMat, v: list[UPoly], lv: int):
-    """Core division with a fixed input-degree bound lv >= deg v.
+def _degree(V: np.ndarray) -> int:
+    """Largest entry degree of a polynomial vector (-1 when zero)."""
+    nz = np.flatnonzero(V.any(axis=0))
+    return int(nz[-1]) if len(nz) else -1
 
-    Returns (w, vhat) with v = S w + vhat and S^{-1} vhat strictly proper;
+
+def _shift_rows(V: np.ndarray, rows: slice, k: int) -> np.ndarray:
+    """Copy of V with the given rows multiplied by outer^k (k < 0 drops the
+    -k lowest coefficients), keeping the width."""
+    out = V.copy()
+    width = V.shape[1]
+    out[rows] = 0
+    if k >= 0:
+        out[rows, k:] = V[rows, : max(width - k, 0)]
+    else:
+        out[rows, : max(width + k, 0)] = V[rows, -k:]
+    return out
+
+
+def _high_block(S: SylvMat) -> slice:
+    """Rows of the block with the larger column degree (empty if equal)."""
+    if S.c1 > S.c2:
+        return slice(0, S.m2)
+    return slice(S.m2, S.n) if S.c2 > S.c1 else slice(0, 0)
+
+
+def _divide(S: SylvMat, V: np.ndarray, lv: int):
+    """Core division with a fixed input-degree bound lv >= deg V.
+
+    Returns (W, Vhat) with V = S W + Vhat and S^{-1} Vhat strictly proper;
     the result does not depend on the choice of lv.
     """
-    ctx = S.ctx
-    zero = UPoly.zero(ctx)
     d = S.degree
     delta = abs(S.c1 - S.c2)
     l = lv + delta
     if l < d:
-        return [zero] * S.n, list(v)
-    Srev = S.reversed_matrix()
+        return np.zeros((S.n, 1), dtype=np.int64), V
     prec = l - d + 1
-    rv = [UPoly(ctx, e.padded(lv + 1)[::-1]) for e in v]
-    u = trunc_inv_apply(Srev, rv, prec)
-    w = [UPoly(ctx, e.padded(prec)[::-1]) for e in u]
-    if delta:
-        # the block of larger column degree carries the implicit t^delta
-        hi = range(S.m2) if S.c1 > S.c2 else range(S.m2, S.n)
-        for i in hi:
-            w[i] = w[i].trunc_low(delta)
-    Sw = matvec(S, w)
-    vhat = [v[i] - Sw[i] for i in range(S.n)]
-    return w, vhat
+    U = solve_window(S.reversed_matrix(), fit(V, lv + 1)[:, ::-1][:, :prec], prec)
+    # the block of larger column degree carries the implicit t^delta
+    W = _shift_rows(U[:, ::-1], _high_block(S), -delta)
+    # deg Vhat < d because S^{-1} Vhat is strictly proper, so S W is only
+    # needed mod outer^d
+    return W, S.ctx.vsub(fit(V, d), matvec_window(S, W, d))
 
 
 def matrix_divrem(S: SylvMat, v: list[UPoly]):
@@ -85,10 +103,9 @@ def matrix_divrem(S: SylvMat, v: list[UPoly]):
     if len(v) != S.n:
         raise ValueError(f"vector length {len(v)} does not match dimension {S.n}")
     _require_reduced(S, "divisor matrix")
-    lv = max((e.deg for e in v), default=-1)
-    if lv < 0:
-        return [UPoly.zero(S.ctx)] * S.n, list(v)
-    return _divide(S, v, lv)
+    V = to_array(v)
+    W, Vhat = _divide(S, V, _degree(V))
+    return to_list(S.ctx, W), to_list(S.ctx, Vhat)
 
 
 # ---------------------------------------------------------------------------
@@ -104,10 +121,11 @@ def reduce_ydeg(basis: IdealBasis, f: BiPoly, with_witness: bool = False):
     if f.deg_y < basis.e:
         return (f, None, None) if with_witness else f
     Tx = build_Tx(basis, max(f.deg_x, 0))
-    v = vec_x(f, Tx.n)
-    w, vhat = matrix_divrem(Tx, v)
-    fp = unvec(vhat, "x", Tx.n)
-    return (fp, Tx, w) if with_witness else fp
+    _require_reduced(Tx, "divisor matrix")
+    V = vec(f, "x", Tx.n)
+    W, Vhat = _divide(Tx, V, _degree(V))
+    fp = unvec(f.ctx, Vhat, "x")
+    return (fp, Tx, to_list(f.ctx, W)) if with_witness else fp
 
 
 def normal_form(basis: IdealBasis, f: BiPoly) -> BiPoly:
@@ -123,9 +141,8 @@ def normal_form(basis: IdealBasis, f: BiPoly) -> BiPoly:
         return f
     if f.deg_y >= basis.ny:
         f = reduce_ydeg(basis, f)
-    v = vec_y(f, basis.ny)
-    _, vhat = _divide(Sy, v, max((e.deg for e in v), default=-1))
-    return unvec_y(vhat, basis.ny)
+    V = vec(f, "y", basis.ny)
+    return unvec(f.ctx, _divide(Sy, V, _degree(V))[1], "y")
 
 
 def mul_mod(basis: IdealBasis, f: BiPoly, g: BiPoly) -> BiPoly:
@@ -185,12 +202,9 @@ class LinearForm:
         return cls(basis, c)
 
     def apply_embedded(self, emb: np.ndarray) -> int:
+        """sum_i coeffs[i] * emb[i], summed by ctx.vsum."""
         ctx = self.basis.ctx
-        acc = 0
-        prods = ctx.vmul(self.coeffs, emb)
-        for v in prods:
-            acc = ctx.add(acc, int(v))
-        return acc
+        return int(ctx.vsum(ctx.vmul(self.coeffs, emb)))
 
     def apply(self, f: BiPoly) -> int:
         return self.apply_embedded(embed(self.basis, f))
@@ -216,41 +230,25 @@ class _DivisionProgram:
         if self.active:
             self.W = self.l - self.d + 1
             self.Srev = S.reversed_matrix()
-            self.hi = (
-                range(S.m2) if S.c1 > S.c2 else range(S.m2, S.n) if S.c2 > S.c1 else range(0)
-            )
 
-    def forward(self, v: list[UPoly]) -> list[UPoly]:
+    def forward(self, V: np.ndarray) -> np.ndarray:
         if not self.active:
-            return list(v)
-        _, vhat = _divide(self.S, v, self.lin)
-        return vhat
+            return V
+        return _divide(self.S, V, self.lin)[1]
 
-    def transpose(self, lam: list[UPoly]) -> list[UPoly]:
+    def transpose(self, Lam: np.ndarray) -> np.ndarray:
         """Dual windows of width d -> dual windows of width lin + 1."""
-        ctx = self.S.ctx
-        padded = [UPoly(ctx, e.padded(min(self.d, self.V))) for e in lam]
+        padded = fit(Lam, min(self.d, self.V))
         if not self.active:
             return padded
         # Q^T (S^T lambda), stage by stage in reverse order
-        mu = matvec_T(self.S, padded, self.W)
+        mu = matvec_window_T(self.S, padded, self.W)
         # transpose of the quotient split: high block multiplied by t^delta
-        # (zero when the window is narrower than the shift)
-        if self.delta:
-            keep = max(self.W - self.delta, 0)
-            mu = [
-                (UPoly(ctx, e.padded(keep)).shift(self.delta) if keep else UPoly.zero(ctx))
-                if i in self.hi
-                else e
-                for i, e in enumerate(mu)
-            ]
-        # transpose of the output reversal (window W)
-        mu = [UPoly(ctx, e.padded(self.W)[::-1]) for e in mu]
-        # transpose of the truncated solve (window W)
-        mu = trunc_inv_apply_T(self.Srev, mu, self.W)
+        mu = _shift_rows(mu, _high_block(self.S), self.delta)
+        # transpose of the output reversal, then of the truncated solve (window W)
+        mu = solve_window_T(self.Srev, mu[:, ::-1], self.W)
         # transpose of the resize V -> W, then of the input reversal (window V)
-        mu = [UPoly(ctx, e.padded(self.V)[::-1]) for e in mu]
-        return [padded[i] - mu[i] for i in range(self.S.n)]
+        return self.S.ctx.vsub(fit(padded, self.V), fit(mu, self.V)[:, ::-1])
 
 
 class NormalFormProgram:
@@ -280,41 +278,21 @@ class NormalFormProgram:
     def forward(self, f: BiPoly) -> BiPoly:
         if f.deg_x > self.delta or f.deg_y > self.eta:
             raise ValueError("input outside the program's degree window")
+        ctx = self.basis.ctx
         if self.two_stage:
-            v = vec(f, "x", self.Tx.n)
-            f = unvec(self.div1.forward(v), "x", self.Tx.n)
-        v = vec(f, "y", self.basis.ny)
-        return unvec_y(self.div2.forward(v), self.basis.ny)
+            f = unvec(ctx, self.div1.forward(vec(f, "x", self.Tx.n)), "x")
+        return unvec(ctx, self.div2.forward(vec(f, "y", self.basis.ny)), "y")
 
     def transpose(self, ell: LinearForm) -> np.ndarray:
         basis = self.basis
-        ctx = basis.ctx
-        d, ny = basis.d, basis.ny
-        lam = [UPoly(ctx, ell.coeffs[i * d : (i + 1) * d]) for i in range(ny)]
-        mu = self.div2.transpose(lam)
-        out = np.zeros((self.eta + 1) * (self.delta + 1), dtype=np.int64)
-        if not self.two_stage:
-            for j in range(self.eta + 1):
-                row = mu[ny - 1 - j]
-                for i in range(self.delta + 1):
-                    out[j * (self.delta + 1) + i] = row.coeff(i)
-            return out
-        # reindex transpose between the y-division and the x-division
-        nT = self.Tx.n
-        e_win = self.div1.d  # output window of the first division
-        lam1 = []
-        for i1 in range(nT):
-            coeffs = np.zeros(e_win, dtype=np.int64)
-            for t in range(e_win):
-                src = mu[ny - 1 - t]
-                coeffs[t] = src.coeff(nT - 1 - i1)
-            lam1.append(UPoly(ctx, coeffs))
-        mu1 = self.div1.transpose(lam1)
-        for i in range(self.delta + 1):
-            row = mu1[nT - 1 - i]
-            for j in range(self.eta + 1):
-                out[j * (self.delta + 1) + i] = row.coeff(j)
-        return out
+        # row t of mu is the dual of the y^t coefficient (vec_y order reversed)
+        mu = self.div2.transpose(ell.coeffs.reshape(basis.ny, basis.d))[::-1]
+        if self.two_stage:
+            # reindex transpose between the y-division and the x-division
+            nT = self.Tx.n
+            lam1 = fit(mu[: self.div1.d], nT)[:, ::-1].T
+            mu = fit(self.div1.transpose(lam1)[::-1][: self.delta + 1], self.eta + 1).T
+        return fit(mu[: self.eta + 1], self.delta + 1).reshape(-1)
 
 
 def transposed_normal_form(basis: IdealBasis, ell: LinearForm, delta: int, eta: int) -> np.ndarray:

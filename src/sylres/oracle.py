@@ -21,9 +21,13 @@ from .upoly import UPoly
 _ORACLE_DIM_GATE = 64
 
 
+class OracleGateError(ValueError):
+    """The dense oracles refuse matrices above their dimension gate."""
+
+
 def _check_gate(n: int) -> None:
     if n > _ORACLE_DIM_GATE:
-        raise ValueError(f"oracle gated to dimension {_ORACLE_DIM_GATE}, got {n}")
+        raise OracleGateError(f"oracle gated to dimension {_ORACLE_DIM_GATE}, got {n}")
 
 
 def dense_smith(M: list[list[UPoly]]) -> list[UPoly]:

@@ -9,6 +9,13 @@ shifts s decreasing.  Orientation 'x' exchanges the variable roles.
 
 Throughout, the orientation variable is called "inner" (it fixes the
 dimension) and the other one "outer" (matrix entries live in K[outer]).
+
+Vectors over K[outer] are (n, width) int64 arrays, row i holding entry i's
+ascending outer coefficients (see bipoly).  The structured products
+(matvec_window, matvec_window_T) and the truncated solves (solve_window,
+solve_window_T) work on such arrays only; matvec, matvec_T,
+trunc_inv_apply and trunc_inv_apply_T are their list[UPoly] adapters,
+converting once at entry and once at exit.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._dense import SingularMatrixError, gauss_inverse
-from .bipoly import BiPoly, IdealBasis, bimul, unvec, vec
+from .bipoly import BiPoly, IdealBasis, bimul, fit, to_array, to_list, unvec, vec
 from .upoly import FixedDivisor, UPoly, xgcd
 
 
@@ -73,19 +80,17 @@ class SylvMat:
 
     def constant_matrix(self) -> np.ndarray:
         """S(0): the outer-variable constant coefficient, as a scalar matrix."""
-        p0 = self.g1.upoly_coeff(self.outer, 0)
-        q0 = self.g2.upoly_coeff(self.outer, 0)
-        n = self.n
-        M = np.zeros((n, n), dtype=np.int64)
-        for j in range(self.m2):
-            s = self.m2 - 1 - j
-            for i in range(n):
-                M[i, j] = p0.coeff(n - 1 - i - s)
-        for j in range(self.m1):
-            s = self.m1 - 1 - j
-            for i in range(n):
-                M[i, self.m2 + j] = q0.coeff(n - 1 - i - s)
+        M = np.zeros((self.n, self.n), dtype=np.int64)
+        for j, col in enumerate(_columns(self)):
+            M[:, j] = col[:, 0]
         return M
+
+
+def _columns(S: SylvMat):
+    """The columns of S in order, each an (n, width) polynomial vector."""
+    for gen, count in ((S.g1, S.m2), (S.g2, S.m1)):
+        for s in range(count - 1, -1, -1):
+            yield vec(gen.mul_monomial(s, 0) if S.wrt == "x" else gen.mul_monomial(0, s), S.wrt, S.n)
 
 
 def build_Sy(basis: IdealBasis) -> SylvMat:
@@ -140,87 +145,65 @@ def is_column_reduced(S: SylvMat) -> bool:
 
 def dense_form(S: SylvMat) -> list[list[UPoly]]:
     """Explicit n x n materialisation (testing/oracle bridge)."""
-    n = S.n
-    cols: list[list[UPoly]] = []
-    for gen, count in ((S.g1, S.m2), (S.g2, S.m1)):
-        for j in range(count):
-            shift = count - 1 - j
-            shifted = gen.mul_monomial(shift, 0) if S.wrt == "x" else gen.mul_monomial(0, shift)
-            cols.append(vec(shifted, S.wrt, n))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    cols = [to_list(S.ctx, col) for col in _columns(S)]
+    return [[col[i] for col in cols] for i in range(S.n)]
+
+
+def _check_len(S: SylvMat, v) -> None:
+    if len(v) != S.n:
+        raise ValueError(f"vector length {len(v)} does not match dimension {S.n}")
 
 
 def matvec(S: SylvMat, w: list[UPoly]) -> list[UPoly]:
     """S @ w via two bivariate products, never materialising S."""
-    if len(w) != S.n:
-        raise ValueError(f"vector length {len(w)} does not match dimension {S.n}")
-    zero = BiPoly.zero(S.ctx)
-    A = unvec(w[: S.m2], S.wrt) if S.m2 else zero
-    B = unvec(w[S.m2 :], S.wrt) if S.m1 else zero
-    total = bimul(A, S.g1) + bimul(B, S.g2)
-    return vec(total, S.wrt, S.n)
+    _check_len(S, w)
+    return to_list(S.ctx, matvec_window(S, to_array(w)))
 
 
-def matvec_window(S: SylvMat, w: list[UPoly], l: int) -> list[UPoly]:
-    """(S @ w) mod outer^l, multiplying against outer-truncated generators;
-    the truncation keeps deep solve nodes proportional to their window."""
-    zero = BiPoly.zero(S.ctx)
-    key = ("trunc", l)
-    if key not in S._cache:
-        S._cache[key] = (S.g1.trunc_deg(S.outer, l), S.g2.trunc_deg(S.outer, l))
-    g1t, g2t = S._cache[key]
-    A = unvec(w[: S.m2], S.wrt) if S.m2 else zero
-    B = unvec(w[S.m2 :], S.wrt) if S.m1 else zero
-    total = (bimul(A, g1t) + bimul(B, g2t)).trunc_deg(S.outer, l)
-    return vec(total, S.wrt, S.n)
+def matvec_window(S: SylvMat, W: np.ndarray, l: int | None = None) -> np.ndarray:
+    """(S @ W) mod outer^l as an (n, l) array (the whole product when l is
+    None), multiplying against outer-truncated generators; the truncation
+    keeps deep solve nodes proportional to their window."""
+    g1, g2 = S.g1, S.g2
+    if l is not None:
+        W = W[:, :l]
+        g1, g2 = g1.trunc_deg(S.outer, l), g2.trunc_deg(S.outer, l)
+    ctx = S.ctx
+    total = bimul(unvec(ctx, W[: S.m2], S.wrt), g1) + bimul(unvec(ctx, W[S.m2 :], S.wrt), g2)
+    V = vec(total, S.wrt, S.n)
+    return V if l is None else fit(V, l)
 
 
 def matvec_T(S: SylvMat, ell: list[UPoly], out_len: int) -> list[UPoly]:
-    """Transpose of matvec on coefficient spaces: the two products become
-    middle products (outer-variable correlations against the generators)."""
-    if len(ell) != S.n:
-        raise ValueError(f"vector length {len(ell)} does not match dimension {S.n}")
-    lam = _ascending_bipoly(S, ell)
-    P1 = bimul(S.g1.rev(S.outer, S.c1), lam)
-    P2 = bimul(S.g2.rev(S.outer, S.c2), lam)
-    return _gather_T(S, P1, P2, off1=S.c1, off2=S.c2, out_len=out_len)
+    """Transpose of matvec on coefficient spaces (list adapter of matvec_window_T)."""
+    _check_len(S, ell)
+    return to_list(S.ctx, matvec_window_T(S, to_array(ell), out_len))
 
 
-def _matvec_semiT(S: SylvMat, u: list[UPoly], out_len: int) -> list[UPoly]:
-    """(sum_k S_k^T outer^k) @ u: transposed layers, ordinary convolution."""
-    lam = _ascending_bipoly(S, u)
-    P1 = bimul(S.g1, lam)
-    P2 = bimul(S.g2, lam)
-    return _gather_T(S, P1, P2, off1=0, off2=0, out_len=out_len)
+def matvec_window_T(S: SylvMat, L: np.ndarray, out_len: int) -> np.ndarray:
+    """Transpose of matvec restricted to outer windows of width out_len: the
+    two products become middle products (outer-variable correlations
+    against the generators)."""
+    R = S.reversed_matrix()
+    return _transposed_product(S, L, R.g1, R.g2, S.c1, S.c2, out_len)
 
 
-def _ascending_bipoly(S: SylvMat, ell: list[UPoly]) -> BiPoly:
-    """Lambda = sum_i ell[i] * inner^i (note: ascending, unlike vec/unvec)."""
-    ctx = S.ctx
-    n = len(ell)
-    width = max((e.deg for e in ell), default=-1) + 1
-    if width == 0:
-        return BiPoly.zero(ctx)
-    if S.wrt == "y":
-        g = np.zeros((width, n), dtype=np.int64)
-        for i, e in enumerate(ell):
-            g[: len(e.c), i] = e.c
-    else:
-        g = np.zeros((n, width), dtype=np.int64)
-        for i, e in enumerate(ell):
-            g[i, : len(e.c)] = e.c
-    return BiPoly(ctx, g)
+def _matvec_semiT(S: SylvMat, U: np.ndarray, out_len: int) -> np.ndarray:
+    """(sum_k S_k^T outer^k) @ U: transposed layers, ordinary convolution."""
+    return _transposed_product(S, U, S.g1, S.g2, 0, 0, out_len)
 
 
-def _gather_T(S, P1, P2, off1, off2, out_len) -> list[UPoly]:
-    ctx = S.ctx
-    out: list[UPoly] = []
-    for j in range(S.m2):
-        row = P1.upoly_coeff(S.wrt, S.m1 + j)
-        out.append(UPoly(ctx, row.padded(off1 + out_len)[off1 : off1 + out_len]))
-    for j in range(S.m1):
-        row = P2.upoly_coeff(S.wrt, S.m2 + j)
-        out.append(UPoly(ctx, row.padded(off2 + out_len)[off2 : off2 + out_len]))
+def _transposed_product(S, L, g1, g2, off1, off2, out_len) -> np.ndarray:
+    """Rows m1.. of g1 * Lambda and m2.. of g2 * Lambda (in the inner
+    variable), outer window [off, off + out_len), where Lambda =
+    sum_i L[i] * inner^i (ascending, unlike vec/unvec)."""
+    lam = unvec(S.ctx, L[::-1], S.wrt)
+    out = np.zeros((S.n, out_len), dtype=np.int64)
+    for top, count, g, lo, off in ((0, S.m2, g1, S.m1, off1), (S.m2, S.m1, g2, S.m2, off2)):
+        P = bimul(g, lam)
+        G = P.g if S.wrt == "x" else P.g.T
+        block = G[lo : lo + count, off : off + out_len]
+        out[top : top + block.shape[0], : block.shape[1]] = block
     return out
 
 
@@ -235,7 +218,6 @@ class _BaseSolver:
     full formal degree for p or q, so the Bezout route below is total."""
 
     def __init__(self, S: SylvMat):
-        ctx = S.ctx
         p0 = S.g1.upoly_coeff(S.outer, 0)
         q0 = S.g2.upoly_coeff(S.outer, 0)
         if p0.is_zero and q0.is_zero:
@@ -252,49 +234,18 @@ class _BaseSolver:
         else:
             raise SingularMatrixError("constant coefficient matrix is singular")
         self.S = S
-        self.ctx = ctx
         self.p0, self.q0, self.u0, self.v0 = p0, q0, u0, v0
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         S = self.S
-        R = UPoly(self.ctx, r[::-1])
+        R = UPoly(S.ctx, r[::-1])
         if self.route_a:
             A = self.div.rem(R * self.u0)
             B = self.div.exact_div(R - A * self.p0)
         else:
             B = self.div.rem(R * self.v0)
             A = self.div.exact_div(R - B * self.q0)
-        out = np.zeros(S.n, dtype=np.int64)
-        for j in range(S.m2):
-            out[j] = A.coeff(S.m2 - 1 - j)
-        for j in range(S.m1):
-            out[S.m2 + j] = B.coeff(S.m1 - 1 - j)
-        return out
-
-
-def trunc_inv_apply(S: SylvMat, v: list[UPoly], l: int) -> list[UPoly]:
-    """u with S u = v (mod outer^l); requires S(0) nonsingular."""
-    if len(v) != S.n:
-        raise ValueError(f"vector length {len(v)} does not match dimension {S.n}")
-    if l <= 0:
-        raise ValueError("truncation order must be positive")
-    if "solver" not in S._cache:
-        S._cache["solver"] = _BaseSolver(S)
-    solver = S._cache["solver"]
-    return _solve_series(S, solver.solve, matvec_window, [e.trunc(l) for e in v], l)
-
-
-def _solve_series(S, base_solve, mv, v, l):
-    ctx = S.ctx
-    if l == 1:
-        z = base_solve(np.array([e.coeff(0) for e in v], dtype=np.int64))
-        return [UPoly.const(ctx, int(c)) for c in z]
-    h = l // 2
-    u_lo = _solve_series(S, base_solve, mv, [e.trunc(h) for e in v], h)
-    prod = mv(S, u_lo, l)
-    r = [(v[i] - prod[i]).trunc(l).trunc_low(h) for i in range(S.n)]
-    u_hi = _solve_series(S, base_solve, mv, r, l - h)
-    return [u_lo[i] + u_hi[i].shift(h) for i in range(S.n)]
+        return np.concatenate([A.padded(S.m2)[::-1], B.padded(S.m1)[::-1]])
 
 
 class _BaseSolverT:
@@ -302,27 +253,54 @@ class _BaseSolverT:
 
     def __init__(self, S: SylvMat):
         self.ctx = S.ctx
-        self.Minv = gauss_inverse(S.ctx, S.constant_matrix())
+        self.MinvT = gauss_inverse(S.ctx, S.constant_matrix()).T
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        # z = S(0)^{-T} r = sum_j r_j * row_j(S(0)^{-1})
-        ctx = self.ctx
-        z = np.zeros(len(r), dtype=np.int64)
-        for j in range(len(r)):
-            if r[j]:
-                z = ctx.vadd(z, ctx.vmul(self.Minv[j], np.int64(r[j])))
-        return z
+        return self.ctx.vsum(self.ctx.vmul(self.MinvT, r))
+
+
+def _solver(S: SylvMat, kind: type):
+    """The base solver of the given kind for S(0), built once per S."""
+    if kind not in S._cache:
+        S._cache[kind] = kind(S)
+    return S._cache[kind]
+
+
+def trunc_inv_apply(S: SylvMat, v: list[UPoly], l: int) -> list[UPoly]:
+    """u with S u = v (mod outer^l) (list adapter of solve_window)."""
+    _check_len(S, v)
+    if l <= 0:
+        raise ValueError("truncation order must be positive")
+    return to_list(S.ctx, solve_window(S, fit(to_array(v), l), l))
+
+
+def solve_window(S: SylvMat, V: np.ndarray, l: int) -> np.ndarray:
+    """U (n, l) with S U = V (mod outer^l), V of width l; requires S(0)
+    nonsingular."""
+    return _solve_series(S, _solver(S, _BaseSolver).solve, matvec_window, V, l)
+
+
+def _solve_series(S, base_solve, mv, V, l) -> np.ndarray:
+    """U (n, l) with mv-products S U = V (mod outer^l), V of width l; the
+    low half is solved first and the high half against its residual."""
+    if l == 1:
+        return base_solve(V[:, 0]).reshape(-1, 1)
+    h = l // 2
+    U_lo = _solve_series(S, base_solve, mv, V[:, :h], h)
+    prod = mv(S, U_lo, l)
+    R = S.ctx.vsub(V[:, h:l], prod[:, h:l])
+    U_hi = _solve_series(S, base_solve, mv, R, l - h)
+    return np.concatenate([U_lo, U_hi], axis=1)
 
 
 def trunc_inv_apply_T(S: SylvMat, ell: list[UPoly], l: int) -> list[UPoly]:
-    """Transpose of trunc_inv_apply as a linear map on the coefficient
-    window of width l: reverse, solve against the transposed layers,
-    reverse back."""
-    if len(ell) != S.n:
-        raise ValueError(f"vector length {len(ell)} does not match dimension {S.n}")
-    if "solverT" not in S._cache:
-        S._cache["solverT"] = _BaseSolverT(S)
-    solver = S._cache["solverT"]
-    rev_in = [UPoly(S.ctx, e.padded(l)[::-1]) for e in ell]
-    u = _solve_series(S, solver.solve, _matvec_semiT, rev_in, l)
-    return [UPoly(S.ctx, e.padded(l)[::-1]) for e in u]
+    """Transpose of trunc_inv_apply (list adapter of solve_window_T)."""
+    _check_len(S, ell)
+    return to_list(S.ctx, solve_window_T(S, to_array(ell), l))
+
+
+def solve_window_T(S: SylvMat, L: np.ndarray, l: int) -> np.ndarray:
+    """Transpose of solve_window as a linear map on the coefficient window
+    of width l: reverse, solve against the transposed layers, reverse back."""
+    U = _solve_series(S, _solver(S, _BaseSolverT).solve, _matvec_semiT, fit(L, l)[:, ::-1], l)
+    return U[:, ::-1]

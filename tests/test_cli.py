@@ -233,3 +233,16 @@ def test_bench_compare_backends(files, capsys):
         assert ops == ["normal_form+numba", "normal_form+numpy"]
     else:
         assert ops == ["normal_form+numpy"]
+
+
+def test_verify_oracle_above_dimension_gate_exit2(files, capsys):
+    # d = 1, e = 33: n_y = 66 is above the dense oracles' gate of 64
+    rng = random.Random(9)
+    text = lambda: "\n".join(f"{rng.randrange(1, 65537)} {i} {j}" for i in range(2) for j in range(34))
+    a = files("a.txt", text())
+    b = files("b.txt", text())
+    for cmd in ("invfact", "resultant"):
+        code, out, err = run(capsys, [cmd, "-p", "65537", "--a", a, "--b", b, "--verify-oracle"])
+        assert code == 2, err
+        assert out == "" and "oracle gated to dimension 64" in err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1

@@ -207,3 +207,21 @@ def test_report_metadata():
     assert rep.trials == 3 and rep.attempts >= 1
     assert "total" in rep.timings_ns and rep.timings_ns["total"] > 0
     assert rep.sigma.c[-1] == 1  # monic
+
+
+class _CollidingPrimeField(PrimeField):
+    """Unequal prime fields that all share one hash value."""
+
+    def __hash__(self):
+        return 0
+
+
+def test_working_field_cache_separates_hash_collisions():
+    from sylres.invariant import _working_field
+
+    F3, F5 = _CollidingPrimeField(3), _CollidingPrimeField(5)
+    assert hash(F3) == hash(F5) and F3 != F5
+    E3 = _working_field(F3, 30)
+    E5 = _working_field(F5, 30)
+    assert (E3.p, E5.p) == (3, 5)
+    assert _working_field(F3, 30) is E3

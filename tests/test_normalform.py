@@ -210,3 +210,26 @@ def test_embed_unembed_roundtrip():
     for _ in range(10):
         f = BiPoly.random(F101, basis.d - 1, basis.ny - 1, rng)
         assert unembed(basis, embed(basis, f)) == f
+
+
+def test_apply_embedded_matches_scalar_loop():
+    from sylres.field import build_extension
+
+    fields = [
+        PrimeField(2),
+        build_extension(7, 343, random.Random(4)),
+        PrimeField(2**31 - 1),
+        F65537,
+    ]
+    rng = random.Random(28)
+    for ctx in fields:
+        for d, e in ((1, 1), (2, 3), (3, 4), (5, 5)):
+            a = BiPoly.random(ctx, d, e, rng)
+            b = BiPoly.random(ctx, d, e, rng)
+            basis = IdealBasis(a, b)
+            ell = LinearForm.random(basis, rng)
+            emb = ctx.rand_array(rng, basis.d * basis.ny)
+            acc = 0
+            for v in ctx.vmul(ell.coeffs, emb):
+                acc = ctx.add(acc, int(v))
+            assert ell.apply_embedded(emb) == acc
