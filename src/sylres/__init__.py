@@ -25,6 +25,7 @@ from .field import (
     sample_uniform,
 )
 from .invariant import (
+    DeterminantScaleError,
     InvariantOptions,
     InvariantReport,
     RootsAtInfinityError,
@@ -63,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BiPoly",
     "ConditioningRecord",
+    "DeterminantScaleError",
     "ExtField",
     "FieldCtx",
     "FieldError",

@@ -25,6 +25,7 @@ from .field import ExtField, FieldError, PrimeField, random_irreducible
 from .invariant import (
     STATUS_CERTIFIED,
     STATUS_FAILURE,
+    DeterminantScaleError,
     InvariantOptions,
     RootsAtInfinityError,
     last_invariant_factor,
@@ -194,6 +195,8 @@ def _invariant_command(args, runner, verify) -> int:
         report = runner(basis, rng, opts)
     except (RootsAtInfinityError, NotColumnReducedError) as exc:
         raise CliError(str(exc), 2)
+    except DeterminantScaleError as exc:
+        raise CliError(f"cannot certify: {exc}", 2)
     if report.status == STATUS_FAILURE:
         raise CliError("conditioning retries exhausted (computation failure)", 2)
     if args.verify_oracle:

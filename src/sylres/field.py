@@ -203,6 +203,10 @@ class PrimeField(FieldCtx):
             e >>= 1
         return acc
 
+    def vsum(self, a):
+        # exact in int64: codes are below 2**31 and no sum has 2**32 terms
+        return _as_codes(a).sum(axis=-1) % self.p
+
     def eval_many(self, coeffs, pts):
         return _backend.eval_many_mod(_as_codes(coeffs), _as_codes(pts), self.p)
 
@@ -312,8 +316,9 @@ _LOG_TABLE_LIMIT = 8192  # build multiplicative log/antilog tables below this si
 class ExtField(FieldCtx):
     """Degree-k extension of an arbitrary base FieldCtx (towers allowed).
 
-    Small fields get discrete log/antilog tables so multiplicative scalar
-    and vector ops are table gathers; characteristic 2 addition is xor."""
+    Small fields get discrete log/antilog tables, so multiplicative scalar
+    and vector ops are table gathers, and a digit table, so decode is one
+    gather; characteristic 2 addition is xor."""
 
     def __init__(self, base: FieldCtx, modulus: np.ndarray, check: bool = True):
         modulus = _as_codes(modulus)
@@ -334,15 +339,18 @@ class ExtField(FieldCtx):
         self.q = base.q**k
         # reduction rows: t^(k+i) mod m as coefficient rows, i = 0..k-2
         self._red = _reduction_rows(base, modulus)
+        self._place = base.q ** np.arange(k, dtype=np.int64)
+        self._digits = None
         self._exp = None
         self._log = None
         if self.q <= _LOG_TABLE_LIMIT:
+            self._digits = self.decode(np.arange(self.q, dtype=np.int64))
             self._build_log_tables()
 
     def _build_log_tables(self):
         q = self.q
         for g in range(2, q):
-            exp = np.zeros(2 * (q - 1), dtype=np.int64)
+            exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
             log = np.full(q, -1, dtype=np.int64)
             acc, ok = 1, True
             for i in range(q - 1):
@@ -353,7 +361,10 @@ class ExtField(FieldCtx):
                 log[acc] = i
                 acc = self._mul_polybasis(acc, g)
             if ok:
-                exp[q - 1 :] = exp[: q - 1]  # wraparound so sums of logs index directly
+                # wraparound so sums of logs index directly; log 0 is past
+                # every sum of two nonzero logs, where exp reads 0
+                exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
+                log[0] = 2 * (q - 1)
                 self._exp, self._log = exp, log
                 return
         raise FieldError("no multiplicative generator found (not a field?)")
@@ -375,7 +386,11 @@ class ExtField(FieldCtx):
         return hash(("ext", hash(self.base), self.modulus.tobytes()))
 
     def decode(self, a) -> np.ndarray:
+        """Base-field digits of codes, on a new last axis: one gather from
+        the digit table when the field is small enough to keep one."""
         a = _as_codes(a)
+        if self._digits is not None:
+            return self._digits.take(a, axis=0)
         digits = np.empty(a.shape + (self.deg,), dtype=np.int64)
         t = a.copy()
         for i in range(self.deg):
@@ -384,10 +399,7 @@ class ExtField(FieldCtx):
         return digits
 
     def encode(self, digits: np.ndarray) -> np.ndarray:
-        acc = np.zeros(digits.shape[:-1], dtype=np.int64)
-        for i in range(self.deg - 1, -1, -1):
-            acc = acc * self.base.q + digits[..., i]
-        return acc
+        return digits @ self._place
 
     def in_base(self, x: int) -> bool:
         return 0 <= x < self.base.q
@@ -410,8 +422,6 @@ class ExtField(FieldCtx):
 
     def mul(self, x, y):
         if self._exp is not None:
-            if x == 0 or y == 0:
-                return 0
             return int(self._exp[self._log[x] + self._log[y]])
         return self._mul_polybasis(x, y)
 
@@ -463,9 +473,7 @@ class ExtField(FieldCtx):
     def vmul(self, a, b):
         if self._exp is None:
             return self._vmul_planes(a, b)
-        a, b = _as_codes(a), _as_codes(b)
-        out = self._exp[self._log[a] + self._log[b]]
-        return np.where((a == 0) | (b == 0), 0, out)
+        return self._exp.take(self._log.take(a) + self._log.take(b))
 
     def vinv(self, a):
         a = _as_codes(a)

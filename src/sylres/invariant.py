@@ -6,12 +6,20 @@ resultant.
 The pipeline is Monte Carlo: a returned sigma always divides the true last
 invariant factor, equals it with probability 1 - O(de/q), and the resultant
 path upgrades to Las Vegas through the column-degree certificate.
+
+The minimal polynomial is read off in one streamed pass: the `trials`
+random linear forms are drawn first and stacked as a (trials, dim) array,
+each normal form phi(x^i) is applied to all of them at once and then
+dropped, and Berlekamp-Massey (array form, in upoly) runs on each row of
+the resulting projection sequences.  Every retry of last_invariant_factor
+is counted under a named reason in InvariantReport.rejections.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +43,21 @@ class RootsAtInfinityError(ValueError):
     pass
 
 
+class DeterminantScaleError(ArithmeticError):
+    """The determinant scale of a certified resultant could not be fixed."""
+
+
+# Why last_invariant_factor discarded an attempt, one name per retry point.
+REJECTION_REASONS = (
+    "degree-drop",
+    "sx-not-reduced",
+    "sy-not-reduced",
+    "zero-minpoly",
+    "sigma-too-large",
+    "sigma-not-in-base",
+)
+
+
 @dataclass
 class InvariantOptions:
     trials: int = 3
@@ -52,6 +75,7 @@ class InvariantReport:
     scale: int = 1
     attempts: int = 0
     timings_ns: dict = field(default_factory=dict)
+    rejections: dict[str, int] = field(default_factory=lambda: dict.fromkeys(REJECTION_REASONS, 0))
 
     @property
     def ok(self) -> bool:
@@ -65,19 +89,24 @@ def projection_sequence(
     f -> phi(x f) from phi(1)."""
     if strategy != "baseline":
         raise ValueError(f"unknown projection strategy {strategy!r}")
-    embeds = _projection_embeds(basis, N)
-    return [ell.apply_embedded(e) for e in embeds]
+    return [ell.apply_embedded(e) for e in _projection_embeds(basis, N)]
 
 
-def _projection_embeds(basis: IdealBasis, N: int) -> list[np.ndarray]:
+def _projection_embeds(basis: IdealBasis, N: int) -> Iterator[np.ndarray]:
+    """The embeddings of phi(x^i), i < N, streamed one at a time.  The
+    column-reducedness precondition is checked here, at the call, not at
+    the first step of the stream."""
     if not (is_column_reduced(build_Sy(basis)) and is_column_reduced(build_Sx(basis))):
         raise NotColumnReducedError("both Sylvester matrices must be column reduced")
-    out = []
+    return _power_embeds(basis, N)
+
+
+def _power_embeds(basis: IdealBasis, N: int) -> Iterator[np.ndarray]:
     f = normal_form(basis, BiPoly.one(basis.ctx))
-    for _ in range(N):
-        out.append(embed(basis, f))
-        f = normal_form(basis, f.mul_monomial(1, 0))
-    return out
+    for i in range(N):
+        yield embed(basis, f)
+        if i + 1 < N:
+            f = normal_form(basis, f.mul_monomial(1, 0))
 
 
 def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> UPoly:
@@ -87,10 +116,12 @@ def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> U
     ctx = basis.ctx
     N = 4 * basis.d * basis.e
     embeds = _projection_embeds(basis, N)
+    forms = np.stack([LinearForm.random(basis, rng).coeffs for _ in range(max(trials, 1))])
+    seqs = np.zeros((len(forms), N), dtype=np.int64)
+    for i, emb in enumerate(embeds):
+        seqs[:, i] = ctx.vsum(ctx.vmul(forms, emb))
     acc = UPoly.one(ctx)
-    for _ in range(max(trials, 1)):
-        ell = LinearForm.random(basis, rng)
-        seq = [ell.apply_embedded(e) for e in embeds]
+    for seq in seqs:
         acc = plcm(acc, berlekamp_massey(ctx, seq))
     return acc
 
@@ -137,6 +168,7 @@ def last_invariant_factor(
     wbasis = basis.lift(work_ctx) if work_ctx is not ctx else basis
 
     attempts = 0
+    rejections = dict.fromkeys(REJECTION_REASONS, 0)
     for attempt in range(opts.max_attempts):
         attempts = attempt + 1
         alpha = work_ctx.sample(rng)
@@ -145,22 +177,30 @@ def last_invariant_factor(
         cond, record = condition_for_both(wbasis, alpha, beta)
         timings["condition"] = timings.get("condition", 0) + time.perf_counter_ns() - t0
         if cond.degree_vector() != wbasis.degree_vector():
+            rejections["degree-drop"] += 1
             continue
-        if not (is_column_reduced(build_Sx(cond)) and is_column_reduced(build_Sy(cond))):
+        if not is_column_reduced(build_Sx(cond)):
+            rejections["sx-not-reduced"] += 1
+            continue
+        if not is_column_reduced(build_Sy(cond)):
+            rejections["sy-not-reduced"] += 1
             continue
         t0 = time.perf_counter_ns()
         mu2 = min_poly_mult_x(cond, rng, opts.trials)
         timings["minpoly"] = timings.get("minpoly", 0) + time.perf_counter_ns() - t0
         if mu2.is_zero:
+            rejections["zero-minpoly"] += 1
             continue
         t0 = time.perf_counter_ns()
         sigma = recover_last_invariant(mu2, record)
         timings["recover"] = timings.get("recover", 0) + time.perf_counter_ns() - t0
         if sigma.deg > 2 * de:
-            continue  # cannot be an invariant-factor divisor; randomness artifact
+            rejections["sigma-too-large"] += 1  # cannot divide the invariant factor
+            continue
         if work_ctx is not ctx:
             if any(int(c) >= ctx.q for c in sigma.c):
-                continue  # randomness artifact: sigma must live in the base field
+                rejections["sigma-not-in-base"] += 1  # sigma must live in the base field
+                continue
             sigma = UPoly(ctx, sigma.c)
         timings["total"] = time.perf_counter_ns() - t_total
         return InvariantReport(
@@ -170,9 +210,12 @@ def last_invariant_factor(
             trials=opts.trials,
             attempts=attempts,
             timings_ns=timings,
+            rejections=rejections,
         )
     timings["total"] = time.perf_counter_ns() - t_total
-    return InvariantReport(None, STATUS_FAILURE, attempts=attempts, timings_ns=timings)
+    return InvariantReport(
+        None, STATUS_FAILURE, attempts=attempts, timings_ns=timings, rejections=rejections
+    )
 
 
 def elimination_generator(
@@ -225,6 +268,6 @@ def _determinant_scale(basis: IdealBasis, sigma: UPoly, rng: random.Random) -> i
         det = gauss_det(ev_ctx, scalar_sylvester_at(lifted, x0, ev_ctx))
         c = ev_ctx.mul(det, ev_ctx.inv(sv))
         if ev_ctx is not ctx and c >= ctx.q:
-            raise ArithmeticError("determinant scale did not descend to the base field")
+            raise DeterminantScaleError("determinant scale did not descend to the base field")
         return c
-    raise ArithmeticError("could not find an evaluation point avoiding the roots of sigma")
+    raise DeterminantScaleError("could not find an evaluation point avoiding the roots of sigma")

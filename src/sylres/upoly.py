@@ -409,42 +409,30 @@ def interpolate(ctx: FieldCtx, pts, vals) -> UPoly:
 
 
 def berlekamp_massey(ctx: FieldCtx, seq) -> UPoly:
-    """Monic minimal generating polynomial of the given sequence prefix."""
-    s = [int(v) for v in seq]
+    """Monic minimal generating polynomial of the given sequence prefix.
+
+    The connection polynomials C and B are int64 arrays of length n + 2
+    (their degrees never exceed L <= n); each step's discrepancy is one
+    vmul + vsum against the reversed sequence and each update one vsub."""
+    s = np.fromiter(seq, dtype=np.int64)
     n = len(s)
-    C = [1]  # connection polynomial, C(D), ascending
-    B = [1]
+    s_rev = s[::-1]
+    C = np.zeros(n + 2, dtype=np.int64)  # connection polynomial C(D), ascending
+    C[0] = 1
+    B = C.copy()
     L, m, b = 0, 1, 1
     for i in range(n):
-        d = s[i]
-        for j in range(1, L + 1):
-            if j < len(C) and C[j]:
-                d = ctx.add(d, ctx.mul(C[j], s[i - j]))
+        # d = s_i + sum_{j=1..L} C_j s_{i-j}
+        d = ctx.add(int(s[i]), int(ctx.vsum(ctx.vmul(C[1 : L + 1], s_rev[n - i : n - i + L]))))
         if d == 0:
             m += 1
             continue
-        coef = ctx.mul(d, ctx.inv(b))
-        if 2 * L <= i:
-            T = C[:]
-            need = len(B) + m
-            if len(C) < need:
-                C = C + [0] * (need - len(C))
-            for j in range(len(B)):
-                C[j + m] = ctx.sub(C[j + m], ctx.mul(coef, B[j]))
-            L = i + 1 - L
-            B = T
-            b = d
-            m = 1
-        else:
-            need = len(B) + m
-            if len(C) < need:
-                C = C + [0] * (need - len(C))
-            for j in range(len(B)):
-                C[j + m] = ctx.sub(C[j + m], ctx.mul(coef, B[j]))
+        coef = np.int64(ctx.mul(d, ctx.inv(b)))
+        T = C.copy() if 2 * L <= i else None
+        C[m:] = ctx.vsub(C[m:], ctx.vmul(coef, B[: n + 2 - m]))
+        if T is None:
             m += 1
+        else:
+            L, B, b, m = i + 1 - L, T, d, 1
     # minimal polynomial: x^L * C(1/x), i.e. reversed connection coefficients
-    mono = [0] * (L + 1)
-    mono[L] = 1
-    for j in range(1, min(L, len(C) - 1) + 1):
-        mono[L - j] = C[j]
-    return UPoly(ctx, mono).monic()
+    return UPoly(ctx, C[L::-1])

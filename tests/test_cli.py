@@ -246,3 +246,19 @@ def test_verify_oracle_above_dimension_gate_exit2(files, capsys):
         assert code == 2, err
         assert out == "" and "oracle gated to dimension 64" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_resultant_scale_failure_exit2(files, capsys, monkeypatch):
+    import sylres.invariant as invmod
+
+    def fail(*_):
+        raise invmod.DeterminantScaleError("could not find an evaluation point")
+
+    monkeypatch.setattr(invmod, "_determinant_scale", fail)
+    rng = random.Random(3)
+    ga = files("ga.txt", "\n".join(f"{rng.randrange(1, 101)} {i} {j}" for i in range(3) for j in range(3)))
+    gb = files("gb.txt", "\n".join(f"{rng.randrange(1, 101)} {i} {j}" for i in range(3) for j in range(3)))
+    code, out, err = run(capsys, ["resultant", "-p", "101", "--a", ga, "--b", gb, "--seed", "5"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "evaluation point" in err and "Traceback" not in err

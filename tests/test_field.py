@@ -163,3 +163,60 @@ def test_sampling_determinism_and_uniformity():
     s1 = [sample_uniform(G, random.Random(1)) for _ in range(64)]
     s2 = [sample_uniform(G, random.Random(2)) for _ in range(64)]
     assert s1 != s2
+
+
+def _digit_loop(F, codes):
+    """Base-Q digits by repeated division: the arithmetic decode."""
+    digits = np.empty(codes.shape + (F.deg,), dtype=np.int64)
+    t = codes.copy()
+    for i in range(F.deg):
+        digits[..., i] = t % F.base.q
+        t //= F.base.q
+    return digits
+
+
+def _undigit_loop(F, digits):
+    acc = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for i in range(F.deg - 1, -1, -1):
+        acc = acc * F.base.q + digits[..., i]
+    return acc
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        build_extension(7, 343, random.Random(3)),
+        build_extension(3, 243, random.Random(5)),
+        extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+    ],
+    ids=["F7^3", "F3^5", "F4^2 (tower)"],
+)
+def test_table_decode_encode_match_digit_loop(F):
+    assert F._digits is not None  # small enough to keep the digit table
+    codes = np.arange(F.q, dtype=np.int64)
+    want = _digit_loop(F, codes)
+    assert np.array_equal(F.decode(codes), want)
+    assert np.array_equal(F.decode(codes.reshape(-1, 1)), want.reshape(-1, 1, F.deg))
+    assert np.array_equal(F.encode(want), codes)
+    assert np.array_equal(F.encode(want), _undigit_loop(F, want))
+    for x in (0, 1, F.q - 1):
+        assert np.array_equal(F.decode(x), want[x])
+        assert int(F.encode(want[x])) == x
+
+
+def test_arithmetic_decode_above_table_limit():
+    F = build_extension(101, 101**2, random.Random(4))
+    assert F._digits is None
+    codes = np.array([0, 1, 100, 101, F.q - 1], dtype=np.int64)
+    assert np.array_equal(F.decode(codes), _digit_loop(F, codes))
+    assert np.array_equal(F.encode(F.decode(codes)), codes)
+
+
+def test_prime_vsum_exact_near_2_31():
+    p = 2**31 - 1
+    F = PrimeField(p)
+    a = np.full(10**5, p - 1, dtype=np.int64)
+    assert int(F.vsum(a)) == (10**5 * (p - 1)) % p
+    rows = np.stack([a, np.arange(10**5, dtype=np.int64)])
+    assert F.vsum(rows).tolist() == [(10**5 * (p - 1)) % p, sum(range(10**5)) % p]
+    assert int(F.vsum(np.zeros(0, dtype=np.int64))) == 0

@@ -6,6 +6,7 @@ import pytest
 from sylres.bipoly import BiPoly, IdealBasis, bimul
 from sylres.field import PrimeField
 from sylres.invariant import (
+    REJECTION_REASONS,
     STATUS_CERTIFIED,
     STATUS_DIVISOR,
     STATUS_FAILURE,
@@ -21,7 +22,7 @@ from sylres.invariant import (
 from sylres.normalform import LinearForm, normal_form
 from sylres.oracle import dense_minpoly_mult_x, dense_resultant, dense_smith
 from sylres.sylvester import NotColumnReducedError, build_Sy, dense_form
-from sylres.upoly import UPoly
+from sylres.upoly import UPoly, berlekamp_massey, plcm
 
 from test_sylvester import example1_basis, example2_basis, random_basis
 
@@ -225,3 +226,40 @@ def test_working_field_cache_separates_hash_collisions():
     E5 = _working_field(F5, 30)
     assert (E3.p, E5.p) == (3, 5)
     assert _working_field(F3, 30) is E3
+
+
+@pytest.mark.parametrize("N", [0, 5])
+def test_projection_sequence_checks_reducedness_eagerly(N):
+    a = BiPoly.from_terms(F101, [(1, 1, 2), (1, 0, 1)])  # x y^2 + y
+    b = BiPoly.from_terms(F101, [(1, 1, 1), (1, 0, 0)])  # x y + 1
+    basis = IdealBasis(a, b)
+    ell = LinearForm(basis, np.ones(basis.d * basis.ny, dtype=np.int64))
+    with pytest.raises(NotColumnReducedError):
+        projection_sequence(basis, ell, N)
+
+
+def test_min_poly_streamed_forms_match_one_form_at_a_time():
+    rng = random.Random(63)
+    basis = random_basis(F65537, 3, 3, rng)
+    N = 4 * basis.d * basis.e
+    forms_rng, ref_rng = random.Random(64), random.Random(64)
+    want = UPoly.one(F65537)
+    for _ in range(3):
+        ell = LinearForm.random(basis, ref_rng)
+        want = plcm(want, berlekamp_massey(F65537, projection_sequence(basis, ell, N)))
+    assert min_poly_mult_x(basis, forms_rng, trials=3) == want
+    assert forms_rng.getstate() == ref_rng.getstate()
+
+
+def test_rejection_reasons_account_for_every_retry():
+    basis = example2_basis(PrimeField(3))  # seed 3 needs a second attempt
+    rep = last_invariant_factor(basis.a, basis.b, random.Random(3))
+    assert rep.ok and rep.attempts >= 2
+    assert set(rep.rejections) == set(REJECTION_REASONS)
+    assert sum(rep.rejections.values()) == rep.attempts - 1
+    rep = last_invariant_factor(basis.a, basis.b, random.Random(3), InvariantOptions(max_attempts=1))
+    assert rep.status == STATUS_FAILURE and rep.attempts == 1
+    assert sum(rep.rejections.values()) == rep.attempts
+    for seed in range(4):
+        rep = last_invariant_factor(basis.a, basis.b, random.Random(seed))
+        assert sum(rep.rejections.values()) == rep.attempts - (1 if rep.ok else 0)

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from sylres.field import PrimeField, build_extension
+from sylres.field import PrimeField, build_extension, extend_field
 from sylres.upoly import (
     UPoly,
     berlekamp_massey,
@@ -152,6 +154,93 @@ def test_berlekamp_massey_recovers_random_recurrence():
         assert mu.rem(got).is_zero
         if got.deg == 8:
             assert got == mu
+
+
+def _berlekamp_massey_scalar(ctx, seq):
+    """The scalar Berlekamp-Massey loop (one ctx op per coefficient), kept
+    as the reference for the array implementation in upoly."""
+    s = [int(v) for v in seq]
+    n = len(s)
+    C = [1]  # connection polynomial, C(D), ascending
+    B = [1]
+    L, m, b = 0, 1, 1
+    for i in range(n):
+        d = s[i]
+        for j in range(1, L + 1):
+            if j < len(C) and C[j]:
+                d = ctx.add(d, ctx.mul(C[j], s[i - j]))
+        if d == 0:
+            m += 1
+            continue
+        coef = ctx.mul(d, ctx.inv(b))
+        if 2 * L <= i:
+            T = C[:]
+            need = len(B) + m
+            if len(C) < need:
+                C = C + [0] * (need - len(C))
+            for j in range(len(B)):
+                C[j + m] = ctx.sub(C[j + m], ctx.mul(coef, B[j]))
+            L = i + 1 - L
+            B = T
+            b = d
+            m = 1
+        else:
+            need = len(B) + m
+            if len(C) < need:
+                C = C + [0] * (need - len(C))
+            for j in range(len(B)):
+                C[j + m] = ctx.sub(C[j + m], ctx.mul(coef, B[j]))
+            m += 1
+    # minimal polynomial: x^L * C(1/x), i.e. reversed connection coefficients
+    mono = [0] * (L + 1)
+    mono[L] = 1
+    for j in range(1, min(L, len(C) - 1) + 1):
+        mono[L - j] = C[j]
+    return UPoly(ctx, mono).monic()
+
+
+_F4 = build_extension(2, 4, random.Random(1))
+BM_FIELDS = {
+    "F2": F2,
+    "F65537": F65537,
+    "F(2^31-1)": PrimeField(2**31 - 1),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F4^2 (tower)": extend_field(_F4, 16, random.Random(2)),
+    "F101^2 (no tables)": build_extension(101, 101**2, random.Random(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BM_FIELDS))
+def test_berlekamp_massey_edge_sequences_match_scalar(name):
+    F = BM_FIELDS[name]
+    for seq in ([], [0] * 9, [1], [F.q - 1], [0, 0, 0, 1], [0, 0, 0, 1, 0, 0, 0]):
+        got = berlekamp_massey(F, seq)
+        assert got == _berlekamp_massey_scalar(F, seq), seq
+        assert got.c[-1] == 1
+
+
+@given(
+    name=st.sampled_from(sorted(BM_FIELDS)),
+    order=st.integers(0, 8),
+    n=st.integers(0, 40),
+    lead_zeros=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_berlekamp_massey_matches_scalar_on_lfsr_outputs(name, order, n, lead_zeros, seed):
+    F = BM_FIELDS[name]
+    rng = random.Random(seed)
+    taps = [F.sample(rng) for _ in range(order)]
+    s = [0] * min(lead_zeros, order) + [F.sample(rng) for _ in range(order - min(lead_zeros, order))]
+    while len(s) < n:  # s_t = -sum_j taps_j s_{t-order+j}
+        acc = 0
+        for j in range(order):
+            acc = F.add(acc, F.mul(taps[j], s[len(s) - order + j]))
+        s.append(F.neg(acc))
+    s = s[:n]
+    got = berlekamp_massey(F, s)
+    assert got == _berlekamp_massey_scalar(F, s)
+    if n >= 2 * order:  # a long enough prefix pins a divisor of the recurrence
+        assert UPoly(F, taps + [1]).rem(got).is_zero
 
 
 def test_gcd_lcm():
