@@ -10,7 +10,6 @@ oracles (Smith form, resultant, multiplication-map minimal polynomial)
 back every randomized result.
 """
 
-from ._backend import active_backend, set_backend
 from ._dense import SingularMatrixError
 from .bipoly import BiPoly, IdealBasis, bimul, unvec_x, unvec_y, vec_x, vec_y
 from .condition import ConditioningRecord, condition_for_Sx, condition_for_both, recover_last_invariant
@@ -81,7 +80,6 @@ __all__ = [
     "SingularMatrixError",
     "SylvMat",
     "UPoly",
-    "active_backend",
     "berlekamp_massey",
     "bimul",
     "build_Sx",
@@ -114,7 +112,6 @@ __all__ = [
     "reduce_ydeg",
     "resultant_certified",
     "sample_uniform",
-    "set_backend",
     "transposed_normal_form",
     "trunc_inv_apply",
     "unvec_x",

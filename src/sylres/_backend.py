@@ -1,9 +1,5 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
-
-The backend is chosen once at import from the SYLRES_BACKEND environment
-variable ("numba", "numpy", or "auto"; default auto = numba when importable)
-and can be switched at runtime with set_backend(), which the benchmark
-harness uses to compare both paths on identical inputs.
+"""Hot numeric kernels in numpy: schoolbook convolution, the radix-2 NTT and
+many-point Horner evaluation.
 
 All kernels work on int64 arrays of residues mod a prime p < 2**31, so a
 single product fits in int64 and sums are reduced before they can overflow.
@@ -11,47 +7,13 @@ single product fits in int64 and sums are reduced before they can overflow.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV = os.environ.get("SYLRES_BACKEND", "auto").strip().lower()
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-if _ENV not in ("auto", "numba", "numpy"):
-    raise RuntimeError(f"SYLRES_BACKEND must be auto|numba|numpy, got {_ENV!r}")
-if _ENV == "numba" and not HAVE_NUMBA:
-    raise RuntimeError("SYLRES_BACKEND=numba but numba is not importable")
-
-_active = "numba" if (HAVE_NUMBA and _ENV != "numpy") else "numpy"
-
-
-def active_backend() -> str:
-    return _active
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime ("numba" or "numpy")."""
-    global _active
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    _active = name
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback kernels
-
-
-def _conv_numpy(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+def conv_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Full convolution of residue arrays mod p (schoolbook-class)."""
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros(0, dtype=np.int64)
     # np.convolve keeps int64; chunk so each partial sum stays below 2**62.
     block = max(1, (1 << 62) // ((p - 1) * (p - 1) + 1))
     if min(len(a), len(b)) <= block:
@@ -65,7 +27,8 @@ def _conv_numpy(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _ntt_numpy(a: np.ndarray, p: int, tw: np.ndarray, bitrev: np.ndarray) -> np.ndarray:
+def ntt_mod(a: np.ndarray, p: int, tw: np.ndarray, bitrev: np.ndarray) -> np.ndarray:
+    """Radix-2 NTT of a (length 2**k) with precomputed twiddles/bit-reversal."""
     n = len(a)
     a = a[bitrev]
     m = 1
@@ -79,83 +42,9 @@ def _ntt_numpy(a: np.ndarray, p: int, tw: np.ndarray, bitrev: np.ndarray) -> np.
     return a
 
 
-def _eval_many_numpy(coeffs: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
+def eval_many_mod(coeffs: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
+    """Horner evaluation of one polynomial at many points mod p."""
     acc = np.zeros(len(pts), dtype=np.int64)
     for c in coeffs[::-1]:
         acc = (acc * pts + c) % p
     return acc
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _conv_numba(a, b, p):  # pragma: no cover - exercised via dispatch
-        out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-        for i in range(len(a)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(len(b)):
-                out[i + j] = (out[i + j] + ai * b[j]) % p
-        return out
-
-    @numba.njit(cache=True)
-    def _ntt_numba(a, p, tw, bitrev):  # pragma: no cover - exercised via dispatch
-        n = len(a)
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            out[i] = a[bitrev[i]]
-        m = 1
-        while m < n:
-            for start in range(0, n, 2 * m):
-                for j in range(m):
-                    w = tw[m - 1 + j]
-                    u = out[start + j]
-                    t = (out[start + j + m] * w) % p
-                    out[start + j] = (u + t) % p
-                    out[start + j + m] = (u - t) % p
-            m *= 2
-        return out
-
-    @numba.njit(cache=True)
-    def _eval_many_numba(coeffs, pts, p):  # pragma: no cover - exercised via dispatch
-        out = np.zeros(len(pts), dtype=np.int64)
-        for k in range(len(pts)):
-            x = pts[k]
-            acc = np.int64(0)
-            for i in range(len(coeffs) - 1, -1, -1):
-                acc = (acc * x + coeffs[i]) % p
-            out[k] = acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-
-def conv_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Full convolution of residue arrays mod p (schoolbook-class)."""
-    if len(a) == 0 or len(b) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if _active == "numba":
-        return _conv_numba(a, b, p)
-    return _conv_numpy(a, b, p)
-
-
-def ntt_mod(a: np.ndarray, p: int, tw: np.ndarray, bitrev: np.ndarray) -> np.ndarray:
-    """Radix-2 NTT of a (length 2**k) with precomputed twiddles/bit-reversal."""
-    if _active == "numba":
-        return _ntt_numba(a, p, tw, bitrev)
-    return _ntt_numpy(a, p, tw, bitrev)
-
-
-def eval_many_mod(coeffs: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
-    """Horner evaluation of one polynomial at many points mod p."""
-    if len(coeffs) == 0:
-        return np.zeros(len(pts), dtype=np.int64)
-    if _active == "numba":
-        return _eval_many_numba(coeffs, pts, p)
-    return _eval_many_numpy(coeffs, pts, p)

@@ -1,7 +1,11 @@
-"""Dense scalar linear algebra over a FieldCtx (Gaussian elimination).
+"""Dense scalar linear algebra over a FieldCtx: one Gauss-Jordan row
+reduction, read as a rank, a determinant or an inverse.
 
-Matrices are int64 code arrays of shape (n, m).  Used for base solves of
-transposed systems, determinant evaluation at a point, and the oracles.
+Matrices are int64 code arrays of shape (n, m).  Each pivot step clears
+its column in every other row with one outer-product update, so a
+reduction costs O(m) vector calls whatever the field.  Used for the
+dense inverse of S(0) in transposed base solves, for determinants of S_y
+at a point, and by the oracles.
 """
 
 from __future__ import annotations
@@ -15,77 +19,49 @@ class SingularMatrixError(ValueError):
     pass
 
 
-def gauss_rank(ctx: FieldCtx, M: np.ndarray) -> int:
+def _reduce(ctx: FieldCtx, M: np.ndarray, ncols: int):
+    """Reduced row echelon form of M, pivoting on its first ncols columns.
+
+    Returns (R, rank, det) where det is the product of the pivots, negated
+    once per row swap; it is det M[:, :ncols] when that block is square
+    and rank == ncols."""
     A = np.array(M, dtype=np.int64)
-    n, m = A.shape
-    rank = 0
-    for col in range(m):
-        piv = None
-        for r in range(rank, n):
-            if A[r, col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[[rank, piv]] = A[[piv, rank]]
-        inv = ctx.inv(int(A[rank, col]))
-        A[rank] = ctx.vmul(A[rank], np.int64(inv))
-        for r in range(n):
-            if r != rank and A[r, col] != 0:
-                A[r] = ctx.vsub(A[r], ctx.vmul(A[rank], A[r, col]))
-        rank += 1
+    n = A.shape[0]
+    rank, det = 0, 1
+    for col in range(ncols):
         if rank == n:
             break
-    return rank
+        nz = np.flatnonzero(A[rank:, col])
+        if not len(nz):
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            A[[rank, piv]] = A[[piv, rank]]
+            det = ctx.neg(det)
+        pivval = int(A[rank, col])
+        det = ctx.mul(det, pivval)
+        A[rank] = ctx.vmul(A[rank], np.int64(ctx.inv(pivval)))
+        f = A[:, col].copy()
+        f[rank] = 0
+        A = ctx.vsub(A, ctx.vmul(f[:, None], A[rank][None, :]))
+        rank += 1
+    return A, rank, det
+
+
+def gauss_rank(ctx: FieldCtx, M: np.ndarray) -> int:
+    M = np.asarray(M)
+    return _reduce(ctx, M, M.shape[1])[1]
 
 
 def gauss_det(ctx: FieldCtx, M: np.ndarray) -> int:
-    A = np.array(M, dtype=np.int64)
-    n = A.shape[0]
-    det = 1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if A[r, col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            det = ctx.neg(det)
-        pivval = int(A[col, col])
-        det = ctx.mul(det, pivval)
-        inv = ctx.inv(pivval)
-        for r in range(col + 1, n):
-            if A[r, col] != 0:
-                f = ctx.mul(int(A[r, col]), inv)
-                A[r] = ctx.vsub(A[r], ctx.vmul(A[col], np.int64(f)))
-    return det
+    n = len(M)
+    _, rank, det = _reduce(ctx, M, n)
+    return det if rank == n else 0
 
 
 def gauss_inverse(ctx: FieldCtx, M: np.ndarray) -> np.ndarray:
-    A = np.array(M, dtype=np.int64)
-    n = A.shape[0]
-    I = np.zeros((n, n), dtype=np.int64)
-    np.fill_diagonal(I, 1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if A[r, col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrixError("matrix is singular")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            I[[col, piv]] = I[[piv, col]]
-        inv = ctx.inv(int(A[col, col]))
-        A[col] = ctx.vmul(A[col], np.int64(inv))
-        I[col] = ctx.vmul(I[col], np.int64(inv))
-        for r in range(n):
-            if r != col and A[r, col] != 0:
-                f = np.int64(A[r, col])
-                A[r] = ctx.vsub(A[r], ctx.vmul(A[col], f))
-                I[r] = ctx.vsub(I[r], ctx.vmul(I[col], f))
-    return I
+    n = len(M)
+    R, rank, _ = _reduce(ctx, np.hstack([np.asarray(M, dtype=np.int64), np.eye(n, dtype=np.int64)]), n)
+    if rank < n:
+        raise SingularMatrixError("matrix is singular")
+    return R[:, n:]

@@ -19,7 +19,6 @@ import random
 import sys
 import time
 
-from . import _backend
 from .bipoly import BiPoly, IdealBasis
 from .field import ExtField, FieldError, PrimeField, random_irreducible
 from .invariant import (
@@ -333,10 +332,6 @@ def cmd_bench(args) -> int:
     for o in ops:
         if o not in BENCH_OPS:
             raise CliError(f"unknown bench op {o!r} (choose from {', '.join(BENCH_OPS)})", 1)
-    backends = ["numba", "numpy"] if args.compare_backends else [_backend.active_backend()]
-    if "numba" in backends and not _backend.HAVE_NUMBA:
-        backends = ["numpy"]
-
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
@@ -347,17 +342,8 @@ def cmd_bench(args) -> int:
                 inst_seed = master.randrange(2**32)
                 basis, rng = _bench_instance(ctx, d, e, inst_seed)
                 for op in ops:
-                    state = rng.getstate()
-                    for backend in backends:
-                        prev = _backend.active_backend()
-                        _backend.set_backend(backend)
-                        rng.setstate(state)
-                        try:
-                            wall, status = _bench_one(basis, rng, op, args.algo, args.trials)
-                        finally:
-                            _backend.set_backend(prev)
-                        label = f"{op}+{backend}" if args.compare_backends else op
-                        writer.writerow([d, e, ctx.q, args.algo, inst_seed, label, wall, status])
+                    wall, status = _bench_one(basis, rng, op, args.algo, args.trials)
+                    writer.writerow([d, e, ctx.q, args.algo, inst_seed, op, wall, status])
     finally:
         if args.out:
             out.close()
@@ -416,7 +402,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ops", default="normal_form,invfact", help=f"subset of {','.join(BENCH_OPS)}")
     p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--compare-backends", action="store_true", help="run numba and numpy kernels")
     p.add_argument("--out", default="", help="CSV output file (default stdout)")
     p.set_defaults(fn=cmd_bench)
     return ap

@@ -7,10 +7,11 @@ of size Q, the code sum(d_i * Q**i) stands for the coefficient vector
 therefore embeds as the codes below Q.
 
 Scalar operations take and return Python ints.  The v*-operations act
-elementwise on int64 numpy arrays and are where the numeric backends plug
-in.  conv() is the full polynomial-coefficient convolution used by upoly,
-with the strategy schoolbook / Karatsuba / NTT chosen by size and by
-whether the field carries suitable roots of unity.
+elementwise on int64 numpy arrays; the prime-field kernels (schoolbook
+convolution, NTT, many-point evaluation) live in _backend.  conv() is
+the full polynomial-coefficient convolution used by upoly, with the
+strategy schoolbook / Karatsuba / NTT chosen by size and by whether the
+field carries suitable roots of unity.
 """
 
 from __future__ import annotations
@@ -513,69 +514,6 @@ class ExtField(FieldCtx):
         return self.encode(self._reduce_planes(C))
 
 
-# ---------------------------------------------------------------------------
-# raw coefficient-array helpers over a base ctx (enough for irreducibility)
-
-
-def _ptrim(c: np.ndarray) -> np.ndarray:
-    n = len(c)
-    while n > 0 and c[n - 1] == 0:
-        n -= 1
-    return c[:n]
-
-
-def _pdivmod(ctx: FieldCtx, f: np.ndarray, g: np.ndarray):
-    g = _ptrim(g)
-    if len(g) == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    r = f.copy()
-    dg = len(g) - 1
-    lg_inv = ctx.inv(int(g[-1]))
-    q = np.zeros(max(len(f) - dg, 0), dtype=np.int64)
-    for i in range(len(f) - 1, dg - 1, -1):
-        r = _ptrim(r)
-        if len(r) - 1 < i:
-            continue
-        c = ctx.mul(int(r[i]), lg_inv)
-        if c == 0:
-            continue
-        q[i - dg] = c
-        sub = ctx.vmul(g, np.int64(c))
-        r[i - dg : i + 1] = ctx.vsub(r[i - dg : i + 1], sub)
-    return q, _ptrim(r)
-
-
-def _pmulmod(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
-    return _pdivmod(ctx, ctx.conv(a, b), m)[1]
-
-
-def _ppowmod(ctx: FieldCtx, a: np.ndarray, e: int, m: np.ndarray) -> np.ndarray:
-    acc = np.array([1], dtype=np.int64)
-    base = _pdivmod(ctx, a, m)[1]
-    while e:
-        if e & 1:
-            acc = _pmulmod(ctx, acc, base, m)
-        base = _pmulmod(ctx, base, base, m)
-        e >>= 1
-    return acc
-
-
-def _pgcd(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = _ptrim(a), _ptrim(b)
-    while len(b):
-        a, b = b, _pdivmod(ctx, a, b)[1]
-    return a
-
-
-def _psub_arrays(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(len(a), len(b))
-    aa = np.zeros(n, dtype=np.int64)
-    bb = np.zeros(n, dtype=np.int64)
-    aa[: len(a)] = a
-    bb[: len(b)] = b
-    return _ptrim(ctx.vsub(aa, bb))
-
-
 def _prime_factors(n: int) -> list[int]:
     out, d = [], 2
     while d * d <= n:
@@ -592,22 +530,25 @@ def _prime_factors(n: int) -> list[int]:
 def _is_irreducible(base: FieldCtx, m: np.ndarray) -> bool:
     """Monic m over base is irreducible iff t^(Q^d) = t mod m and
     gcd(t^(Q^(d/l)) - t, m) = 1 for every prime l dividing d."""
+    from .upoly import FixedDivisor, UPoly, pgcd  # upoly imports this module
+
     d = len(m) - 1
     if d < 1:
         return False
-    t = np.array([0, 1], dtype=np.int64)
-    h = t.copy()
-    powers = {}
-    for i in range(1, d + 1):
-        h = _ppowmod(base, h, base.q, m)
-        powers[i] = h
-    if not np.array_equal(_ptrim(h), _ptrim(_pdivmod(base, t, m)[1])):
+    mod = FixedDivisor(UPoly(base, m))
+    t = mod.rem(UPoly.x(base))
+    powers = [t]  # powers[i] = t^(Q^i) mod m
+    for _ in range(d):
+        acc, sq, e = UPoly.one(base), powers[-1], base.q
+        while e:
+            if e & 1:
+                acc = mod.rem(acc * sq)
+            sq = mod.rem(sq * sq)
+            e >>= 1
+        powers.append(acc)
+    if powers[d] != t:
         return False
-    for ell in _prime_factors(d):
-        g = _pgcd(base, _psub_arrays(base, powers[d // ell], t), m)
-        if len(g) != 1:
-            return False
-    return True
+    return all(pgcd(powers[d // ell] - t, mod.g).deg == 0 for ell in _prime_factors(d))
 
 
 def _reduction_rows(base: FieldCtx, m: np.ndarray) -> list[np.ndarray]:

@@ -29,7 +29,6 @@ from .bipoly import BiPoly, IdealBasis
 from .condition import ConditioningRecord, condition_for_both, recover_last_invariant
 from .field import FieldCtx, extend_field
 from .normalform import LinearForm, embed, normal_form
-from .oracle import scalar_sylvester_at
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced
 from .upoly import UPoly, berlekamp_massey, plcm, xgcd
 
@@ -258,14 +257,14 @@ def _determinant_scale(basis: IdealBasis, sigma: UPoly, rng: random.Random) -> i
     roots of sigma (over a small extension when the base field is tiny)."""
     ctx = basis.ctx
     ev_ctx = _working_field(ctx, 2 * max(sigma.deg, 1) + 2) if ctx.q <= 2 * sigma.deg else ctx
-    lifted = basis.lift(ev_ctx) if ev_ctx is not ctx else basis
+    Sy = build_Sy(basis.lift(ev_ctx) if ev_ctx is not ctx else basis)
     sig = UPoly(ev_ctx, sigma.c) if ev_ctx is not ctx else sigma
     for _ in range(64):
         x0 = ev_ctx.sample(rng)
         sv = sig.eval_at(x0)
         if sv == 0:
             continue
-        det = gauss_det(ev_ctx, scalar_sylvester_at(lifted, x0, ev_ctx))
+        det = gauss_det(ev_ctx, Sy.at(x0))
         c = ev_ctx.mul(det, ev_ctx.inv(sv))
         if ev_ctx is not ctx and c >= ctx.q:
             raise DeterminantScaleError("determinant scale did not descend to the base field")

@@ -98,28 +98,6 @@ def dense_smith(M: list[list[UPoly]]) -> list[UPoly]:
     return [A[k][k].monic() for k in range(n)]
 
 
-def scalar_sylvester_at(basis: IdealBasis, x0: int, ctx=None) -> np.ndarray:
-    """S_y evaluated at x = x0, as a dense scalar matrix (formal sizes)."""
-    ctx = ctx or basis.ctx
-    n = basis.ny
-    pa = np.array([basis.a.upoly_coeff("y", j).eval_at(x0) for j in range(basis.ea + 1)])
-    pb = np.array([basis.b.upoly_coeff("y", j).eval_at(x0) for j in range(basis.eb + 1)])
-    M = np.zeros((n, n), dtype=np.int64)
-    for j in range(basis.eb):
-        s = basis.eb - 1 - j
-        for i in range(n):
-            k = n - 1 - i - s
-            if 0 <= k <= basis.ea:
-                M[i, j] = pa[k]
-    for j in range(basis.ea):
-        s = basis.ea - 1 - j
-        for i in range(n):
-            k = n - 1 - i - s
-            if 0 <= k <= basis.eb:
-                M[i, basis.eb + j] = pb[k]
-    return M
-
-
 def dense_resultant(a: BiPoly, b: BiPoly, allow_extension: bool = True) -> UPoly:
     """Res_y(a, b) = det S_y, by Gaussian determinants at enough points and
     interpolation (degree bound d_a e_b + d_b e_a)."""
@@ -135,22 +113,18 @@ def dense_resultant(a: BiPoly, b: BiPoly, allow_extension: bool = True) -> UPoly
         import random as _random
 
         ev = extend_field(ctx, npts, _random.Random(f"sylres-resultant-{ctx.q}-{npts}"))
-        lifted = basis.lift(ev)
+        Sy = build_Sy(basis.lift(ev))
         pts = np.arange(npts, dtype=np.int64)
-        vals = np.array(
-            [gauss_det(ev, scalar_sylvester_at(lifted, int(x0), ev)) for x0 in pts],
-            dtype=np.int64,
-        )
+        vals = np.array([gauss_det(ev, Sy.at(int(x0))) for x0 in pts], dtype=np.int64)
         from .upoly import interpolate
 
         res = interpolate(ev, pts, vals)
         if any(int(c) >= ctx.q for c in res.c):
             raise ArithmeticError("resultant did not descend to the base field")
         return UPoly(ctx, res.c)
+    Sy = build_Sy(basis)
     pts = np.arange(npts, dtype=np.int64)
-    vals = np.array(
-        [gauss_det(ctx, scalar_sylvester_at(basis, int(x0))) for x0 in pts], dtype=np.int64
-    )
+    vals = np.array([gauss_det(ctx, Sy.at(int(x0))) for x0 in pts], dtype=np.int64)
     from .upoly import interpolate
 
     return interpolate(ctx, pts, vals)

@@ -78,12 +78,26 @@ class SylvMat:
             )
         return self._cache["rev"]
 
+    def at(self, x0: int) -> np.ndarray:
+        """S evaluated at outer = x0, as a scalar matrix: each generator is
+        evaluated in the outer variable (Horner over its grid), and its
+        inner coefficients, highest first, fill the columns' bands."""
+        ctx = self.ctx
+        M = np.zeros((self.n, self.n), dtype=np.int64)
+        col = 0
+        for gen, deg, count in ((self.g1, self.m1, self.m2), (self.g2, self.m2, self.m1)):
+            rows = gen.g if self.wrt == "y" else gen.g.T  # row i: coefficient of outer^i
+            coeffs = rows[-1]
+            for row in rows[-2::-1]:
+                coeffs = ctx.vadd(ctx.vmul(coeffs, np.int64(x0)), row)
+            for j in range(count):
+                M[j : j + deg + 1, col + j] = coeffs[::-1]
+            col += count
+        return M
+
     def constant_matrix(self) -> np.ndarray:
         """S(0): the outer-variable constant coefficient, as a scalar matrix."""
-        M = np.zeros((self.n, self.n), dtype=np.int64)
-        for j, col in enumerate(_columns(self)):
-            M[:, j] = col[:, 0]
-        return M
+        return self.at(0)
 
 
 def _columns(S: SylvMat):

@@ -2,13 +2,15 @@
 
 The public list adapters (matvec, matvec_T, matrix_divrem, trunc_inv_apply,
 trunc_inv_apply_T) are checked against products with the explicit matrix
-from dense_form, and normal_form against its defining properties, over
+from dense_form, SylvMat.at against the constant matrix of the shifted
+generators, and normal_form against its defining properties, over
 characteristic 2, a towered extension, F_{7^3}, F_65537 and p = 2^31 - 1,
 with degree-0 generators and unequal column degrees in the draw.
 """
 
 import random
 
+import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -154,3 +156,29 @@ def test_normal_form_window_invariance_idempotence(name, degs, seed):
     qb = BiPoly.random(ctx, rng.randrange(0, 3), rng.randrange(0, 3), rng)
     assert normal_form(basis, f + bimul(qa, basis.a) + bimul(qb, basis.b)) == nf
     assert NormalFormProgram(basis, f.deg_x, f.deg_y).forward(f) == nf
+
+
+AT_DEGREES = [
+    (2, 3, 1, 2),
+    (3, 2, 2, 2),  # unequal column degrees in both orientations
+    (2, 0, 1, 3),  # first generator of y-degree 0
+    (1, 3, 2, 0),  # second generator of y-degree 0
+    (0, 2, 3, 1),  # first generator of x-degree 0
+]
+
+
+def test_evaluation_at_point_is_shifted_constant_matrix():
+    rng = random.Random(61)
+    for name, ctx in FIELDS.items():
+        for wrt in "xy":
+            for degs in AT_DEGREES:
+                S = _sylvmat(ctx, wrt, degs, rng)
+                if S is None:
+                    continue
+                D = dense_form(S)
+                for x0 in (0, ctx.sample(rng), ctx.sample(rng)):
+                    M = S.at(x0)
+                    shifted = SylvMat(wrt, S.g1.subs_shift(S.outer, x0), S.g2.subs_shift(S.outer, x0))
+                    assert np.array_equal(M, shifted.constant_matrix()), (name, wrt, degs)
+                    assert M.tolist() == [[e.eval_at(x0) for e in row] for row in D], (name, wrt, degs)
+                assert np.array_equal(S.at(0), S.constant_matrix())

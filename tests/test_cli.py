@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import random
 
@@ -217,22 +216,6 @@ def test_bench_rows(files, capsys, tmp_path):
         assert row["op"] in ("normal_form", "invfact")
         if row["op"] == "normal_form":
             assert row["status"] == "ok"
-
-
-def test_bench_compare_backends(files, capsys):
-    code, out, err = run(
-        capsys,
-        ["bench", "-p", "65537", "--sizes", "2", "--seeds", "1", "--ops", "normal_form", "--compare-backends"],
-    )
-    assert code == 0, err
-    rows = list(csv.DictReader(io.StringIO(out)))
-    ops = sorted(r["op"] for r in rows)
-    from sylres._backend import HAVE_NUMBA
-
-    if HAVE_NUMBA:
-        assert ops == ["normal_form+numba", "normal_form+numpy"]
-    else:
-        assert ops == ["normal_form+numpy"]
 
 
 def test_verify_oracle_above_dimension_gate_exit2(files, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -12,7 +13,9 @@ from sylres.field import (
     is_probable_prime,
     random_irreducible,
     sample_uniform,
+    _is_irreducible,
 )
+from sylres.upoly import UPoly
 
 
 def test_primality():
@@ -95,20 +98,38 @@ def test_random_irreducible_has_no_small_factor():
     F2 = PrimeField(2)
     m = random_irreducible(F2, 6, rng)
 
-    def poly_eval_mod2(c, pt_poly):
-        # substitute nothing; divide m by candidate factor via numpy over F_2
-        from sylres.field import _pdivmod
-
-        return _pdivmod(F2, m, np.array(pt_poly, dtype=np.int64))[1]
-
     for mask in range(1, 16):  # all nonzero polys of degree <= 3 over F_2
-        cand = [(mask >> i) & 1 for i in range(4)]
-        while cand and cand[-1] == 0:
-            cand.pop()
-        if len(cand) - 1 < 1:
+        cand = UPoly(F2, [(mask >> i) & 1 for i in range(4)])
+        if cand.deg < 1:
             continue
-        rem = poly_eval_mod2(m, cand)
-        assert len(rem) != 0, f"degree-{len(cand)-1} factor found"
+        rem = UPoly(F2, m).divrem(cand)[1]
+        assert not rem.is_zero, f"degree-{cand.deg} factor found"
+
+
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+def test_irreducible_count_matches_necklace_formula():
+    # monic irreducibles of degree n over F_q number (1/n) sum_{d|n} mu(d) q^(n/d)
+    F2, F3 = PrimeField(2), PrimeField(3)
+    F4 = build_extension(2, 4, random.Random(1))
+    for F, degrees in ((F2, range(1, 7)), (F3, range(1, 5)), (F4, [2])):
+        for n in degrees:
+            want = sum(_mobius(d) * F.q ** (n // d) for d in range(1, n + 1) if n % d == 0) // n
+            got = sum(
+                _is_irreducible(F, np.array(low + (1,), dtype=np.int64))
+                for low in itertools.product(range(F.q), repeat=n)
+            )
+            assert got == want, (F, n)
 
 
 def test_extension_arithmetic_and_frobenius():

@@ -6,12 +6,7 @@ import pytest
 from sylres._dense import SingularMatrixError, gauss_det
 from sylres.bipoly import BiPoly, IdealBasis
 from sylres.field import PrimeField
-from sylres.oracle import (
-    dense_minpoly_mult_x,
-    dense_resultant,
-    dense_smith,
-    scalar_sylvester_at,
-)
+from sylres.oracle import dense_minpoly_mult_x, dense_resultant, dense_smith
 from sylres.sylvester import build_Sy, dense_form
 from sylres.upoly import UPoly
 
@@ -99,7 +94,7 @@ def test_dense_resultant_univariate_in_y():
         b = BiPoly.from_upoly(fb, "y")
         res = dense_resultant(a, b)
         assert res.deg <= 0
-        want = gauss_det(F101, scalar_sylvester_at(IdealBasis(a, b), 0))
+        want = gauss_det(F101, build_Sy(IdealBasis(a, b)).at(0))
         assert res.coeff(0) == want
 
 
