@@ -22,7 +22,7 @@ import random
 import numpy as np
 
 from .field import FieldCtx
-from .upoly import UPoly
+from .upoly import UPoly, taylor_shift_rows
 
 
 class BiPoly:
@@ -227,8 +227,7 @@ class BiPoly:
         if alpha == 0:
             return self
         g = self.g if var == "y" else self.g.T  # rows are polynomials in var
-        rows = [UPoly(self.ctx, r).taylor_shift(alpha).padded(g.shape[1]) for r in g]
-        out = np.array(rows, dtype=np.int64).reshape(g.shape)
+        out = taylor_shift_rows(self.ctx, g, alpha)
         return BiPoly(self.ctx, out if var == "y" else out.T)
 
     def rev(self, var: str, k: int) -> "BiPoly":

@@ -16,6 +16,7 @@ field carries suitable roots of unity.
 
 from __future__ import annotations
 
+import functools
 import random
 
 import numpy as np
@@ -30,6 +31,9 @@ SCHOOLBOOK_CUTOFF = 64
 
 _MAX_PRIME = 1 << 31  # single products must fit in int64
 _MAX_CARD = 1 << 62  # codes must fit in int64
+_INT64_BOUND = 1 << 63
+_LIMB_BITS = 16
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class FieldError(ValueError):
@@ -121,6 +125,15 @@ class FieldCtx:
             a = np.concatenate([self.vadd(a[..., :h], a[..., h : 2 * h]), a[..., 2 * h :]], axis=-1)
         return a[..., 0] if a.shape[-1] else np.zeros(a.shape[:-1], dtype=np.int64)
 
+    def vdot(self, A, x) -> np.ndarray:
+        """Sum over the last axis of A * x for a 1-D x, exact in every field."""
+        return self.vsum(self.vmul(A, x))
+
+    def dot_map(self, A):
+        """x -> vdot(A, x) for a fixed A, for applying one A to many x;
+        fields that can prepare A once do so here."""
+        return functools.partial(self.vdot, A)
+
     def eval_many(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
         acc = np.zeros(len(pts), dtype=np.int64)
         for c in coeffs[::-1]:
@@ -207,6 +220,19 @@ class PrimeField(FieldCtx):
     def vsum(self, a):
         # exact in int64: codes are below 2**31 and no sum has 2**32 terms
         return _as_codes(a).sum(axis=-1) % self.p
+
+    def vdot(self, A, x):
+        # one int64 product when no sum of K terms can reach 2**63; else x
+        # in 16-bit limbs, each limb product reduced before recombining
+        A, x = _as_codes(A), _as_codes(x)
+        K, p = x.shape[-1], self.p
+        if K * (p - 1) ** 2 < _INT64_BOUND:
+            return (A @ x) % p
+        if K * (p - 1) * _LIMB_MASK < _INT64_BOUND:
+            lo = (A @ (x & _LIMB_MASK)) % p
+            hi = (A @ (x >> _LIMB_BITS)) % p
+            return (lo + (hi << _LIMB_BITS)) % p
+        return super().vdot(A, x)
 
     def eval_many(self, coeffs, pts):
         return _backend.eval_many_mod(_as_codes(coeffs), _as_codes(pts), self.p)
@@ -471,6 +497,26 @@ class ExtField(FieldCtx):
                 C[..., i + j] = self.base.vadd(C[..., i + j], self.base.vmul(A[..., i], B[..., j]))
         return self.encode(self._reduce_planes(C))
 
+    def dot_map(self, A):
+        # without log tables, vmul and vsum decode and re-encode A on every
+        # call; here A is decoded once into digit planes A_i, and x -> A x
+        # sums base products A_i x_j into plane i + j, reducing only the
+        # (rows, 2k - 1) result
+        if self._exp is not None:
+            return super().dot_map(A)
+        digits = np.moveaxis(self.decode(A), -1, 0)
+        planes = [self.base.dot_map(np.ascontiguousarray(P)) for P in digits]
+        return functools.partial(self._dot_planes, planes, _as_codes(A).shape[:-1])
+
+    def _dot_planes(self, planes, rows, x):
+        k = self.deg
+        xd = self.decode(x)
+        C = np.zeros(rows + (2 * k - 1,), dtype=np.int64)
+        for i, Ai in enumerate(planes):
+            for j in range(k):
+                C[..., i + j] = self.base.vadd(C[..., i + j], Ai(xd[:, j]))
+        return self.encode(self._reduce_planes(C))
+
     def vmul(self, a, b):
         if self._exp is None:
             return self._vmul_planes(a, b)
@@ -569,16 +615,21 @@ def _reduction_rows(base: FieldCtx, m: np.ndarray) -> list[np.ndarray]:
 
 
 def random_irreducible(base: FieldCtx, degree: int, rng: random.Random) -> np.ndarray:
-    """Random monic irreducible of the given degree over base, by search."""
+    """Random monic irreducible of the given degree over base, by search.
+
+    About one candidate in `degree` is irreducible, so the search gives up
+    with FieldError after max(64, 32 * degree) rejections instead of looping
+    forever on an irreducibility test that accepts nothing."""
     if degree < 1:
         raise FieldError("degree must be positive")
-    while True:
+    for _ in range(max(64, 32 * degree)):
         cand = np.empty(degree + 1, dtype=np.int64)
         cand[degree] = 1
         for i in range(degree):
             cand[i] = base.sample(rng)
         if _is_irreducible(base, cand):
             return cand
+    raise FieldError(f"no irreducible polynomial of degree {degree} found over {base!r}")
 
 
 def build_extension(p: int, min_cardinality: int, rng: random.Random) -> FieldCtx:

@@ -7,19 +7,21 @@ The pipeline is Monte Carlo: a returned sigma always divides the true last
 invariant factor, equals it with probability 1 - O(de/q), and the resultant
 path upgrades to Las Vegas through the column-degree certificate.
 
-The minimal polynomial is read off in one streamed pass: the `trials`
-random linear forms are drawn first and stacked as a (trials, dim) array,
-each normal form phi(x^i) is applied to all of them at once and then
-dropped, and Berlekamp-Massey (array form, in upoly) runs on each row of
-the resulting projection sequences.  Every retry of last_invariant_factor
-is counted under a named reason in InvariantReport.rejections.
+The minimal polynomial is read off power projections ell(phi(x^i)),
+i < 4de.  The `trials` random linear forms are drawn first; their sequences
+then come from one recurrence on the normal-form window, where
+multiplication by x is a shift plus a rank-n_y update: n_y + 1 normal forms
+and one transposed normal form per form set it up, and each power of x is
+one exact product of a fixed (n_y + trials, d n_y) matrix with the last d
+update vectors (see _power_projections).  Berlekamp-Massey (array form, in
+upoly) runs on each sequence.  Every retry of last_invariant_factor is
+counted under a named reason in InvariantReport.rejections.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +30,7 @@ from ._dense import gauss_det
 from .bipoly import BiPoly, IdealBasis
 from .condition import ConditioningRecord, condition_for_both, recover_last_invariant
 from .field import FieldCtx, extend_field
-from .normalform import LinearForm, embed, normal_form
+from .normalform import LinearForm, NormalFormProgram, normal_form
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced
 from .upoly import UPoly, berlekamp_massey, plcm, xgcd
 
@@ -81,31 +83,67 @@ class InvariantReport:
         return self.status in (STATUS_CERTIFIED, STATUS_PROBABLE)
 
 
-def projection_sequence(
-    basis: IdealBasis, ell: LinearForm, N: int, strategy: str = "baseline"
-) -> list[int]:
-    """The power projections ell(phi(x^i)) for i = 0 .. N-1, by iterating
-    f -> phi(x f) from phi(1)."""
-    if strategy != "baseline":
-        raise ValueError(f"unknown projection strategy {strategy!r}")
-    return [ell.apply_embedded(e) for e in _projection_embeds(basis, N)]
+def projection_sequence(basis: IdealBasis, ell: LinearForm, N: int) -> list[int]:
+    """The power projections ell(phi(x^i)) for i = 0 .. N-1."""
+    _require_both_reduced(basis)
+    return [int(s) for s in _power_projections(basis, [ell], N)[0]]
 
 
-def _projection_embeds(basis: IdealBasis, N: int) -> Iterator[np.ndarray]:
-    """The embeddings of phi(x^i), i < N, streamed one at a time.  The
-    column-reducedness precondition is checked here, at the call, not at
-    the first step of the stream."""
+def _require_both_reduced(basis: IdealBasis) -> None:
+    """The column-reducedness precondition, checked at the call even when
+    no projection is asked for."""
     if not (is_column_reduced(build_Sy(basis)) and is_column_reduced(build_Sx(basis))):
         raise NotColumnReducedError("both Sylvester matrices must be column reduced")
-    return _power_embeds(basis, N)
 
 
-def _power_embeds(basis: IdealBasis, N: int) -> Iterator[np.ndarray]:
-    f = normal_form(basis, BiPoly.one(basis.ctx))
+def _power_projections(basis: IdealBasis, forms: list[LinearForm], N: int) -> np.ndarray:
+    """Row t holds forms[t](phi(x^i)) for i < N, by the shift-plus-rank-n_y
+    recurrence on the window W = K[x,y]_{<(d, n_y)}.
+
+    A window element g is held as d columns g_0 .. g_{d-1} (the coefficients
+    of x^c, vectors in y).  With h(g) = g_{d-1} and C_c the n_y x n_y matrix
+    whose column j is column c of phi(x^d y^j),
+        x g = T g + x^d h(g) = T g + C h(g)  (mod I),
+    where T shifts column c to c + 1 and drops column d - 1.  So from
+    g_0 = phi(1), the window representatives g_{i+1} = T g_i + C h_i of x^i
+    satisfy, with h_i = h(g_i) and h_i = 0 for i < 0,
+        h_i = [i < d] phi(1)_{d-1-i} + sum_{m<d} C_{d-1-m} h_{i-1-m},
+        s_i = ell'(T^i phi(1)) + sum_{m<d} A_m h_{i-1-m},
+    where ell' = ell o phi on W (one transposed normal form: W is not fixed
+    by phi when the column degrees differ) and A_m = ell' o T^m o C.  Each
+    step is then one exact product of M = [C_0 .. C_{d-1}; A_{d-1} .. A_0]
+    with the last d h's, read as a slice of one flat history buffer.
+    """
+    ctx = basis.ctx
+    d, ny, k = basis.d, basis.ny, len(forms)
+    seqs = np.zeros((k, N), dtype=np.int64)
+    if N == 0 or d == 0 or ny == 0:
+        return seqs  # nothing asked for, or the window is {0}
+    # P[0] = phi(1), P[1 + j] = phi(x^d y^j); P[p, c] is column c of P[p]
+    polys = [BiPoly.one(ctx)] + [BiPoly.monomial(ctx, d, j) for j in range(ny)]
+    P = np.stack([normal_form(basis, f).padded(d, ny) for f in polys])
+    prog = NormalFormProgram(basis, d - 1, ny - 1)
+    # L[t, c] is the row vector of ell'_t on column c
+    L = np.stack([prog.transpose(ell).reshape(ny, d).T for ell in forms])
+    # Z[t, m, p] = ell'_t(T^m P[p]) = sum_{c >= m} L[t, c] . P[p, c - m]
+    Z = np.empty((k, d, ny + 1), dtype=np.int64)
+    for m in range(d):
+        proj = ctx.dot_map(P[:, : d - m].reshape(ny + 1, -1))
+        for t in range(k):
+            Z[t, m] = proj(L[t, m:].reshape(-1))
+    # window block b multiplies h_{i-d+b}, that is m = d-1-b
+    R = P[1:].transpose(2, 1, 0).reshape(ny, d * ny)  # block b is C_b
+    A = Z[:, ::-1, 1:].reshape(k, d * ny)  # block b is A_{d-1-b}
+    step = ctx.dot_map(np.concatenate([R, A]))
+    H = np.zeros((N + d) * ny, dtype=np.int64)  # h_{-d} .. h_{N-1}
+    w = d * ny
     for i in range(N):
-        yield embed(basis, f)
-        if i + 1 < N:
-            f = normal_form(basis, f.mul_monomial(1, 0))
+        out = step(H[i * ny : i * ny + w])
+        if i < d:
+            out = ctx.vadd(out, np.concatenate([P[0, d - 1 - i], Z[:, i, 0]]))
+        H[i * ny + w : (i + 1) * ny + w] = out[:ny]
+        seqs[:, i] = out[ny:]
+    return seqs
 
 
 def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> UPoly:
@@ -113,14 +151,10 @@ def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> U
     Berlekamp-Massey outputs over random linear forms.  Always a divisor of
     the true minimal polynomial; equal with high probability."""
     ctx = basis.ctx
-    N = 4 * basis.d * basis.e
-    embeds = _projection_embeds(basis, N)
-    forms = np.stack([LinearForm.random(basis, rng).coeffs for _ in range(max(trials, 1))])
-    seqs = np.zeros((len(forms), N), dtype=np.int64)
-    for i, emb in enumerate(embeds):
-        seqs[:, i] = ctx.vsum(ctx.vmul(forms, emb))
+    _require_both_reduced(basis)
+    forms = [LinearForm.random(basis, rng) for _ in range(max(trials, 1))]
     acc = UPoly.one(ctx)
-    for seq in seqs:
+    for seq in _power_projections(basis, forms, 4 * basis.d * basis.e):
         acc = plcm(acc, berlekamp_massey(ctx, seq))
     return acc
 

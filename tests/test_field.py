@@ -241,3 +241,79 @@ def test_prime_vsum_exact_near_2_31():
     rows = np.stack([a, np.arange(10**5, dtype=np.int64)])
     assert F.vsum(rows).tolist() == [(10**5 * (p - 1)) % p, sum(range(10**5)) % p]
     assert int(F.vsum(np.zeros(0, dtype=np.int64))) == 0
+
+
+_VDOT_FIELDS = {
+    "F2": PrimeField(2),
+    "F7": PrimeField(7),
+    "F65537": PrimeField(65537),
+    "2^31-1": PrimeField(2**31 - 1),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+    # above the log-table limit: dot_map works on digit planes
+    "F101^2": build_extension(101, 101**2, random.Random(4)),
+    "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+    "F101^2^2 (tower)": extend_field(
+        build_extension(101, 101**2, random.Random(4)), 101**4, random.Random(5)
+    ),
+}
+
+
+def _scalar_dot(F, a, x):
+    acc = 0
+    for u, v in zip(a.tolist(), x.tolist()):
+        acc = F.add(acc, F.mul(u, v))
+    return acc
+
+
+@pytest.mark.parametrize("F", list(_VDOT_FIELDS.values()), ids=list(_VDOT_FIELDS))
+def test_vdot_and_dot_map_match_vsum_vmul(F):
+    rng = random.Random(11)
+    for K in (0, 1, 7, 64):
+        x = F.rand_array(rng, K)
+        a = F.rand_array(rng, K)
+        A = F.rand_array(rng, 5 * K).reshape(5, K)
+        want = F.vsum(F.vmul(A, x))
+        assert want.tolist() == [_scalar_dot(F, row, x) for row in A]
+        assert int(F.vdot(a, x)) == int(F.dot_map(a)(x)) == _scalar_dot(F, a, x)
+        for got in (F.vdot(A, x), F.dot_map(A)(x)):
+            assert got.shape == (5,)
+            assert np.array_equal(got, want)
+        # one prepared map applied to several vectors
+        apply = F.dot_map(A)
+        for _ in range(3):
+            y = F.rand_array(rng, K)
+            assert np.array_equal(apply(y), F.vsum(F.vmul(A, y)))
+    top = np.full(33, F.q - 1, dtype=np.int64)
+    assert int(F.vdot(top, top)) == int(F.dot_map(top)(top)) == _scalar_dot(F, top, top)
+
+
+@pytest.mark.parametrize("K", [2**15, 2**16 + 1])
+def test_prime_vdot_exact_past_the_single_product_gate(K):
+    # K (p-1)^2 >= 2**63 here, so the product runs on 16-bit limbs of x, and
+    # at K > 2**16 even one limb product could overflow
+    p = 2**31 - 1
+    F = PrimeField(p)
+    top = np.full(K, p - 1, dtype=np.int64)
+    want = K * (p - 1) ** 2 % p
+    assert int(F.vdot(top, top)) == want
+    x = F.rand_array(random.Random(12), K)
+    A = np.stack([top, x])
+    want = [sum((p - 1) * v for v in x.tolist()) % p, sum(v * v for v in x.tolist()) % p]
+    for got in (F.vdot(A, x), F.dot_map(A)(x)):
+        assert np.array_equal(got, F.vsum(F.vmul(A, x)))
+        assert got.tolist() == want
+
+
+def test_random_irreducible_gives_up(monkeypatch):
+    import sylres.field as field
+
+    calls = []
+    monkeypatch.setattr(field, "_is_irreducible", lambda base, m: calls.append(1) and False)
+    with pytest.raises(FieldError, match="no irreducible"):
+        random_irreducible(PrimeField(7), 2, random.Random(1))
+    assert len(calls) == 64
+    calls.clear()
+    with pytest.raises(FieldError):
+        build_extension(2, 2**5, random.Random(1))
+    assert len(calls) == 5 * 32

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sylres.bipoly import BiPoly, IdealBasis, bimul
-from sylres.field import PrimeField
+from sylres.field import PrimeField, build_extension, extend_field
 from sylres.invariant import (
     REJECTION_REASONS,
     STATUS_CERTIFIED,
@@ -13,15 +13,16 @@ from sylres.invariant import (
     STATUS_PROBABLE,
     InvariantOptions,
     RootsAtInfinityError,
+    _working_field,
     elimination_generator,
     last_invariant_factor,
     min_poly_mult_x,
     projection_sequence,
     resultant_certified,
 )
-from sylres.normalform import LinearForm, normal_form
+from sylres.normalform import LinearForm, embed, normal_form, transposed_normal_form
 from sylres.oracle import dense_minpoly_mult_x, dense_resultant, dense_smith
-from sylres.sylvester import NotColumnReducedError, build_Sy, dense_form
+from sylres.sylvester import NotColumnReducedError, build_Sx, build_Sy, dense_form, is_column_reduced
 from sylres.upoly import UPoly, berlekamp_massey, plcm
 
 from test_sylvester import example1_basis, example2_basis, random_basis
@@ -263,3 +264,78 @@ def test_rejection_reasons_account_for_every_retry():
     for seed in range(4):
         rep = last_invariant_factor(basis.a, basis.b, random.Random(seed))
         assert sum(rep.rejections.values()) == rep.attempts - (1 if rep.ok else 0)
+
+
+def _reference_sequences(basis, forms, N):
+    """The loop the recurrence replaced: N sequential normal forms
+    f -> phi(x f) from phi(1), each applied to every form."""
+    seqs = np.zeros((len(forms), N), dtype=np.int64)
+    f = normal_form(basis, BiPoly.one(basis.ctx))
+    for i in range(N):
+        emb = embed(basis, f)
+        seqs[:, i] = [ell.apply_embedded(emb) for ell in forms]
+        f = normal_form(basis, f.mul_monomial(1, 0))
+    return seqs
+
+
+def _reference_min_poly(basis, rng, trials):
+    forms = [LinearForm.random(basis, rng) for _ in range(max(trials, 1))]
+    acc = UPoly.one(basis.ctx)
+    for seq in _reference_sequences(basis, forms, 4 * basis.d * basis.e):
+        acc = plcm(acc, berlekamp_massey(basis.ctx, seq))
+    return acc
+
+
+def _reduced_basis(ctx, shape, rng):
+    """Random a, b of exact bidegrees (d_a, e_a), (d_b, e_b) with both
+    Sylvester matrices column reduced."""
+    da, ea, db, eb = shape
+    for _ in range(200):
+        basis = IdealBasis(BiPoly.random(ctx, da, ea, rng), BiPoly.random(ctx, db, eb, rng))
+        if is_column_reduced(build_Sy(basis)) and is_column_reduced(build_Sx(basis)):
+            return basis
+    raise AssertionError(f"no column-reduced basis of shape {shape} over {ctx!r}")
+
+
+_RECURRENCE_FIELDS = {
+    # F_2 lifted as last_invariant_factor lifts it for d = e = 3
+    "F2 lifted": _working_field(F2, int(np.ceil((12 * 9) ** 1.1))),
+    "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F101^2 (no log table)": build_extension(101, 101**2, random.Random(4)),
+    "F65537": F65537,
+    "2^31-1": PrimeField(2**31 - 1),
+}
+# (d_a, e_a, d_b, e_b): equal and unequal column degrees, and generators of
+# x-degree 0 and of y-degree 0
+_RECURRENCE_SHAPES = [(2, 2, 2, 2), (3, 1, 1, 3), (1, 3, 3, 1), (0, 2, 2, 1), (2, 0, 1, 2)]
+
+
+@pytest.mark.parametrize("shape", _RECURRENCE_SHAPES, ids=str)
+@pytest.mark.parametrize("F", list(_RECURRENCE_FIELDS.values()), ids=list(_RECURRENCE_FIELDS))
+def test_power_projections_match_reference_loop(F, shape):
+    rng = random.Random(f"recurrence-{shape}")
+    basis = _reduced_basis(F, shape, rng)
+    forms = [LinearForm.random(basis, rng) for _ in range(2)]
+    for N in sorted({0, 1, basis.d - 1, 4 * basis.d * basis.e}):
+        want = _reference_sequences(basis, forms, N)
+        for ell, row in zip(forms, want):
+            assert projection_sequence(basis, ell, N) == row.tolist()
+    new_rng, ref_rng = random.Random(5), random.Random(5)
+    mu = min_poly_mult_x(basis, new_rng)
+    assert mu == _reference_min_poly(basis, ref_rng, 3)
+    assert new_rng.getstate() == ref_rng.getstate()
+    assert mu == dense_minpoly_mult_x(basis)
+
+
+def test_window_form_differs_from_ell_only_for_unequal_column_degrees():
+    # phi fixes the window when the column degrees of S_y are equal, so
+    # ell o phi = ell there; otherwise the recurrence needs ell o phi
+    rng = random.Random(73)
+    for shape, fixed in (((2, 2, 2, 2), True), ((3, 1, 1, 3), False)):
+        basis = _reduced_basis(F65537, shape, rng)
+        assert (len(set(build_Sy(basis).column_degrees)) == 1) is fixed
+        ell = LinearForm.random(basis, rng)
+        window = transposed_normal_form(basis, ell, basis.d - 1, basis.ny - 1)
+        on_monomials = ell.coeffs.reshape(basis.ny, basis.d)[::-1].reshape(-1)  # i fastest
+        assert np.array_equal(window, on_monomials) is fixed

@@ -13,6 +13,7 @@ from sylres.upoly import (
     multipoint_eval,
     pgcd,
     plcm,
+    taylor_shift_rows,
     xgcd,
 )
 
@@ -107,6 +108,42 @@ def test_taylor_shift():
         assert f.taylor_shift(a).taylor_shift(F65537.neg(a)) == f
         x0 = F65537.sample(rng)
         assert f.taylor_shift(a).eval_at(x0) == f.eval_at(F65537.add(x0, a))
+
+
+def _horner_shift_reference(f: UPoly, alpha: int) -> UPoly:
+    """(..(c_n (x + a) + c_{n-1})(x + a) + ..), one UPoly per coefficient."""
+    shift = UPoly(f.ctx, [alpha, 1])
+    acc = UPoly.zero(f.ctx)
+    for i in range(f.deg, -1, -1):
+        acc = acc * shift + UPoly.const(f.ctx, f.coeff(i))
+    return acc
+
+
+@pytest.mark.parametrize(
+    "F",
+    [
+        F2,
+        F65537,
+        PrimeField(2**31 - 1),
+        build_extension(7, 343, random.Random(3)),
+        extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+    ],
+    ids=["F2", "F65537", "2^31-1", "F7^3", "F4^2 (tower)"],
+)
+def test_taylor_shift_rows_match_upoly_horner(F):
+    rng = random.Random(7)
+    for rows, width in ((1, 1), (1, 13), (6, 9), (3, 0)):
+        G = F.rand_array(rng, rows * width).reshape(rows, width)
+        a = F.sample(rng)
+        got = taylor_shift_rows(F, G, a)
+        assert got.shape == G.shape
+        for r in range(rows):
+            want = _horner_shift_reference(UPoly(F, G[r]), a)
+            assert UPoly(F, got[r]) == want == UPoly(F, G[r]).taylor_shift(a)
+    # above the Horner cutoff taylor_shift halves; check it by evaluation
+    f = UPoly.random(F, 1100, rng)
+    a, x0 = F.sample(rng), F.sample(rng)
+    assert f.taylor_shift(a).eval_at(x0) == f.eval_at(F.add(x0, a))
 
 
 def test_multipoint_and_interpolate():
