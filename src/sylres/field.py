@@ -7,11 +7,14 @@ of size Q, the code sum(d_i * Q**i) stands for the coefficient vector
 therefore embeds as the codes below Q.
 
 Scalar operations take and return Python ints.  The v*-operations act
-elementwise on int64 numpy arrays; the prime-field kernels (schoolbook
-convolution, NTT, many-point evaluation) live in _backend.  conv() is
-the full polynomial-coefficient convolution used by upoly, with the
-strategy schoolbook / Karatsuba / NTT chosen by size and by whether the
-field carries suitable roots of unity.
+elementwise on int64 numpy arrays; the prime-field kernels (schoolbook and
+float-FFT convolution, many-point evaluation) live in _backend.  conv() is
+the full polynomial-coefficient convolution used by upoly, exact on both of
+its paths: schoolbook when the shorter operand has at most
+SCHOOLBOOK_CUTOFF coefficients, else a float FFT on small limbs whose
+count an a priori rounding bound fixes.  An extension field packs its
+digits into one base-field convolution (Kronecker substitution) and
+inverts without log tables by the Itoh-Tsujii norm.
 """
 
 from __future__ import annotations
@@ -26,14 +29,11 @@ from . import _backend
 _MR_ROUNDS = 40
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
-# Crossovers for the multiplication strategy (coefficient counts).
-SCHOOLBOOK_CUTOFF = 64
+# Shorter-operand length up to which conv() is schoolbook (measured crossover).
+SCHOOLBOOK_CUTOFF = 128
 
 _MAX_PRIME = 1 << 31  # single products must fit in int64
 _MAX_CARD = 1 << 62  # codes must fit in int64
-_INT64_BOUND = 1 << 63
-_LIMB_BITS = 16
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class FieldError(ValueError):
@@ -153,10 +153,6 @@ class PrimeField(FieldCtx):
         self.p = p
         self.k = 1
         self.q = p
-        self._two_adicity = ((p - 1) & -(p - 1)).bit_length() - 1
-        self._nonresidue = None
-        self._tw_cache: dict[tuple[int, bool], np.ndarray] = {}
-        self._bitrev_cache: dict[int, np.ndarray] = {}
 
     def __repr__(self):
         return f"F_{self.p}"
@@ -222,119 +218,20 @@ class PrimeField(FieldCtx):
         return _as_codes(a).sum(axis=-1) % self.p
 
     def vdot(self, A, x):
-        # one int64 product when no sum of K terms can reach 2**63; else x
-        # in 16-bit limbs, each limb product reduced before recombining
+        # exact int64 products (on 16-bit limbs of x near 2**31); past that
+        # gate, the pairwise vsum
         A, x = _as_codes(A), _as_codes(x)
-        K, p = x.shape[-1], self.p
-        if K * (p - 1) ** 2 < _INT64_BOUND:
-            return (A @ x) % p
-        if K * (p - 1) * _LIMB_MASK < _INT64_BOUND:
-            lo = (A @ (x & _LIMB_MASK)) % p
-            hi = (A @ (x >> _LIMB_BITS)) % p
-            return (lo + (hi << _LIMB_BITS)) % p
-        return super().vdot(A, x)
+        out = _backend.limb_mod(A.__matmul__, x, x.shape[-1], self.p)
+        return super().vdot(A, x) if out is None else out
 
     def eval_many(self, coeffs, pts):
         return _backend.eval_many_mod(_as_codes(coeffs), _as_codes(pts), self.p)
 
-    # polynomial-coefficient convolution
+    # polynomial-coefficient convolution: exact on both paths
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        la, lb = len(a), len(b)
-        if la == 0 or lb == 0:
-            return np.zeros(0, dtype=np.int64)
-        if min(la, lb) <= SCHOOLBOOK_CUTOFF:
+        if min(len(a), len(b)) <= SCHOOLBOOK_CUTOFF:
             return _backend.conv_mod(a, b, self.p)
-        n = la + lb - 1
-        if self._ntt_len(n) is not None:
-            return self._ntt_mul(a, b)
-        return self._karatsuba(a, b)
-
-    def _ntt_len(self, n: int) -> int | None:
-        m = 1 << (n - 1).bit_length()
-        return m if m <= (1 << self._two_adicity) else None
-
-    def _twiddles(self, n: int, inverse: bool) -> np.ndarray:
-        key = (n, inverse)
-        tw = self._tw_cache.get(key)
-        if tw is None:
-            p = self.p
-            if self._nonresidue is None:
-                g = 2
-                while pow(g, (p - 1) // 2, p) != p - 1:
-                    g += 1
-                self._nonresidue = g
-            tw = np.empty(n - 1, dtype=np.int64)
-            m = 1
-            while m < n:
-                w = pow(self._nonresidue, (p - 1) // (2 * m), p)
-                if inverse:
-                    w = pow(w, p - 2, p)
-                acc = 1
-                for j in range(m):
-                    tw[m - 1 + j] = acc
-                    acc = (acc * w) % p
-                m *= 2
-            self._tw_cache[key] = tw
-        return tw
-
-    def _bitrev(self, n: int) -> np.ndarray:
-        br = self._bitrev_cache.get(n)
-        if br is None:
-            bits = n.bit_length() - 1
-            br = np.zeros(n, dtype=np.int64)
-            for i in range(1, n):
-                br[i] = (br[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-            self._bitrev_cache[n] = br
-        return br
-
-    def _ntt_mul(self, a, b):
-        nout = len(a) + len(b) - 1
-        n = self._ntt_len(nout)
-        fa = np.zeros(n, dtype=np.int64)
-        fb = np.zeros(n, dtype=np.int64)
-        fa[: len(a)] = a
-        fb[: len(b)] = b
-        br = self._bitrev(n)
-        fa = _backend.ntt_mod(fa, self.p, self._twiddles(n, False), br)
-        fb = _backend.ntt_mod(fb, self.p, self._twiddles(n, False), br)
-        fc = (fa * fb) % self.p
-        fc = _backend.ntt_mod(fc, self.p, self._twiddles(n, True), br)
-        fc = (fc * pow(n, self.p - 2, self.p)) % self.p
-        return fc[:nout]
-
-    def _karatsuba(self, a, b):
-        n = max(len(a), len(b))
-        m = (n + 1) // 2
-        a0, a1 = a[:m], a[m:]
-        b0, b1 = b[:m], b[m:]
-        z0 = self.conv(a0, b0)
-        z2 = self.conv(a1, b1) if len(a1) and len(b1) else np.zeros(0, dtype=np.int64)
-        sa = self._padd(a0, a1)
-        sb = self._padd(b0, b1)
-        z1 = self._psub(self._psub(self.conv(sa, sb), z0), z2)
-        # z1 = a0 b1 + a1 b0 up to trailing zeros; trim so it fits at offset m
-        nz = np.flatnonzero(z1)
-        z1 = z1[: int(nz[-1]) + 1] if len(nz) else z1[:0]
-        out = np.zeros(len(a) + len(b) - 1, dtype=np.int64)
-        out[: len(z0)] += z0
-        out[m : m + len(z1)] += z1
-        if len(z2):
-            out[2 * m : 2 * m + len(z2)] += z2
-        return out % self.p
-
-    def _padd(self, a, b):
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(a)] += a
-        out[: len(b)] += b
-        return out % self.p
-
-    def _psub(self, a, b):
-        n = max(len(a), len(b))
-        out = np.zeros(n, dtype=np.int64)
-        out[: len(a)] += a
-        out[: len(b)] -= b
-        return out % self.p
+        return _backend.fft_conv_mod(a, b, self.p)
 
 
 _LOG_TABLE_LIMIT = 8192  # build multiplicative log/antilog tables below this size
@@ -364,8 +261,8 @@ class ExtField(FieldCtx):
         self.k = base.k * k
         self.deg = k
         self.q = base.q**k
-        # reduction rows: t^(k+i) mod m as coefficient rows, i = 0..k-2
-        self._red = _reduction_rows(base, modulus)
+        # reduction matrix: row i holds t^(k+i) mod m, i = 0..k-2
+        self._red = np.array(_reduction_rows(base, modulus))
         self._place = base.q ** np.arange(k, dtype=np.int64)
         self._digits = None
         self._exp = None
@@ -373,6 +270,10 @@ class ExtField(FieldCtx):
         if self.q <= _LOG_TABLE_LIMIT:
             self._digits = self.decode(np.arange(self.q, dtype=np.int64))
             self._build_log_tables()
+        else:
+            # Frobenius x -> x^Q is base-linear: row i holds t^(Q i) mod m
+            tq = self.pow_(int(self._place[1]), base.q)
+            self._frob = self.decode(np.array([self.pow_(tq, i) for i in range(k)]))
 
     def _build_log_tables(self):
         q = self.q
@@ -476,26 +377,26 @@ class ExtField(FieldCtx):
             return _as_codes(a).copy()
         return self.encode(self.base.vneg(self.decode(a)))
 
+    def _digit_map(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
+        """Digits D (last axis r) times a base-field matrix M (r, c): one
+        exact base product, broadcast over every row of D."""
+        return self.base.vsum(self.base.vmul(D[..., None, :], M.T))
+
     def _reduce_planes(self, C: np.ndarray) -> np.ndarray:
         # C has 2k-1 coefficient planes on the last axis; fold the high ones.
         k = self.deg
-        out = C[..., :k].copy()
-        for i in range(2 * k - 2, k - 1, -1):
-            hi = C[..., i]
-            row = self._red[i - k]
-            for j in range(k):
-                if row[j]:
-                    out[..., j] = self.base.vadd(out[..., j], self.base.vmul(hi, np.int64(row[j])))
-        return out
+        return self.base.vadd(C[..., :k], self._digit_map(C[..., k:], self._red))
 
-    def _vmul_planes(self, a, b):
-        A, B = self.decode(a), self.decode(b)
+    def _mul_digits(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         k = self.deg
         C = np.zeros(np.broadcast_shapes(A.shape[:-1], B.shape[:-1]) + (2 * k - 1,), dtype=np.int64)
         for i in range(k):
             for j in range(k):
                 C[..., i + j] = self.base.vadd(C[..., i + j], self.base.vmul(A[..., i], B[..., j]))
-        return self.encode(self._reduce_planes(C))
+        return self._reduce_planes(C)
+
+    def _vmul_planes(self, a, b):
+        return self.encode(self._mul_digits(self.decode(a), self.decode(b)))
 
     def dot_map(self, A):
         # without log tables, vmul and vsum decode and re-encode A on every
@@ -528,36 +429,29 @@ class ExtField(FieldCtx):
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        acc = np.ones_like(a)
-        base = a.copy()
-        e = self.q - 2
-        while e:
-            if e & 1:
-                acc = self._vmul_planes(acc, base)
-            base = self._vmul_planes(base, base)
-            e >>= 1
-        return acc
+        # Itoh-Tsujii: a^-1 = r / N(a), where r is the product of the
+        # conjugates a^(Q^i), i = 1..k-1, and the norm N(a) = a r is in the base
+        D = self.decode(a)
+        conj = r = self._digit_map(D, self._frob)
+        for _ in range(self.deg - 2):
+            conj = self._digit_map(conj, self._frob)
+            r = self._mul_digits(r, conj)
+        norm = self._mul_digits(D, r)[..., 0]
+        return self.encode(self.base.vmul(r, self.base.vinv(norm)[..., None]))
 
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         la, lb = len(a), len(b)
         if la == 0 or lb == 0:
             return np.zeros(0, dtype=np.int64)
-        if self._exp is not None and min(la, lb) <= 64:
-            # schoolbook on codes: table multiplies, one row per short-side term
-            if la > lb:
-                a, b, la, lb = b, a, lb, la
-            out = np.zeros(la + lb - 1, dtype=np.int64)
-            for i in range(la):
-                if a[i]:
-                    out[i : i + lb] = self.vadd(out[i : i + lb], self.vmul(np.int64(a[i]), b))
-            return out
-        A, B = self.decode(a), self.decode(b)
-        k = self.deg
-        C = np.zeros((la + lb - 1, 2 * k - 1), dtype=np.int64)
-        for i in range(k):
-            for j in range(k):
-                C[:, i + j] = self.base.vadd(C[:, i + j], self.base.conv(A[:, i], B[:, j]))
-        return self.encode(self._reduce_planes(C))
+        # Kronecker substitution: digits packed into rows of stride 2k - 1,
+        # so one base convolution yields every coefficient plane, no overlap
+        s = 2 * self.deg - 1
+        A = np.zeros((la, s), dtype=np.int64)
+        B = np.zeros((lb, s), dtype=np.int64)
+        A[:, : self.deg] = self.decode(a)
+        B[:, : self.deg] = self.decode(b)
+        C = self.base.conv(A.ravel(), B.ravel())[: (la + lb - 1) * s]
+        return self.encode(self._reduce_planes(C.reshape(-1, s)))
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -1,9 +1,9 @@
 """Dense univariate polynomials over a FieldCtx.
 
 Coefficients are int64 code arrays in ascending degree order; the zero
-polynomial is the empty array, so deg = len - 1 (-1 for zero).  The
-multiplication strategy (schoolbook / Karatsuba / NTT) lives in the field
-context's conv().
+polynomial is the empty array, so deg = len - 1 (-1 for zero).
+Multiplication is the field context's exact conv() (schoolbook for short
+operands, a limb-split float FFT for long ones).
 """
 
 from __future__ import annotations

@@ -317,3 +317,240 @@ def test_random_irreducible_gives_up(monkeypatch):
     with pytest.raises(FieldError):
         build_extension(2, 2**5, random.Random(1))
     assert len(calls) == 5 * 32
+
+
+# -- exact convolution over F_p: schoolbook and limb-split float FFT --------
+
+from sylres import _backend  # noqa: E402
+
+_CONV_PRIMES = [2, 3, 7, 65537, 2**31 - 1, 2147483629]
+
+
+def _int_conv(a, b, p):
+    """Exact product by Kronecker substitution in Python integers: every
+    coefficient gets a slot of hex digits wide enough that no carry crosses."""
+    la, lb = len(a), len(b)
+    width = (2 * (p - 1).bit_length() + min(la, lb).bit_length()) // 4 + 1
+
+    def pack(v):
+        return int("".join(f"{int(x):0{width}x}" for x in reversed(v.tolist())), 16)
+
+    h = f"{pack(a) * pack(b):0{width * (la + lb - 1)}x}"
+    n = len(h)
+    return np.array([int(h[n - width * (i + 1) : n - width * i], 16) % p for i in range(la + lb - 1)])
+
+
+def _loop_conv(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a.tolist()):
+        for j, y in enumerate(b.tolist()):
+            out[i + j] += x * y
+    return np.array([v % p for v in out])
+
+
+def _operands(p, la, lb, rng):
+    yield np.array([rng.randrange(p) for _ in range(la)]), np.array([rng.randrange(p) for _ in range(lb)])
+    yield np.full(la, p - 1), np.full(lb, p - 1)
+
+
+def _assert_all_kernels(F, a, b, want):
+    p = F.p
+    for got in (F.conv(a, b), _backend.fft_conv_mod(a, b, p), _backend.conv_mod(a, b, p)):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), (p, len(a), len(b))
+
+
+def test_int_conv_reference_matches_the_coefficient_loop():
+    rng = random.Random(30)
+    for p in _CONV_PRIMES:
+        for la, lb in ((1, 1), (3, 8), (20, 13)):
+            for a, b in _operands(p, la, lb, rng):
+                assert np.array_equal(_int_conv(a, b, p), _loop_conv(a, b, p))
+
+
+@pytest.mark.parametrize("p", _CONV_PRIMES)
+def test_prime_conv_kernels_match_integer_reference(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    shapes = ((1, 1), (1, 300), (300, 1), (5, 17), (64, 64), (65, 65), (200, 200), (129, 700), (700, 129))
+    for la, lb in shapes:
+        for a, b in _operands(p, la, lb, rng):
+            _assert_all_kernels(F, a, b, _int_conv(a, b, p))
+    assert len(F.conv(np.zeros(0, dtype=np.int64), np.ones(5, dtype=np.int64))) == 0
+
+
+def _limb_boundaries(p, limit):
+    """Largest balanced length n <= limit at which the gate still picks each
+    limb count below the one it picks at the limit (the gate is monotone)."""
+    out = []
+    n = 1
+    while _backend.fft_limbs(p, n, n)[0] < _backend.fft_limbs(p, limit, limit)[0]:
+        L = _backend.fft_limbs(p, n, n)[0]
+        lo, hi = n, limit  # L(lo) == L < L(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _backend.fft_limbs(p, mid, mid)[0] == L else (lo, mid)
+        out.append(lo)
+        n = hi
+    return out
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1, 2147483629])
+def test_fft_exact_at_the_limb_count_boundaries(p):
+    F = PrimeField(p)
+    rng = random.Random(31)
+    bounds = _limb_boundaries(p, 4096)
+    assert bounds  # both sides of at least one boundary run below 4096
+    for n in bounds:
+        assert _backend.fft_limbs(p, n, n)[0] < _backend.fft_limbs(p, n + 1, n + 1)[0]
+        for m in (n, n + 1):
+            for a, b in _operands(p, m, m, rng):
+                _assert_all_kernels(F, a, b, _int_conv(a, b, p))
+
+
+def test_fft_gate_never_picks_fewer_limbs_as_operands_grow():
+    for p in _CONV_PRIMES:
+        for lb_of in (lambda n: n, lambda n: 8 * n, lambda n: 1):
+            limbs = [_backend.fft_limbs(p, n, lb_of(n))[0] for n in (2**i for i in range(1, 24))]
+            assert limbs == sorted(limbs), p
+        grown = [_backend.fft_limbs(p, n, n)[0] for n in (2, 2**23)]
+        if p > 7:
+            assert grown[0] < grown[1], p
+    # past the bound even one-bit limbs would round inexactly: refuse, never round
+    with pytest.raises(ValueError):
+        _backend.fft_limbs(2**31 - 1, 2**60, 2**60)
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1])
+def test_fft_exact_at_every_limb_count(monkeypatch, p):
+    # raising the unit roundoff steps the gate, at one small length, through
+    # every limb count that narrows the limbs: from the float64 choice up to
+    # one-bit limbs
+    bits = (p - 1).bit_length()
+    widths = [-(-bits // L) for L in range(1, bits + 1)]
+    pickable = {L for L in range(1, bits + 1) if L == 1 or widths[L - 1] < widths[L - 2]}
+    rng = random.Random(32)
+    seen = []
+    eps = 2.0**-53
+    while True:
+        monkeypatch.setattr(_backend, "_FFT_EPS", eps)
+        try:
+            L = _backend.fft_limbs(p, 40, 33)[0]
+        except ValueError:
+            break
+        seen.append(L)
+        for a, b in _operands(p, 40, 33, rng):
+            assert np.array_equal(_backend.fft_conv_mod(a, b, p), _int_conv(a, b, p)), (eps, L)
+        eps *= 2**0.5
+    assert seen == sorted(seen)
+    assert set(seen) == {L for L in pickable if L >= seen[0]}
+    assert seen[-1] == bits
+
+
+def test_schoolbook_limb_split_past_the_single_product_gate():
+    # K (p-1)^2 >= 2**63 from K = 2: conv_mod splits the shorter operand into
+    # 16-bit limbs; past K (p-1) (2**16-1) >= 2**63 it refuses instead
+    p = 2**31 - 1
+    top = np.full(3000, p - 1)
+    for k in (1, 2, 3, 64):
+        assert np.array_equal(_backend.conv_mod(top[:k], top, p), _int_conv(top[:k], top, p))
+        assert np.array_equal(_backend.conv_mod(top, top[:k], p), _int_conv(top[:k], top, p))
+    long = np.ones(2**17, dtype=np.int64)
+    with pytest.raises(ValueError):
+        _backend.conv_mod(long, long, p)
+
+
+# -- extension fields: Kronecker-packed conv and the Itoh-Tsujii inverse ----
+
+
+def _reference_reduce_planes(F, C):
+    """The plane fold as a k x k loop of base multiplies."""
+    k = F.deg
+    out = C[..., :k].copy()
+    for i in range(2 * k - 2, k - 1, -1):
+        for j in range(k):
+            term = F.base.vmul(C[..., i], np.int64(F._red[i - k][j]))
+            out[..., j] = F.base.vadd(out[..., j], term)
+    return out
+
+
+def _reference_ext_conv(F, a, b):
+    """Table schoolbook on codes for short operands of log-table fields, else
+    one base conv per digit pair summed into 2k - 1 planes."""
+    la, lb = len(a), len(b)
+    if F._exp is not None and min(la, lb) <= 64:
+        if la > lb:
+            a, b, la, lb = b, a, lb, la
+        out = np.zeros(la + lb - 1, dtype=np.int64)
+        for i in range(la):
+            if a[i]:
+                out[i : i + lb] = F.vadd(out[i : i + lb], F.vmul(np.int64(a[i]), b))
+        return out
+    A, B = F.decode(a), F.decode(b)
+    k = F.deg
+    C = np.zeros((la + lb - 1, 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            C[:, i + j] = F.base.vadd(C[:, i + j], F.base.conv(A[:, i], B[:, j]))
+    return F.encode(_reference_reduce_planes(F, C))
+
+
+_EXT_CONV_FIELDS = {
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F2^8": build_extension(2, 256, random.Random(6)),
+    "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+    "F101^2": build_extension(101, 101**2, random.Random(4)),
+    "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+}
+
+
+@pytest.mark.parametrize("F", list(_EXT_CONV_FIELDS.values()), ids=list(_EXT_CONV_FIELDS))
+def test_ext_conv_matches_the_plane_loop_reference(F):
+    rng = random.Random(40)
+    for la, lb in ((1, 1), (1, 9), (9, 1), (30, 30), (64, 65), (70, 200)):
+        for a, b in ((F.rand_array(rng, la), F.rand_array(rng, lb)), (np.full(la, F.q - 1), np.full(lb, F.q - 1))):
+            got = F.conv(a, b)
+            assert np.array_equal(got, _reference_ext_conv(F, a, b)), (F, la, lb)
+    assert len(F.conv(np.zeros(0, dtype=np.int64), F.rand_array(rng, 3))) == 0
+    # the folded planes also drive vmul without log tables
+    C = np.array([F.base.rand_array(rng, 2 * F.deg - 1) for _ in range(20)])
+    assert np.array_equal(F._reduce_planes(C), _reference_reduce_planes(F, C))
+
+
+def _fermat_inv(F, a):
+    acc, base, e = np.ones_like(a), a.copy(), F.q - 2
+    while e:
+        if e & 1:
+            acc = F._vmul_planes(acc, base)
+        base = F._vmul_planes(base, base)
+        e >>= 1
+    return acc
+
+
+_NO_TABLE_FIELDS = {
+    "F101^2": build_extension(101, 101**2, random.Random(4)),
+    "F101^3": build_extension(101, 101**3, random.Random(7)),
+    "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+    "F101^2^2 (tower)": extend_field(build_extension(101, 101**2, random.Random(4)), 101**4, random.Random(5)),
+}
+
+
+@pytest.mark.parametrize("F", list(_NO_TABLE_FIELDS.values()), ids=list(_NO_TABLE_FIELDS))
+def test_itoh_tsujii_inverse_matches_fermat(F):
+    assert F._exp is None
+    rng = random.Random(41)
+    Q = F.base.q
+    edge = [1, 2, Q - 1, Q, Q + 1, F.q - 1]
+    a = np.concatenate([np.array(edge), 1 + F.rand_array(rng, 200) % (F.q - 1)])
+    inv = F.vinv(a)
+    assert np.array_equal(inv, _fermat_inv(F, a))
+    assert np.all(F.vmul(a, inv) == 1)
+    for x in edge:
+        assert F.inv(x) == int(_fermat_inv(F, np.array([x]))[0])
+    # base-field elements invert inside the base field
+    assert np.array_equal(F.vinv(np.array([2, Q - 1])), F.base.vinv(np.array([2, Q - 1])))
+    assert np.array_equal(F.vinv(a[:200].reshape(10, 20)), inv[:200].reshape(10, 20))
+    with pytest.raises(ZeroDivisionError):
+        F.vinv(np.array([3, 0, 5]))
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
