@@ -1,6 +1,6 @@
 """Hot numeric kernels in numpy: exact convolution mod p (schoolbook for
-short operands, a float FFT on small limbs for long ones) and many-point
-Horner evaluation.
+short operands, a float FFT on small limbs for long ones) and exact limb-split
+products.
 
 All kernels work on int64 arrays of residues mod a prime p < 2**31, so a
 single product fits in int64 and sums are reduced before they can overflow.
@@ -133,11 +133,3 @@ def ntt_mod(a: np.ndarray, p: int, tw: np.ndarray, bitrev: np.ndarray) -> np.nda
         a = np.concatenate(((even + odd) % p, (even - odd) % p), axis=1).reshape(-1)
         m *= 2
     return a
-
-
-def eval_many_mod(coeffs: np.ndarray, pts: np.ndarray, p: int) -> np.ndarray:
-    """Horner evaluation of one polynomial at many points mod p."""
-    acc = np.zeros(len(pts), dtype=np.int64)
-    for c in coeffs[::-1]:
-        acc = (acc * pts + c) % p
-    return acc

@@ -7,8 +7,8 @@ of size Q, the code sum(d_i * Q**i) stands for the coefficient vector
 therefore embeds as the codes below Q.
 
 Scalar operations take and return Python ints.  The v*-operations act
-elementwise on int64 numpy arrays; the prime-field kernels (schoolbook and
-float-FFT convolution, many-point evaluation) live in _backend.  conv() is
+elementwise on int64 numpy arrays; the prime-field convolution kernels
+(schoolbook and float FFT) live in _backend.  conv() is
 the full polynomial-coefficient convolution used by upoly, exact on both of
 its paths: schoolbook when the shorter operand has at most
 SCHOOLBOOK_CUTOFF coefficients, else a float FFT on small limbs whose
@@ -77,12 +77,6 @@ class FieldCtx:
     k: int
     q: int
 
-    def element(self, i: int) -> int:
-        """i-th element in the fixed enumeration (identity on codes)."""
-        if not 0 <= i < self.q:
-            raise FieldError(f"element index {i} out of range for field of size {self.q}")
-        return i
-
     def sample(self, rng: random.Random) -> int:
         return rng.randrange(self.q)
 
@@ -135,6 +129,8 @@ class FieldCtx:
         return functools.partial(self.vdot, A)
 
     def eval_many(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
+        """The polynomial with these coefficients at every point: Horner
+        across all points at once, one vmul and one vadd per coefficient."""
         acc = np.zeros(len(pts), dtype=np.int64)
         for c in coeffs[::-1]:
             acc = self.vadd(self.vmul(acc, pts), np.int64(c))
@@ -223,9 +219,6 @@ class PrimeField(FieldCtx):
         A, x = _as_codes(A), _as_codes(x)
         out = _backend.limb_mod(A.__matmul__, x, x.shape[-1], self.p)
         return super().vdot(A, x) if out is None else out
-
-    def eval_many(self, coeffs, pts):
-        return _backend.eval_many_mod(_as_codes(coeffs), _as_codes(pts), self.p)
 
     # polynomial-coefficient convolution: exact on both paths
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -328,9 +321,6 @@ class ExtField(FieldCtx):
 
     def encode(self, digits: np.ndarray) -> np.ndarray:
         return digits @ self._place
-
-    def in_base(self, x: int) -> bool:
-        return 0 <= x < self.base.q
 
     # scalar fast paths
     def add(self, x, y):

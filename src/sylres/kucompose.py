@@ -3,10 +3,12 @@ six-step composition pipeline: inverse Kronecker substitution, a tower of
 reduced powers of x, bivariate grid evaluation, multivariate multipoint
 evaluation, grid interpolation, and a final normal form.
 
-The multivariate multipoint evaluation is the naive per-point scheme; the
-asymptotically fast evaluation this pipeline was designed around is out of
-scope, so the pipeline here is a correctness vehicle: compose_rem(f) must
-equal normal_form(f) exactly.
+The multivariate multipoint evaluation is the naive per-point scheme,
+in chunks of points that bound its working array; the asymptotically fast
+evaluation this pipeline was designed around is out of scope, so the
+pipeline here is a correctness vehicle: compose_rem(f) must equal
+normal_form(f) exactly.  Grid interpolation is two batched Lagrange passes
+(upoly.interpolate_rows), and the Kronecker maps are Fortran-order reshapes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ import numpy as np
 
 from .bipoly import BiPoly, IdealBasis
 from .normalform import mul_mod, normal_form
-from .upoly import UPoly, interpolate
+from .upoly import UPoly, interpolate_rows
+
+# entries of the working array of mv_multipoint_eval (grid size times the
+# points of one chunk): 32 MB of int64
+_MV_CHUNK_ENTRIES = 1 << 22
 
 
 class FieldTooSmallError(ValueError):
@@ -63,33 +69,16 @@ class KUParams:
 
 def inv_kronecker(f: UPoly, params: KUParams) -> np.ndarray:
     """x^k -> z_0^{k_0} ... z_{l-1}^{k_{l-1}} with (k_i) the base-d_eps digits
-    of k (least significant first); returns the (d_eps,)*l coefficient grid."""
+    of k (least significant first); returns the (d_eps,)*l coefficient grid.
+    Those digits index the grid in Fortran order, so this is a reshape."""
     if f.deg >= params.delta:
         raise ValueError(f"degree {f.deg} exceeds the bound {params.delta}")
-    grid = np.zeros((params.d_eps,) * params.l, dtype=np.int64)
-    for k in range(f.deg + 1):
-        c = f.coeff(k)
-        if c == 0:
-            continue
-        idx = []
-        kk = k
-        for _ in range(params.l):
-            idx.append(kk % params.d_eps)
-            kk //= params.d_eps
-        grid[tuple(idx)] = c
-    return grid
+    return f.padded(params.d_eps**params.l).reshape((params.d_eps,) * params.l, order="F")
 
 
 def kronecker_restore(ctx, grid: np.ndarray, params: KUParams) -> UPoly:
     """Substitute z_i = x^(d_eps**i): the inverse of inv_kronecker."""
-    coeffs = np.zeros(params.d_eps**params.l, dtype=np.int64)
-    for idx in np.ndindex(grid.shape):
-        c = int(grid[idx])
-        if c == 0:
-            continue
-        k = sum(ki * params.d_eps**i for i, ki in enumerate(idx))
-        coeffs[k] = ctx.add(int(coeffs[k]), c)
-    return UPoly(ctx, coeffs)
+    return UPoly(ctx, np.asarray(grid, dtype=np.int64).reshape(-1, order="F"))
 
 
 def power_tower(basis: IdealBasis, params: KUParams) -> list[BiPoly]:
@@ -130,31 +119,32 @@ def grid_eval(ctx, polys: list[BiPoly], K1: np.ndarray, K2: np.ndarray) -> np.nd
 
 def grid_interp(ctx, values: np.ndarray, K1: np.ndarray, K2: np.ndarray) -> BiPoly:
     """Bivariate interpolation on the grid K1 x K2 (inverse of grid_eval for
-    bidegree < (|K1|, |K2|))."""
-    K1 = np.asarray(K1, dtype=np.int64)
-    K2 = np.asarray(K2, dtype=np.int64)
-    n1, n2 = values.shape
-    # interpolate along y for each x-node, then along x coefficientwise
-    ycoeffs = np.zeros((n1, n2), dtype=np.int64)
-    for j in range(n1):
-        ycoeffs[j] = interpolate(ctx, K2, values[j]).padded(n2)
-    g = np.zeros((n1, n2), dtype=np.int64)
-    for c in range(n2):
-        g[:, c] = interpolate(ctx, K1, ycoeffs[:, c]).padded(n1)
-    return BiPoly(ctx, g)
+    bidegree < (|K1|, |K2|)): along y for every x-node, then along x for
+    every y-coefficient."""
+    ycoeffs = interpolate_rows(ctx, K2, values)
+    return BiPoly(ctx, interpolate_rows(ctx, K1, ycoeffs.T).T)
 
 
 def mv_multipoint_eval(ctx, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the l-variate coefficient grid at each row of points (naive
-    nested Horner, vectorised across the points)."""
+    nested Horner, vectorised across the points), in chunks of points whose
+    working array holds at most _MV_CHUNK_ENTRIES entries."""
     points = np.asarray(points, dtype=np.int64)
-    npts, l = points.shape if points.ndim == 2 else (len(points), 1)
     if points.ndim == 1:
         points = points[:, None]
-    if grid.ndim != l:
+    if grid.ndim != points.shape[1]:
         raise ValueError("point arity does not match the grid")
-    vals = np.broadcast_to(grid[..., None], grid.shape + (npts,)).copy()
-    for axis in range(l - 1, -1, -1):
+    chunk = max(1, _MV_CHUNK_ENTRIES // grid.size)
+    out = np.zeros(len(points), dtype=np.int64)
+    for s in range(0, len(points), chunk):
+        out[s : s + chunk] = _nested_horner(ctx, grid, points[s : s + chunk])
+    return out
+
+
+def _nested_horner(ctx, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
+    # a read-only view: every Horner step writes a new array
+    vals = np.broadcast_to(grid[..., None], grid.shape + (len(points),))
+    for axis in range(grid.ndim - 1, -1, -1):
         z = points[:, axis]
         acc = vals[..., -1, :]
         for t in range(grid.shape[axis] - 2, -1, -1):

@@ -9,6 +9,8 @@ flags.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from ._dense import SingularMatrixError, gauss_det
@@ -16,7 +18,7 @@ from .bipoly import BiPoly, IdealBasis
 from .field import extend_field
 from .normalform import embed, normal_form
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced
-from .upoly import UPoly
+from .upoly import UPoly, interpolate
 
 _ORACLE_DIM_GATE = 64
 
@@ -98,36 +100,25 @@ def dense_smith(M: list[list[UPoly]]) -> list[UPoly]:
     return [A[k][k].monic() for k in range(n)]
 
 
-def dense_resultant(a: BiPoly, b: BiPoly, allow_extension: bool = True) -> UPoly:
+def dense_resultant(a: BiPoly, b: BiPoly) -> UPoly:
     """Res_y(a, b) = det S_y, by Gaussian determinants at enough points and
-    interpolation (degree bound d_a e_b + d_b e_a)."""
+    interpolation (degree bound d_a e_b + d_b e_a).  A field with too few
+    points is extended by a fixed-seed extension, and the result is checked
+    to descend to the base field."""
     basis = IdealBasis(a, b)
     _check_gate(basis.ny)
     ctx = basis.ctx
     if basis.ny == 0:
         return UPoly.one(ctx)
     npts = basis.da * basis.eb + basis.db * basis.ea + 1
-    if ctx.q < npts:
-        if not allow_extension:
-            raise ValueError(f"field too small: need {npts} distinct points")
-        import random as _random
-
-        ev = extend_field(ctx, npts, _random.Random(f"sylres-resultant-{ctx.q}-{npts}"))
-        Sy = build_Sy(basis.lift(ev))
-        pts = np.arange(npts, dtype=np.int64)
-        vals = np.array([gauss_det(ev, Sy.at(int(x0))) for x0 in pts], dtype=np.int64)
-        from .upoly import interpolate
-
-        res = interpolate(ev, pts, vals)
-        if any(int(c) >= ctx.q for c in res.c):
-            raise ArithmeticError("resultant did not descend to the base field")
-        return UPoly(ctx, res.c)
-    Sy = build_Sy(basis)
+    ev = extend_field(ctx, npts, random.Random(f"sylres-resultant-{ctx.q}-{npts}"))
+    Sy = build_Sy(basis.lift(ev))
     pts = np.arange(npts, dtype=np.int64)
-    vals = np.array([gauss_det(ctx, Sy.at(int(x0))) for x0 in pts], dtype=np.int64)
-    from .upoly import interpolate
-
-    return interpolate(ctx, pts, vals)
+    vals = np.array([gauss_det(ev, Sy.at(int(x0))) for x0 in pts], dtype=np.int64)
+    res = interpolate(ev, pts, vals)
+    if ev is not ctx and np.any(res.c >= ctx.q):
+        raise ArithmeticError("resultant did not descend to the base field")
+    return UPoly(ctx, res.c)
 
 
 def mult_x_matrix(basis: IdealBasis) -> np.ndarray:

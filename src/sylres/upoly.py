@@ -3,7 +3,11 @@
 Coefficients are int64 code arrays in ascending degree order; the zero
 polynomial is the empty array, so deg = len - 1 (-1 for zero).
 Multiplication is the field context's exact conv() (schoolbook for short
-operands, a limb-split float FFT for long ones).
+operands, a limb-split float FFT for long ones).  Evaluation at many points
+is Horner across all points at once, and interpolation is the Lagrange
+form with every quotient by (x - point) formed at once (interpolate_rows,
+many value rows through the same points); both are O(n^2) array passes,
+which beat a subproduct tree at every size this package reaches.
 """
 
 from __future__ import annotations
@@ -357,68 +361,50 @@ def plcm(f: UPoly, g: UPoly) -> UPoly:
 
 
 # ---------------------------------------------------------------------------
-# multipoint evaluation / interpolation (subproduct tree, naive below 16 pts)
-
-_NAIVE_POINTS = 16
-
-
-def _subproduct_tree(ctx, pts):
-    level = [UPoly(ctx, [ctx.neg(int(u)), 1]) for u in pts]
-    tree = [level]
-    while len(level) > 1:
-        nxt = [level[i] * level[i + 1] for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        tree.append(nxt)
-        level = nxt
-    return tree
+# multipoint evaluation / interpolation (arrays across all points at once)
 
 
 def multipoint_eval(f: UPoly, pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=np.int64)
-    if len(pts) == 0:
-        return np.zeros(0, dtype=np.int64)
-    if len(pts) <= _NAIVE_POINTS or f.deg <= _NAIVE_POINTS:
-        return f.eval_many(pts)
-    tree = _subproduct_tree(f.ctx, pts)
-    rems = [f.rem(tree[-1][0])]
-    for level in reversed(tree[:-1]):
-        nxt = []
-        for j, r in enumerate(rems):
-            if 2 * j + 1 < len(level):
-                nxt.append(r.rem(level[2 * j]))
-                nxt.append(r.rem(level[2 * j + 1]))
-            else:
-                nxt.append(r)  # odd leftover: same node one level down
-        rems = nxt
-    return np.array([r.coeff(0) for r in rems], dtype=np.int64)
+    """f at every point: Horner across all points at once."""
+    return f.eval_many(pts)
 
 
 def interpolate(ctx: FieldCtx, pts, vals) -> UPoly:
     """Unique polynomial of degree < len(pts) through the given points."""
+    return UPoly(ctx, interpolate_rows(ctx, pts, np.asarray(vals, dtype=np.int64)[None, :])[0])
+
+
+def interpolate_rows(ctx: FieldCtx, pts, V) -> np.ndarray:
+    """Row i of the (m, n) result holds the ascending coefficients of the
+    unique polynomial of degree < n through (pts[j], V[i, j]), in Lagrange
+    form sum_j V[i, j] / M'(pts[j]) * M / (x - pts[j]) with M the master
+    polynomial prod_j (x - pts[j]).  The quotients for all j are formed at
+    once, top coefficient first, by synthetic division q <- pts * q + M_k,
+    and each of their coefficient vectors meets the weights in one exact
+    product prepared by ctx.dot_map."""
     pts = np.asarray(pts, dtype=np.int64)
-    vals = np.asarray(vals, dtype=np.int64)
-    if len(pts) != len(vals):
+    V = np.asarray(V, dtype=np.int64)
+    n = len(pts)
+    if V.ndim != 2 or V.shape[1] != n:
         raise ValueError("points/values length mismatch")
-    if len(np.unique(pts)) != len(pts):
+    if len(np.unique(pts)) != n:
         raise ValueError("interpolation points must be pairwise distinct")
-    if len(pts) == 0:
-        return UPoly.zero(ctx)
-    tree = _subproduct_tree(ctx, pts)
-    master = tree[-1][0]
-    dvals = multipoint_eval(master.deriv(), pts)
-    weights = ctx.vmul(vals, ctx.vinv(dvals))
-    # combine up the tree: leaf i carries the constant weights[i]
-    level = [UPoly.const(ctx, int(w)) for w in weights]
-    for depth in range(len(tree) - 1):
-        polys = tree[depth]
-        nxt = []
-        for j in range(0, len(level) - 1, 2):
-            nxt.append(level[j] * polys[j + 1] + level[j + 1] * polys[j])
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
+    out = np.zeros(V.shape, dtype=np.int64)
+    if n == 0:
+        return out
+    M = np.zeros(n + 1, dtype=np.int64)
+    M[0] = 1
+    for u in pts:
+        # M <- M * (x - u); the top slot stays zero until the last point
+        M = ctx.vsub(np.concatenate(([0], M[:-1])), ctx.vmul(M, u))
+    dM = UPoly(ctx, M).deriv()
+    weights = ctx.dot_map(ctx.vmul(V, ctx.vinv(dM.eval_many(pts))))
+    q = np.ones(n, dtype=np.int64)  # the monic top coefficient of M / (x - u)
+    out[:, n - 1] = weights(q)
+    for k in range(n - 1, 0, -1):
+        q = ctx.vadd(ctx.vmul(pts, q), M[k])
+        out[:, k - 1] = weights(q)
+    return out
 
 
 # ---------------------------------------------------------------------------

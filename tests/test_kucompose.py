@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from sylres import kucompose
 from sylres.bipoly import BiPoly
-from sylres.field import PrimeField
+from sylres.field import PrimeField, build_extension
 from sylres.kucompose import (
     FieldTooSmallError,
     KUParams,
@@ -87,6 +88,57 @@ def test_grid_eval_and_interp():
     assert not z.any()
 
 
+def test_grid_interp_on_unequal_scattered_grids():
+    rng = random.Random(39)
+    F7_3 = build_extension(7, 343, random.Random(3))
+    for F, n1, n2 in ((F65537, 7, 4), (F65537, 3, 11), (F65537, 1, 5), (F7_3, 6, 9)):
+        g = BiPoly.random(F, n1 - 1, n2 - 1, rng)
+        K1 = np.array(rng.sample(range(F.q), n1), dtype=np.int64)
+        K2 = np.array(rng.sample(range(F.q), n2), dtype=np.int64)
+        vals = grid_eval(F, [g], K1, K2)[0]
+        assert vals.shape == (n1, n2)
+        assert int(vals[-1, 0]) == g.eval_xy(int(K1[-1]), int(K2[0]))
+        assert grid_interp(F, vals, K1, K2) == g
+
+
+def _mv_eval_per_point(F, grid, pts):
+    out = []
+    for r in range(len(pts)):
+        want = 0
+        for idx in np.ndindex(grid.shape):
+            term = int(grid[idx])
+            for ax, k in enumerate(idx):
+                term = F.mul(term, F.pow_(int(pts[r, ax]), k))
+            want = F.add(want, term)
+        out.append(want)
+    return out
+
+
+def test_mv_multipoint_eval_in_chunks(monkeypatch):
+    rng = random.Random(40)
+    grid = F101.rand_array(rng, 18).reshape(3, 2, 3)
+    pts = F101.rand_array(rng, 3 * 23).reshape(23, 3)
+    want = _mv_eval_per_point(F101, grid, pts)
+    assert mv_multipoint_eval(F101, grid, pts).tolist() == want
+    horner = kucompose._nested_horner
+    sizes = []
+
+    def recording(ctx, g, chunk):
+        sizes.append(len(chunk))
+        return horner(ctx, g, chunk)
+
+    monkeypatch.setattr(kucompose, "_nested_horner", recording)
+    # chunks of 5 and of 4 points (each with a ragged last chunk), of single
+    # points, and one chunk holding every point
+    cases = {5 * 18 + 17: [5] * 4 + [3], 1: [1] * 23, 4 * 18: [4] * 5 + [3], 23 * 18: [23]}
+    for entries, chunks in cases.items():
+        monkeypatch.setattr(kucompose, "_MV_CHUNK_ENTRIES", entries)
+        sizes.clear()
+        assert mv_multipoint_eval(F101, grid, pts).tolist() == want
+        assert sizes == chunks
+    assert mv_multipoint_eval(F101, grid, pts[:0]).shape == (0,)
+
+
 def test_mv_multipoint_eval():
     rng = random.Random(33)
     # all-zeros point gives the constant coefficient
@@ -103,14 +155,7 @@ def test_mv_multipoint_eval():
         grid = F101.rand_array(rng, 27).reshape(3, 3, 3)
         pts = F101.rand_array(rng, 12).reshape(4, 3)
         got = mv_multipoint_eval(F101, grid, pts)
-        for r in range(4):
-            want = 0
-            for idx in np.ndindex(grid.shape):
-                term = int(grid[idx])
-                for ax, k in enumerate(idx):
-                    term = F101.mul(term, F101.pow_(int(pts[r, ax]), k))
-                want = F101.add(want, term)
-            assert int(got[r]) == want
+        assert got.tolist() == _mv_eval_per_point(F101, grid, pts)
 
 
 def test_compose_rem_trivial():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from sylres.upoly import (
     UPoly,
     berlekamp_massey,
     interpolate,
+    interpolate_rows,
     multipoint_eval,
     pgcd,
     plcm,
@@ -160,6 +162,63 @@ def test_multipoint_and_interpolate():
         assert interpolate(F65537, pts, vals) == f
     with pytest.raises(ValueError):
         interpolate(F65537, [1, 1], [0, 0])
+
+
+INTERP_FIELDS = {
+    "F2": F2,
+    "F7": PrimeField(7),
+    "F65537": F65537,
+    "F(2^31-1)": PrimeField(2**31 - 1),
+    "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F65537^2 (no tables)": build_extension(65537, 65537**2, random.Random(4)),
+}
+
+
+@pytest.mark.parametrize("name", list(INTERP_FIELDS))
+def test_interpolate_rows_round_trip(name):
+    F = INTERP_FIELDS[name]
+    rng = random.Random(13)
+    for n in sorted({min(n, F.q) for n in (0, 1, 2, 17, 300)}):
+        pts = np.array(rng.sample(range(F.q), n), dtype=np.int64)
+        # random rows, an all-zero row and the constant q - 1
+        C = F.rand_array(rng, 3 * n).reshape(3, n)
+        C[1] = 0
+        C[2] = 0
+        if n:
+            C[2, 0] = F.q - 1
+        V = np.array([UPoly(F, row).eval_many(pts) for row in C]).reshape(3, n)
+        for i, j in itertools.product(range(3), range(min(n, 4))):
+            assert int(V[i, j]) == UPoly(F, C[i]).eval_at(int(pts[j]))
+        got = interpolate_rows(F, pts, V)
+        assert got.shape == (3, n)
+        assert np.array_equal(got, C), (name, n)
+        for i in range(3):
+            assert interpolate(F, pts, V[i]) == UPoly(F, C[i])
+    assert interpolate_rows(F, [], np.zeros((0, 0), dtype=np.int64)).shape == (0, 0)
+
+
+def test_interpolate_rows_rejects_bad_input():
+    with pytest.raises(ValueError, match="mismatch"):
+        interpolate_rows(F65537, [1, 2, 3], np.zeros((2, 2), dtype=np.int64))
+    with pytest.raises(ValueError, match="mismatch"):
+        interpolate(F65537, [1, 2], [0])
+    with pytest.raises(ValueError, match="distinct"):
+        interpolate_rows(F65537, [4, 5, 4], np.zeros((1, 3), dtype=np.int64))
+
+
+def test_multipoint_eval_edges():
+    rng = random.Random(14)
+    f = UPoly.random(F65537, 30, rng)
+    assert multipoint_eval(f, []).shape == (0,)
+    assert multipoint_eval(UPoly.zero(F65537), [3, 4]).tolist() == [0, 0]
+    assert multipoint_eval(UPoly.const(F65537, 7), [0, 1, 65536]).tolist() == [7, 7, 7]
+    for F in (F65537, INTERP_FIELDS["F65537^2 (no tables)"]):
+        for npts in (17, 100):
+            g = UPoly.random(F, 40, rng)
+            pts = np.array([F.sample(rng) for _ in range(npts)], dtype=np.int64)
+            want = [g.eval_at(int(u)) for u in pts]
+            assert multipoint_eval(g, pts).tolist() == want
 
 
 def test_berlekamp_massey_fixtures():
