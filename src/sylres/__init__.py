@@ -21,7 +21,6 @@ from .field import (
     build_extension,
     extend_field,
     is_probable_prime,
-    sample_uniform,
 )
 from .invariant import (
     DeterminantScaleError,
@@ -111,7 +110,6 @@ __all__ = [
     "recover_last_invariant",
     "reduce_ydeg",
     "resultant_certified",
-    "sample_uniform",
     "transposed_normal_form",
     "trunc_inv_apply",
     "unvec_x",

@@ -278,7 +278,7 @@ def _bench_instance(ctx, d, e, seed):
     raise CliError(f"no column-reduced instance found for d={d}, e={e}", 2)
 
 
-def _bench_one(basis, rng, op, algo, trials):
+def _bench_one(basis, rng, op, trials):
     ctx = basis.ctx
     if op == "normal_form":
         f = BiPoly.random(ctx, max(2 * (basis.d - 1), 0), max(2 * (basis.ny - 1), 0), rng)
@@ -318,6 +318,8 @@ BENCH_OPS = ("normal_form", "mul_mod", "invfact", "resultant", "compose_rem")
 
 
 def cmd_bench(args) -> int:
+    if args.algo != "baseline":
+        raise CliError("bench only times the baseline algorithm", 1)
     ctx = _field(args)
     sizes = []
     if args.sizes.strip():
@@ -342,7 +344,7 @@ def cmd_bench(args) -> int:
                 inst_seed = master.randrange(2**32)
                 basis, rng = _bench_instance(ctx, d, e, inst_seed)
                 for op in ops:
-                    wall, status = _bench_one(basis, rng, op, args.algo, args.trials)
+                    wall, status = _bench_one(basis, rng, op, args.trials)
                     writer.writerow([d, e, ctx.q, args.algo, inst_seed, op, wall, status])
     finally:
         if args.out:

@@ -7,8 +7,10 @@ of size Q, the code sum(d_i * Q**i) stands for the coefficient vector
 therefore embeds as the codes below Q.
 
 Scalar operations take and return Python ints.  The v*-operations act
-elementwise on int64 numpy arrays; the prime-field convolution kernels
-(schoolbook and float FFT) live in _backend.  conv() is
+elementwise on int64 numpy arrays; horner() evaluates along the first
+axis of a coefficient array at broadcast points, and power() is the one
+square-and-multiply, for any associative product.  The prime-field
+convolution kernels (schoolbook and float FFT) live in _backend.  conv() is
 the full polynomial-coefficient convolution used by upoly, exact on both of
 its paths: schoolbook when the shorter operand has at most
 SCHOOLBOOK_CUTOFF coefficients, else a float FFT on small limbs whose
@@ -70,6 +72,32 @@ def _as_codes(x) -> np.ndarray:
     return np.asarray(x, dtype=np.int64)
 
 
+def power(x, e: int, mul, one):
+    """x**e for e >= 0 under an associative product mul, by left-to-right
+    square-and-multiply: bit_length(e) - 1 squarings and popcount(e) - 1
+    further products, none past the top bit; one is returned only for e = 0."""
+    if e == 0:
+        return one
+    acc = x
+    for bit in bin(e)[3:]:
+        acc = mul(acc, acc)
+        if bit == "1":
+            acc = mul(acc, x)
+    return acc
+
+
+def _horner(C, z, step) -> np.ndarray:
+    # FieldCtx.horner with the step acc <- acc * z + c given by the field
+    C, z = _as_codes(C), _as_codes(z)
+    shape = np.broadcast_shapes(C.shape[1:], z.shape)
+    if len(C) == 0:
+        return np.zeros(shape, dtype=np.int64)
+    acc = np.broadcast_to(C[-1], shape)
+    for c in C[-2::-1]:
+        acc = step(acc, z, c)
+    return acc if len(C) > 1 else acc.copy()
+
+
 class FieldCtx:
     """Shared interface of PrimeField and ExtField."""
 
@@ -86,13 +114,7 @@ class FieldCtx:
     def pow_(self, x: int, e: int) -> int:
         if e < 0:
             return self.pow_(self.inv(x), -e)
-        acc, base = 1, x
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return power(x, e, self.mul, 1)
 
     # scalar ops defined from the vector ops; subclasses may override for speed
     def add(self, x: int, y: int) -> int:
@@ -128,13 +150,10 @@ class FieldCtx:
         fields that can prepare A once do so here."""
         return functools.partial(self.vdot, A)
 
-    def eval_many(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        """The polynomial with these coefficients at every point: Horner
-        across all points at once, one vmul and one vadd per coefficient."""
-        acc = np.zeros(len(pts), dtype=np.int64)
-        for c in coeffs[::-1]:
-            acc = self.vadd(self.vmul(acc, pts), np.int64(c))
-        return acc
+    def horner(self, C, z) -> np.ndarray:
+        """sum_k C[k] z**k over the first axis of C, with z broadcast against
+        C[0]: Horner from C[-1], one vmul and one vadd per coefficient."""
+        return _horner(C, z, lambda acc, z, c: self.vadd(self.vmul(acc, z), c))
 
     def __ne__(self, other):
         return not self.__eq__(other)
@@ -196,22 +215,18 @@ class PrimeField(FieldCtx):
         return (a * b) % self.p
 
     def vinv(self, a):
-        a = _as_codes(a)
-        if np.any(a % self.p == 0):
+        a = _as_codes(a) % self.p
+        if np.any(a == 0):
             raise ZeroDivisionError("inverse of zero")
-        acc = np.ones_like(a)
-        base = a % self.p
-        e = self.p - 2
-        while e:
-            if e & 1:
-                acc = (acc * base) % self.p
-            base = (base * base) % self.p
-            e >>= 1
-        return acc
+        return power(a, self.p - 2, self.vmul, np.ones_like(a))
 
     def vsum(self, a):
         # exact in int64: codes are below 2**31 and no sum has 2**32 terms
         return _as_codes(a).sum(axis=-1) % self.p
+
+    def horner(self, C, z):
+        # one reduction per step: acc * z + c < 2**62 + 2**31 for codes below 2**31
+        return _horner(C, z, lambda acc, z, c: (acc * z + c) % self.p)
 
     def vdot(self, A, x):
         # exact int64 products (on 16-bit limbs of x near 2**31); past that
@@ -469,13 +484,7 @@ def _is_irreducible(base: FieldCtx, m: np.ndarray) -> bool:
     t = mod.rem(UPoly.x(base))
     powers = [t]  # powers[i] = t^(Q^i) mod m
     for _ in range(d):
-        acc, sq, e = UPoly.one(base), powers[-1], base.q
-        while e:
-            if e & 1:
-                acc = mod.rem(acc * sq)
-            sq = mod.rem(sq * sq)
-            e >>= 1
-        powers.append(acc)
+        powers.append(power(powers[-1], base.q, lambda f, g: mod.rem(f * g), UPoly.one(base)))
     if powers[d] != t:
         return False
     return all(pgcd(powers[d // ell] - t, mod.g).deg == 0 for ell in _prime_factors(d))
@@ -520,29 +529,16 @@ def build_extension(p: int, min_cardinality: int, rng: random.Random) -> FieldCt
     """Smallest-degree field F_{p^k} with p**k >= min_cardinality."""
     if min_cardinality < 2:
         raise FieldError("min_cardinality must be at least 2")
-    base = PrimeField(p)
-    k, card = 1, p
-    while card < min_cardinality:
-        k += 1
-        card *= p
-    if k == 1:
-        return base
-    return ExtField(base, random_irreducible(base, k, rng), check=False)
+    return extend_field(PrimeField(p), min_cardinality, rng)
 
 
 def extend_field(ctx: FieldCtx, min_cardinality: int, rng: random.Random) -> FieldCtx:
-    """Extension of an arbitrary ctx reaching at least min_cardinality."""
+    """Smallest-degree extension of ctx with at least min_cardinality
+    elements (ctx itself when it is large enough)."""
     if ctx.q >= min_cardinality:
         return ctx
-    if isinstance(ctx, PrimeField):
-        return build_extension(ctx.p, min_cardinality, rng)
     m, card = 2, ctx.q**2
     while card < min_cardinality:
         m += 1
         card *= ctx.q
     return ExtField(ctx, random_irreducible(ctx, m, rng), check=False)
-
-
-def sample_uniform(ctx: FieldCtx, rng: random.Random) -> int:
-    """Uniform field element, deterministic given the RNG state."""
-    return ctx.sample(rng)

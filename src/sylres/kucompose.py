@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bipoly import BiPoly, IdealBasis
-from .normalform import mul_mod, normal_form
+from .normalform import normal_form, pow_mod
 from .upoly import UPoly, interpolate_rows
 
 # entries of the working array of mv_multipoint_eval (grid size times the
@@ -85,16 +85,7 @@ def power_tower(basis: IdealBasis, params: KUParams) -> list[BiPoly]:
     """chi_i = phi(x^(d_eps**i)) for i = 0 .. l-1."""
     chis = [normal_form(basis, BiPoly.x(basis.ctx))]
     for _ in range(params.l - 1):
-        prev = chis[-1]
-        acc = normal_form(basis, BiPoly.one(basis.ctx))
-        base, e = prev, params.d_eps
-        while e:
-            if e & 1:
-                acc = mul_mod(basis, acc, base)
-            e >>= 1
-            if e:
-                base = mul_mod(basis, base, base)
-        chis.append(acc)
+        chis.append(pow_mod(basis, chis[-1], params.d_eps))
     return chis
 
 
@@ -104,16 +95,9 @@ def grid_eval(ctx, polys: list[BiPoly], K1: np.ndarray, K2: np.ndarray) -> np.nd
     K2 = np.asarray(K2, dtype=np.int64)
     out = np.zeros((len(polys), len(K1), len(K2)), dtype=np.int64)
     for i, f in enumerate(polys):
-        if f.is_zero:
-            continue
         # Horner in x across K1 (columns stay y-coefficients), then in y across K2
-        V = np.zeros((len(K1), f.deg_y + 1), dtype=np.int64)
-        for r in range(f.deg_x, -1, -1):
-            V = ctx.vadd(ctx.vmul(V, K1[:, None]), f.g[r][None, :])
-        W = np.zeros((len(K1), len(K2)), dtype=np.int64)
-        for c in range(f.deg_y, -1, -1):
-            W = ctx.vadd(ctx.vmul(W, K2[None, :]), V[:, c][:, None])
-        out[i] = W
+        V = ctx.horner(f.g[:, None, :], K1[:, None])
+        out[i] = ctx.horner(V.T[:, :, None], K2[None, :])
     return out
 
 
@@ -142,14 +126,11 @@ def mv_multipoint_eval(ctx, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _nested_horner(ctx, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # a read-only view: every Horner step writes a new array
-    vals = np.broadcast_to(grid[..., None], grid.shape + (len(points),))
+    # the points run along a new last axis; each Horner removes the last
+    # grid axis, starting from a broadcast view of its top slice
+    vals = grid[..., None]
     for axis in range(grid.ndim - 1, -1, -1):
-        z = points[:, axis]
-        acc = vals[..., -1, :]
-        for t in range(grid.shape[axis] - 2, -1, -1):
-            acc = ctx.vadd(ctx.vmul(acc, z), vals[..., t, :])
-        vals = acc
+        vals = ctx.horner(np.moveaxis(vals, axis, 0), points[:, axis])
     return vals
 
 

@@ -1,12 +1,15 @@
 """Matrix division with remainder, y-degree reduction, the normal form
-modulo <a, b>, quotient multiplication, and the transposed normal form.
+modulo <a, b>, quotient multiplication and powers, and the transposed
+normal form.
 
 The division v = S w + v_hat picks the unique remainder with S^{-1} v_hat
 strictly proper.  It is computed through the reversal trick: reversing the
 generators at their column degrees turns the quotient into a truncated
 power-series solve against a Sylvester matrix with invertible constant
 term.  Unequal column degrees are balanced by an implicit diag(t^delta, 1)
-scaling; only the quotient split changes.
+scaling; only the quotient split changes.  _DivisionProgram derives this
+setup once for a divisor and an input degree; every division and its
+transpose run through it.
 
 The normal form phi(f) reduces deg_y below n_y with a division against an
 enlarged x-Sylvester matrix, then reduces deg_x below d against S_y.  For
@@ -24,6 +27,7 @@ import random
 import numpy as np
 
 from .bipoly import BiPoly, IdealBasis, bimul, fit, to_array, to_list, unvec, vec
+from .field import power
 from .sylvester import (
     NotColumnReducedError,
     SylvMat,
@@ -74,26 +78,6 @@ def _high_block(S: SylvMat) -> slice:
     return slice(S.m2, S.n) if S.c2 > S.c1 else slice(0, 0)
 
 
-def _divide(S: SylvMat, V: np.ndarray, lv: int):
-    """Core division with a fixed input-degree bound lv >= deg V.
-
-    Returns (W, Vhat) with V = S W + Vhat and S^{-1} Vhat strictly proper;
-    the result does not depend on the choice of lv.
-    """
-    d = S.degree
-    delta = abs(S.c1 - S.c2)
-    l = lv + delta
-    if l < d:
-        return np.zeros((S.n, 1), dtype=np.int64), V
-    prec = l - d + 1
-    U = solve_window(S.reversed_matrix(), fit(V, lv + 1)[:, ::-1][:, :prec], prec)
-    # the block of larger column degree carries the implicit t^delta
-    W = _shift_rows(U[:, ::-1], _high_block(S), -delta)
-    # deg Vhat < d because S^{-1} Vhat is strictly proper, so S W is only
-    # needed mod outer^d
-    return W, S.ctx.vsub(fit(V, d), matvec_window(S, W, d))
-
-
 def matrix_divrem(S: SylvMat, v: list[UPoly]):
     """Unique (w, vhat) with v = S w + vhat and S^{-1} vhat strictly proper.
 
@@ -102,9 +86,8 @@ def matrix_divrem(S: SylvMat, v: list[UPoly]):
     """
     if len(v) != S.n:
         raise ValueError(f"vector length {len(v)} does not match dimension {S.n}")
-    _require_reduced(S, "divisor matrix")
     V = to_array(v)
-    W, Vhat = _divide(S, V, _degree(V))
+    W, Vhat = _DivisionProgram(S, _degree(V)).divide(V)
     return to_list(S.ctx, W), to_list(S.ctx, Vhat)
 
 
@@ -121,9 +104,8 @@ def reduce_ydeg(basis: IdealBasis, f: BiPoly, with_witness: bool = False):
     if f.deg_y < basis.e:
         return (f, None, None) if with_witness else f
     Tx = build_Tx(basis, max(f.deg_x, 0))
-    _require_reduced(Tx, "divisor matrix")
     V = vec(f, "x", Tx.n)
-    W, Vhat = _divide(Tx, V, _degree(V))
+    W, Vhat = _DivisionProgram(Tx, _degree(V)).divide(V)
     fp = unvec(f.ctx, Vhat, "x")
     return (fp, Tx, to_list(f.ctx, W)) if with_witness else fp
 
@@ -142,7 +124,7 @@ def normal_form(basis: IdealBasis, f: BiPoly) -> BiPoly:
     if f.deg_y >= basis.ny:
         f = reduce_ydeg(basis, f)
     V = vec(f, "y", basis.ny)
-    return unvec(f.ctx, _divide(Sy, V, _degree(V))[1], "y")
+    return unvec(f.ctx, _DivisionProgram(Sy, _degree(V)).divide(V)[1], "y")
 
 
 def mul_mod(basis: IdealBasis, f: BiPoly, g: BiPoly) -> BiPoly:
@@ -151,14 +133,9 @@ def mul_mod(basis: IdealBasis, f: BiPoly, g: BiPoly) -> BiPoly:
 
 
 def pow_mod(basis: IdealBasis, f: BiPoly, e: int) -> BiPoly:
-    acc = normal_form(basis, BiPoly.one(basis.ctx))
-    base = normal_form(basis, f)
-    while e:
-        if e & 1:
-            acc = mul_mod(basis, acc, base)
-        base = mul_mod(basis, base, base)
-        e >>= 1
-    return acc
+    """phi(f**e) for e >= 0, by field.power over mul_mod."""
+    one = normal_form(basis, BiPoly.one(basis.ctx))
+    return power(normal_form(basis, f), e, lambda g, h: mul_mod(basis, g, h), one)
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +193,36 @@ class LinearForm:
 
 class _DivisionProgram:
     """The division against S restricted to inputs of entry degree <= lin,
-    as a linear map between coefficient windows, with its transpose."""
+    as a linear map between coefficient windows, with its transpose.
+
+    divide(V) is V = S W + Vhat with S^{-1} Vhat strictly proper, through
+    the reversal trick: the quotient is a truncated series solve of width
+    l - d + 1 against the reversed matrix, where l = lin + delta and the
+    block of larger column degree carries the implicit t^delta.  Nothing
+    depends on lin beyond lin >= deg V."""
 
     def __init__(self, S: SylvMat, lin: int):
         _require_reduced(S, "divisor matrix")
         self.S = S
-        self.lin = lin
         self.V = lin + 1
         self.d = S.degree
         self.delta = abs(S.c1 - S.c2)
-        self.l = lin + self.delta
-        self.active = self.l >= self.d
+        l = lin + self.delta
+        self.active = l >= self.d
         if self.active:
-            self.W = self.l - self.d + 1
+            self.W = l - self.d + 1
             self.Srev = S.reversed_matrix()
 
-    def forward(self, V: np.ndarray) -> np.ndarray:
+    def divide(self, V: np.ndarray):
+        """(W, Vhat) for an (n, width) vector V of entry degree <= lin."""
+        S = self.S
         if not self.active:
-            return V
-        return _divide(self.S, V, self.lin)[1]
+            return np.zeros((S.n, 1), dtype=np.int64), V
+        U = solve_window(self.Srev, fit(V, self.V)[:, ::-1][:, : self.W], self.W)
+        W = _shift_rows(U[:, ::-1], _high_block(S), -self.delta)
+        # deg Vhat < d because S^{-1} Vhat is strictly proper, so S W is only
+        # needed mod outer^d
+        return W, S.ctx.vsub(fit(V, self.d), matvec_window(S, W, self.d))
 
     def transpose(self, Lam: np.ndarray) -> np.ndarray:
         """Dual windows of width d -> dual windows of width lin + 1."""
@@ -278,10 +266,7 @@ class NormalFormProgram:
     def forward(self, f: BiPoly) -> BiPoly:
         if f.deg_x > self.delta or f.deg_y > self.eta:
             raise ValueError("input outside the program's degree window")
-        ctx = self.basis.ctx
-        if self.two_stage:
-            f = unvec(ctx, self.div1.forward(vec(f, "x", self.Tx.n)), "x")
-        return unvec(ctx, self.div2.forward(vec(f, "y", self.basis.ny)), "y")
+        return normal_form(self.basis, f)
 
     def transpose(self, ell: LinearForm) -> np.ndarray:
         basis = self.basis

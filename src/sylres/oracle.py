@@ -13,7 +13,7 @@ import random
 
 import numpy as np
 
-from ._dense import SingularMatrixError, gauss_det
+from ._dense import SingularMatrixError, _reduce, gauss_det
 from .bipoly import BiPoly, IdealBasis
 from .field import extend_field
 from .normalform import embed, normal_form
@@ -136,45 +136,18 @@ def mult_x_matrix(basis: IdealBasis) -> np.ndarray:
 
 def dense_minpoly_mult_x(basis: IdealBasis) -> UPoly:
     """Minimal polynomial of the start vector phi(1) under the
-    multiplication-by-x map, by dense Krylov elimination."""
+    multiplication-by-x map, by one row reduction of the Krylov matrix
+    [u, M u, ..., M^dim u]: its rank t is the degree, and the reduced
+    column t holds M^t u on u, ..., M^(t-1) u."""
     Sy, Sx = build_Sy(basis), build_Sx(basis)
     if not (is_column_reduced(Sy) and is_column_reduced(Sx)):
         raise NotColumnReducedError("both Sylvester matrices must be column reduced")
     ctx = basis.ctx
     M = mult_x_matrix(basis)
     dim = M.shape[0]
-    u = embed(basis, normal_form(basis, BiPoly.one(ctx)))
-    # reduced echelon rows over the Krylov vectors; each row keeps the
-    # combination of u, Mu, ... that produced it (length dim + 1 slots)
-    rows: list[tuple[int, np.ndarray, np.ndarray]] = []
-    t = 0
-    while True:
-        v = u.copy()
-        comb = np.zeros(dim + 1, dtype=np.int64)
-        comb[t] = 1
-        for piv, w, wc in rows:
-            f = int(v[piv])
-            if f:
-                v = ctx.vsub(v, ctx.vmul(w, np.int64(f)))
-                comb = ctx.vsub(comb, ctx.vmul(wc, np.int64(f)))
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return UPoly(ctx, comb[: t + 1]).monic()
-        piv = int(nz[0])
-        inv = np.int64(ctx.inv(int(v[piv])))
-        v = ctx.vmul(v, inv)
-        comb = ctx.vmul(comb, inv)
-        for idx, (p2, w2, wc2) in enumerate(rows):
-            f = int(w2[piv])
-            if f:
-                rows[idx] = (p2, ctx.vsub(w2, ctx.vmul(v, np.int64(f))), ctx.vsub(wc2, ctx.vmul(comb, np.int64(f))))
-        rows.append((piv, v, comb))
-        # u <- M u
-        nxt = np.zeros(dim, dtype=np.int64)
-        for j in range(dim):
-            if u[j]:
-                nxt = ctx.vadd(nxt, ctx.vmul(M[:, j], np.int64(u[j])))
-        u = nxt
-        t += 1
-        if t > dim:
-            raise ArithmeticError("Krylov iteration failed to terminate")
+    K = np.zeros((dim, dim + 1), dtype=np.int64)
+    K[:, 0] = embed(basis, normal_form(basis, BiPoly.one(ctx)))
+    for i in range(dim):
+        K[:, i + 1] = ctx.vdot(M, K[:, i])
+    R, t, _ = _reduce(ctx, K, dim + 1)
+    return UPoly(ctx, np.append(ctx.vneg(R[:t, t]), 1))

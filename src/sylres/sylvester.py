@@ -80,16 +80,13 @@ class SylvMat:
 
     def at(self, x0: int) -> np.ndarray:
         """S evaluated at outer = x0, as a scalar matrix: each generator is
-        evaluated in the outer variable (Horner over its grid), and its
+        evaluated in the outer variable (ctx.horner over its grid), and its
         inner coefficients, highest first, fill the columns' bands."""
-        ctx = self.ctx
         M = np.zeros((self.n, self.n), dtype=np.int64)
         col = 0
         for gen, deg, count in ((self.g1, self.m1, self.m2), (self.g2, self.m2, self.m1)):
-            rows = gen.g if self.wrt == "y" else gen.g.T  # row i: coefficient of outer^i
-            coeffs = rows[-1]
-            for row in rows[-2::-1]:
-                coeffs = ctx.vadd(ctx.vmul(coeffs, np.int64(x0)), row)
+            # row i of the grid: coefficient of outer^i
+            coeffs = self.ctx.horner(gen.g if self.wrt == "y" else gen.g.T, x0)
             for j in range(count):
                 M[j : j + deg + 1, col + j] = coeffs[::-1]
             col += count

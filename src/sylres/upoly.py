@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, power
 
 
 class UPoly:
@@ -219,14 +219,11 @@ class UPoly:
         return _taylor_shift_rec(self, alpha)
 
     def eval_at(self, x0: int) -> int:
+        """f(x0) by scalar Horner: the reference for multipoint_eval."""
         acc = 0
         for c in self.c[::-1]:
             acc = self.ctx.add(self.ctx.mul(acc, x0), int(c))
         return acc
-
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=np.int64)
-        return self.ctx.eval_many(self.c, pts)
 
 
 def taylor_shift_rows(ctx: FieldCtx, G: np.ndarray, alpha: int) -> np.ndarray:
@@ -257,20 +254,8 @@ def _taylor_shift_rec(f: UPoly, alpha: int) -> UPoly:
     m = (f.deg + 1) // 2
     lo = UPoly(f.ctx, f.c[:m])
     hi = UPoly(f.ctx, f.c[m:])
-    xam = UPoly(f.ctx, [alpha, 1])
-    pw = _pow_poly(xam, m)
+    pw = power(UPoly(f.ctx, [alpha, 1]), m, UPoly.__mul__, UPoly.one(f.ctx))
     return _taylor_shift_rec(lo, alpha) + pw * _taylor_shift_rec(hi, alpha)
-
-
-def _pow_poly(f: UPoly, e: int) -> UPoly:
-    acc = UPoly.one(f.ctx)
-    base = f
-    while e:
-        if e & 1:
-            acc = acc * base
-        base = base * base
-        e >>= 1
-    return acc
 
 
 def inverse_series(f: UPoly, prec: int) -> UPoly:
@@ -365,8 +350,8 @@ def plcm(f: UPoly, g: UPoly) -> UPoly:
 
 
 def multipoint_eval(f: UPoly, pts) -> np.ndarray:
-    """f at every point: Horner across all points at once."""
-    return f.eval_many(pts)
+    """f at every point: ctx.horner across all points at once."""
+    return f.ctx.horner(f.c, pts)
 
 
 def interpolate(ctx: FieldCtx, pts, vals) -> UPoly:
@@ -398,7 +383,7 @@ def interpolate_rows(ctx: FieldCtx, pts, V) -> np.ndarray:
         # M <- M * (x - u); the top slot stays zero until the last point
         M = ctx.vsub(np.concatenate(([0], M[:-1])), ctx.vmul(M, u))
     dM = UPoly(ctx, M).deriv()
-    weights = ctx.dot_map(ctx.vmul(V, ctx.vinv(dM.eval_many(pts))))
+    weights = ctx.dot_map(ctx.vmul(V, ctx.vinv(ctx.horner(dM.c, pts))))
     q = np.ones(n, dtype=np.int64)  # the monic top coefficient of M / (x - u)
     out[:, n - 1] = weights(q)
     for k in range(n - 1, 0, -1):

@@ -180,6 +180,14 @@ def test_invariant_commands_reject_ku(files, capsys):
     assert "baseline" in err
 
 
+def test_bench_rejects_ku(capsys):
+    # bench times only the baseline pipeline, so rows labelled ku would lie
+    code, out, err = run(capsys, ["bench", "-p", "65537", "--sizes", "2", "--seeds", "1", "--algo", "ku"])
+    assert code == 1
+    assert out == ""
+    assert err.strip().splitlines() == ["bench only times the baseline algorithm"]
+
+
 def test_bench_empty_header_only(files, capsys):
     code, out, err = run(capsys, ["bench", "-p", "65537", "--sizes", ""])
     assert code == 0, err

@@ -12,7 +12,6 @@ from sylres.field import (
     extend_field,
     is_probable_prime,
     random_irreducible,
-    sample_uniform,
     _is_irreducible,
 )
 from sylres.upoly import UPoly
@@ -47,7 +46,7 @@ def test_field_axioms_randomized():
     rng = random.Random(7)
     for F in (PrimeField(2), PrimeField(101), PrimeField(65537)):
         for _ in range(50):
-            x, y, z = (sample_uniform(F, rng) for _ in range(3))
+            x, y, z = (F.sample(rng) for _ in range(3))
             assert F.add(F.add(x, y), z) == F.add(x, F.add(y, z))
             assert F.mul(F.mul(x, y), z) == F.mul(x, F.mul(y, z))
             assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
@@ -136,13 +135,13 @@ def test_extension_arithmetic_and_frobenius():
     rng = random.Random(9)
     F = build_extension(2, 48, rng)  # F_64
     for _ in range(20):
-        x = sample_uniform(F, rng)
+        x = F.sample(rng)
         assert F.pow_(x, 64) == x  # Frobenius fixed point: x^(q) = x
         if x:
             assert F.mul(x, F.inv(x)) == 1
     # field axioms on random triples
     for _ in range(30):
-        x, y, z = (sample_uniform(F, rng) for _ in range(3))
+        x, y, z = (F.sample(rng) for _ in range(3))
         assert F.mul(x, F.add(y, z)) == F.add(F.mul(x, y), F.mul(x, z))
 
 
@@ -165,7 +164,7 @@ def test_tower_extension():
     T = extend_field(F49, 1000, rng)  # tower over F_49
     assert T.q == 49**2
     for _ in range(10):
-        x = sample_uniform(T, rng)
+        x = T.sample(rng)
         if x:
             assert T.mul(x, T.inv(x)) == 1
         assert T.pow_(x, T.q) == x
@@ -173,16 +172,16 @@ def test_tower_extension():
 
 def test_sampling_determinism_and_uniformity():
     F = PrimeField(2)
-    a = [sample_uniform(F, random.Random(42)) for _ in range(10)]
-    b = [sample_uniform(F, random.Random(42)) for _ in range(10)]
+    a = [F.sample(random.Random(42)) for _ in range(10)]
+    b = [F.sample(random.Random(42)) for _ in range(10)]
     assert a == b
     rng = random.Random(123)
-    draws = [sample_uniform(F, rng) for _ in range(10000)]
+    draws = [F.sample(rng) for _ in range(10000)]
     freq = sum(draws) / len(draws)
     assert 0.45 <= freq <= 0.55
     G = PrimeField(65537)
-    s1 = [sample_uniform(G, random.Random(1)) for _ in range(64)]
-    s2 = [sample_uniform(G, random.Random(2)) for _ in range(64)]
+    s1 = [G.sample(random.Random(1)) for _ in range(64)]
+    s2 = [G.sample(random.Random(2)) for _ in range(64)]
     assert s1 != s2
 
 
@@ -554,3 +553,81 @@ def test_itoh_tsujii_inverse_matches_fermat(F):
         F.vinv(np.array([3, 0, 5]))
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+# -- one square-and-multiply and one Horner ----------------------------------
+
+from sylres.field import FieldCtx, power  # noqa: E402
+
+
+def test_power_matches_pow_with_bit_length_plus_popcount_minus_two_products():
+    rng = random.Random(42)
+    p = 2**31 - 1
+    exps = [0, 1, 2] + [2**k - 1 for k in (2, 3, 7, 31)] + [2**k for k in (2, 3, 7, 31)]
+    exps += [rng.randrange(3, 2**40) for _ in range(20)]
+    for e in exps:
+        calls = []
+
+        def mul(u, v):
+            calls.append(1)
+            return u * v % p
+
+        x = rng.randrange(2, p)
+        assert power(x, e, mul, 1) == pow(x, e, p), e
+        want_calls = e.bit_length() + bin(e).count("1") - 2 if e else 0
+        assert len(calls) == want_calls, e
+    # `one` comes back only for e = 0: the product never starts from it
+    sentinel = object()
+    assert power(7, 0, None, sentinel) is sentinel
+    assert power(7, 1, None, sentinel) == 7
+    assert power("ab", 5, lambda u, v: u + v, sentinel) == "ab" * 5
+
+
+_HORNER_FIELDS = {
+    "F2": PrimeField(2),
+    "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+    "2^31-1": PrimeField(2**31 - 1),
+}
+
+
+def _scalar_horner(F, C, z):
+    """sum_k C[k] z**k entry by entry, by scalar Horner over the broadcast
+    operands."""
+    C = np.asarray(C, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    shape = np.broadcast_shapes(C.shape[1:], z.shape)
+    Cb = [np.broadcast_to(c, shape) for c in C]
+    zb = np.broadcast_to(z, shape)
+    out = np.zeros(shape, dtype=np.int64)
+    for idx in np.ndindex(shape):
+        acc = 0
+        for c in Cb[::-1]:
+            acc = F.add(F.mul(acc, int(zb[idx])), int(c[idx]))
+        out[idx] = acc
+    return out
+
+
+@pytest.mark.parametrize("F", list(_HORNER_FIELDS.values()), ids=list(_HORNER_FIELDS))
+def test_horner_matches_scalar_loop(F):
+    rng = random.Random(43)
+    # (coefficient shape, point shape) of each caller: multipoint_eval,
+    # SylvMat.at, both grid_eval passes, and a mv_multipoint_eval axis
+    shapes = [((5,), (7,)), ((4, 3), ()), ((3, 1, 4), (6, 1)), ((4, 6, 1), (1, 5)), ((3, 3, 1), (8,))]
+    for n_coeffs in (0, 1, 2, 6):
+        for cshape, zshape in shapes:
+            cshape = (n_coeffs,) + cshape[1:]
+            top = np.full(cshape, F.q - 1, dtype=np.int64)
+            C = F.rand_array(rng, int(np.prod(cshape))).reshape(cshape)
+            z = F.rand_array(rng, int(np.prod(zshape, dtype=int))).reshape(zshape)
+            for cc, zz in ((C, z), (top, np.full(zshape, F.q - 1, dtype=np.int64)), (C, np.zeros(zshape, dtype=np.int64))):
+                want = _scalar_horner(F, cc, zz)
+                for got in (F.horner(cc, zz), FieldCtx.horner(F, cc, zz)):
+                    assert got.shape == want.shape
+                    assert np.array_equal(got, want), (F, cshape, zshape)
+    # the result is a fresh array even for one coefficient
+    C = np.array([[3, 1]])
+    out = F.horner(C, np.array([1, 1]))
+    out[0] = 0
+    assert C[0, 0] == 3

@@ -12,6 +12,7 @@ from sylres.normalform import (
     matrix_divrem,
     mul_mod,
     normal_form,
+    pow_mod,
     reduce_ydeg,
     transposed_normal_form,
     unembed,
@@ -153,6 +154,17 @@ def test_mul_mod():
         assert mul_mod(b2, f, g) == mul_mod(b2, g, f)
 
 
+def test_pow_mod_matches_repeated_mul_mod():
+    rng = random.Random(27)
+    for _ in range(3):
+        basis = random_basis(F65537, 3, 3, rng)
+        f = BiPoly.random(F65537, 4, 4, rng)  # outside the window: pow_mod reduces it
+        want = normal_form(basis, BiPoly.one(F65537))
+        for e in range(18):
+            assert pow_mod(basis, f, e) == want, e
+            want = mul_mod(basis, want, f)
+
+
 def test_program_forward_matches_normal_form():
     rng = random.Random(25)
     for _ in range(20):
@@ -163,6 +175,8 @@ def test_program_forward_matches_normal_form():
         for _ in range(3):
             f = BiPoly.random(F65537, rng.randrange(0, delta + 1), rng.randrange(0, eta + 1), rng)
             assert prog.forward(f) == normal_form(basis, f)
+        with pytest.raises(ValueError, match="window"):
+            prog.forward(BiPoly.monomial(F65537, delta + 1, 0))
 
 
 def test_transposed_normal_form_duality():

@@ -3,10 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from sylres._dense import SingularMatrixError, gauss_det
+from sylres._dense import SingularMatrixError, gauss_det, gauss_rank
 from sylres.bipoly import BiPoly, IdealBasis
-from sylres.field import PrimeField
-from sylres.oracle import dense_minpoly_mult_x, dense_resultant, dense_smith
+from sylres.field import PrimeField, build_extension, extend_field
+from sylres.invariant import min_poly_mult_x
+from sylres.normalform import embed, normal_form
+from sylres.oracle import dense_minpoly_mult_x, dense_resultant, dense_smith, mult_x_matrix
 from sylres.sylvester import build_Sy, dense_form
 from sylres.upoly import UPoly
 
@@ -146,6 +148,49 @@ def test_dense_minpoly_example3_conditioned():
         assert UPoly(F7, back.c) == expect
         return
     pytest.fail("conditioning never succeeded")
+
+
+def _krylov_vectors(basis, n):
+    """u, M u, ..., M^(n-1) u as columns, by scalar matrix-vector loops."""
+    ctx = basis.ctx
+    M = mult_x_matrix(basis)
+    u = embed(basis, normal_form(basis, BiPoly.one(ctx)))
+    cols = [u]
+    for _ in range(n - 1):
+        v = cols[-1]
+        cols.append(np.array([_scalar_dot(ctx, row, v) for row in M], dtype=np.int64))
+    return np.stack(cols, axis=1)
+
+
+def _scalar_dot(ctx, a, b):
+    acc = 0
+    for x, y in zip(a.tolist(), b.tolist()):
+        acc = ctx.add(acc, ctx.mul(x, y))
+    return acc
+
+
+def test_dense_minpoly_is_the_krylov_minimal_polynomial():
+    # by definition, and against the Wiedemann driver on the fixtures above
+    # and on random bases over a prime field, a tower and log tables
+    rng = random.Random(57)
+    F7_3 = build_extension(7, 343, random.Random(3))
+    F4_2 = extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2))
+    shape_basis = IdealBasis(
+        BiPoly.from_terms(F101, [(1, 1, 0), (96, 0, 0)]), BiPoly.from_terms(F101, [(1, 0, 1), (94, 0, 0)])
+    )
+    bases = [shape_basis, example2_basis()]
+    bases += [random_basis(F, 2, 2, rng) for F in (F65537, F7_3, F4_2) for _ in range(2)]
+    bases.append(random_basis(F65537, 3, 3, rng))
+    for basis in bases:
+        ctx = basis.ctx
+        mu = dense_minpoly_mult_x(basis)
+        t = mu.deg
+        assert mu.coeff(t) == 1
+        K = _krylov_vectors(basis, t + 1)
+        assert gauss_rank(ctx, K[:, :t]) == t
+        assert [_scalar_dot(ctx, row, mu.c) for row in K] == [0] * len(K)
+        if ctx.q > 1000:
+            assert mu == min_poly_mult_x(basis, random.Random(58))
 
 
 def test_dense_minpoly_requires_reducedness():

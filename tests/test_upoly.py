@@ -187,7 +187,7 @@ def test_interpolate_rows_round_trip(name):
         C[2] = 0
         if n:
             C[2, 0] = F.q - 1
-        V = np.array([UPoly(F, row).eval_many(pts) for row in C]).reshape(3, n)
+        V = np.array([multipoint_eval(UPoly(F, row), pts) for row in C]).reshape(3, n)
         for i, j in itertools.product(range(3), range(min(n, 4))):
             assert int(V[i, j]) == UPoly(F, C[i]).eval_at(int(pts[j]))
         got = interpolate_rows(F, pts, V)
