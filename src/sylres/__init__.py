@@ -55,7 +55,7 @@ from .sylvester import (
     matvec,
     trunc_inv_apply,
 )
-from .upoly import UPoly, berlekamp_massey, interpolate, multipoint_eval, xgcd
+from .upoly import UPoly, berlekamp_massey, common_generator, interpolate, multipoint_eval, xgcd
 
 __version__ = "0.1.0"
 
@@ -85,6 +85,7 @@ __all__ = [
     "build_Sy",
     "build_Tx",
     "build_extension",
+    "common_generator",
     "compose_rem",
     "condition_for_Sx",
     "condition_for_both",

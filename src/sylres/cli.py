@@ -356,19 +356,20 @@ def cmd_bench(args) -> int:
 # argument wiring
 
 
-def _add_common(p, with_f=False):
+def _add_common(p, with_f=False, solver=True):
     p.add_argument("-p", "--modulus", type=int, required=True, help="field characteristic")
     p.add_argument("--ext-degree", type=int, default=0, help="extension degree k (0 = auto)")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--a", required=True, help="file with polynomial a")
     p.add_argument("--b", required=True, help="file with polynomial b")
     if with_f:
         p.add_argument("--f", required=True, help="file with the polynomial to reduce")
-    p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")
-    p.add_argument("--d-eps", type=int, default=0, help="composition radix (0 = auto)")
-    p.add_argument("--trials", type=int, default=3, help="projection trials")
-    p.add_argument("--verify-oracle", action="store_true", help="cross-check against dense oracles")
     p.add_argument("--json", action="store_true", help="JSON output")
+    if solver:  # smith-oracle runs one deterministic algorithm and reads none of these
+        p.add_argument("--seed", type=int, default=0, help="random seed")
+        p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")
+        p.add_argument("--d-eps", type=int, default=0, help="composition radix (0 = auto)")
+        p.add_argument("--trials", type=int, default=3, help="projection trials")
+        p.add_argument("--verify-oracle", action="store_true", help="cross-check against dense oracles")
 
 
 def build_parser() -> _Parser:
@@ -392,7 +393,7 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_resultant)
 
     p = sub.add_parser("smith-oracle", help="dense Smith normal form of S_y (brute force)")
-    _add_common(p)
+    _add_common(p, solver=False)
     p.set_defaults(fn=cmd_smith_oracle)
 
     p = sub.add_parser("bench", help="scaling benchmark, CSV on stdout or --out")

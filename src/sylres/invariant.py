@@ -13,8 +13,9 @@ then come from one recurrence on the normal-form window, where
 multiplication by x is a shift plus a rank-n_y update: n_y + 1 normal forms
 and one transposed normal form per form set it up, and each power of x is
 one exact product of a fixed (n_y + trials, d n_y) matrix with the last d
-update vectors (see _power_projections).  Berlekamp-Massey (array form, in
-upoly) runs on each sequence.  Every retry of last_invariant_factor is
+update vectors (see _power_projections).  upoly.common_generator then runs
+Berlekamp-Massey on the first sequence only and certifies each other one
+with one annihilation product.  Every retry of last_invariant_factor is
 counted under a named reason in InvariantReport.rejections.
 """
 
@@ -32,7 +33,7 @@ from .condition import ConditioningRecord, condition_for_both, recover_last_inva
 from .field import FieldCtx, extend_field
 from .normalform import LinearForm, NormalFormProgram, normal_form
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced
-from .upoly import UPoly, berlekamp_massey, plcm, xgcd
+from .upoly import UPoly, common_generator, xgcd
 
 STATUS_CERTIFIED = "certified-resultant"
 STATUS_PROBABLE = "invariant-factor-probable"
@@ -147,16 +148,14 @@ def _power_projections(basis: IdealBasis, forms: list[LinearForm], N: int) -> np
 
 
 def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> UPoly:
-    """Monte Carlo minimal polynomial of multiplication by x: lcm of the
-    Berlekamp-Massey outputs over random linear forms.  Always a divisor of
-    the true minimal polynomial; equal with high probability."""
-    ctx = basis.ctx
+    """Monte Carlo minimal polynomial of multiplication by x: the lcm of the
+    generators of the power projections under random linear forms, by one
+    Berlekamp-Massey run plus one annihilation check per further form
+    (upoly.common_generator).  Always a divisor of the true minimal
+    polynomial; equal with high probability."""
     _require_both_reduced(basis)
     forms = [LinearForm.random(basis, rng) for _ in range(max(trials, 1))]
-    acc = UPoly.one(ctx)
-    for seq in _power_projections(basis, forms, 4 * basis.d * basis.e):
-        acc = plcm(acc, berlekamp_massey(ctx, seq))
-    return acc
+    return common_generator(basis.ctx, _power_projections(basis, forms, 4 * basis.d * basis.e))
 
 
 _EXT_CACHE: dict[tuple, FieldCtx] = {}

@@ -401,17 +401,18 @@ def berlekamp_massey(ctx: FieldCtx, seq) -> UPoly:
 
     The connection polynomials C and B are int64 arrays of length n + 2
     (their degrees never exceed L <= n); each step's discrepancy is one
-    vmul + vsum against the reversed sequence and each update one vsub."""
+    vdot against the reversed sequence and each update one vsub."""
     s = np.fromiter(seq, dtype=np.int64)
     n = len(s)
     s_rev = s[::-1]
+    s_list = s.tolist()
     C = np.zeros(n + 2, dtype=np.int64)  # connection polynomial C(D), ascending
     C[0] = 1
     B = C.copy()
     L, m, b = 0, 1, 1
     for i in range(n):
         # d = s_i + sum_{j=1..L} C_j s_{i-j}
-        d = ctx.add(int(s[i]), int(ctx.vsum(ctx.vmul(C[1 : L + 1], s_rev[n - i : n - i + L]))))
+        d = ctx.add(s_list[i], int(ctx.vdot(C[1 : L + 1], s_rev[n - i : n - i + L])))
         if d == 0:
             m += 1
             continue
@@ -424,3 +425,28 @@ def berlekamp_massey(ctx: FieldCtx, seq) -> UPoly:
             L, B, b, m = i + 1 - L, T, d, 1
     # minimal polynomial: x^L * C(1/x), i.e. reversed connection coefficients
     return UPoly(ctx, C[L::-1])
+
+
+def common_generator(ctx: FieldCtx, seqs) -> UPoly:
+    """lcm of berlekamp_massey(ctx, s) over the rows s of seqs, with one
+    Berlekamp-Massey run for the first row and, mostly, one product for each
+    further row: if the current lcm acc (monic, degree D, 2D <= N = len s)
+    annihilates the prefix, i.e. coefficients D..N-1 of s * rev(acc) vanish,
+    then BM(s) divides acc.  Proof by Massey's lemma ("Shift-register
+    synthesis and BCH decoding", IEEE Trans. IT 1969): an LFSR of length L
+    that generates s_0..s_{n-1} but not s_n forces length >= n + 1 - L on
+    every LFSR generating s_0..s_n.  BM(s) has degree L_s <= D, so the
+    sequences BM(s) and acc extend the prefix to cannot first differ at an
+    n >= N >= L_s + D (that would force L_s >= n + 1 - D > L_s): they are
+    one sequence u, and its monic generator divides acc and, being of degree
+    >= L_s and dividing BM(s), equals BM(s).  Otherwise (the check fails, or
+    2D > N) acc becomes plcm(acc, BM(s))."""
+    acc = None
+    for s in seqs:
+        s = np.asarray(s, dtype=np.int64)
+        if acc is not None and 2 * acc.deg <= len(s):
+            if not np.any(ctx.conv(s, acc.c[::-1])[acc.deg : len(s)]):
+                continue
+        g = berlekamp_massey(ctx, s)
+        acc = g if acc is None else plcm(acc, g)
+    return UPoly.one(ctx) if acc is None else acc

@@ -135,6 +135,22 @@ def test_smith_oracle(files, capsys):
     assert data["factors"] == [[[1, 0]], [[1, 0]], [[1, 5], [1, 4], [1, 3], [1, 2]]]
 
 
+@pytest.mark.parametrize(
+    "knob",
+    [["--algo", "ku"], ["--algo", "baseline"], ["--trials", "5"], ["--d-eps", "2"], ["--verify-oracle"], ["--seed", "1"]],
+)
+def test_smith_oracle_takes_no_solver_knobs(files, capsys, knob):
+    # the dense oracle is deterministic and has one algorithm, so a knob it
+    # would ignore is a usage error rather than a silent no-op
+    a = files("a.txt", EX1_A)
+    b = files("b.txt", EX1_B)
+    code, out, err = run(capsys, ["smith-oracle", "-p", "2", "--a", a, "--b", b, *knob])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "unrecognized arguments" in err and knob[0] in err
+
+
 def test_usage_errors_exit1(files, capsys):
     code, _, err = run(capsys, ["invfact", "-p", "2"])
     assert code == 1

@@ -1,8 +1,10 @@
+import functools
 import random
 
 import numpy as np
 import pytest
 
+import sylres.upoly
 from sylres.bipoly import BiPoly, IdealBasis, bimul
 from sylres.field import PrimeField, build_extension, extend_field
 from sylres.invariant import (
@@ -13,6 +15,7 @@ from sylres.invariant import (
     STATUS_PROBABLE,
     InvariantOptions,
     RootsAtInfinityError,
+    _power_projections,
     _working_field,
     elimination_generator,
     last_invariant_factor,
@@ -250,6 +253,34 @@ def test_min_poly_streamed_forms_match_one_form_at_a_time():
         want = plcm(want, berlekamp_massey(F65537, projection_sequence(basis, ell, N)))
     assert min_poly_mult_x(basis, forms_rng, trials=3) == want
     assert forms_rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("de", [5, 6])
+def test_min_poly_runs_berlekamp_massey_once(de, monkeypatch):
+    # generic instance: the first form's generator already annihilates the
+    # other two sequences, so neither a second run nor an lcm is needed
+    basis = _reduced_basis(F65537, (de, de, de, de), random.Random(74))
+    forms_rng = random.Random(75)
+    forms = [LinearForm.random(basis, forms_rng) for _ in range(3)]
+    seqs = _power_projections(basis, forms, 4 * de * de)
+    want = functools.reduce(plcm, (berlekamp_massey(F65537, s) for s in seqs), UPoly.one(F65537))
+    calls = {"berlekamp_massey": 0, "plcm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # min_poly_mult_x reaches both through upoly.common_generator
+    for name in calls:
+        monkeypatch.setattr(sylres.upoly, name, counted(name, getattr(sylres.upoly, name)))
+    mu = min_poly_mult_x(basis, random.Random(75), trials=3)
+    assert calls == {"berlekamp_massey": 1, "plcm": 0}
+    assert mu == want
+    if basis.d * basis.ny <= 64:  # the dense oracle's dimension gate
+        assert mu == dense_minpoly_mult_x(basis)
 
 
 def test_rejection_reasons_account_for_every_retry():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -6,10 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sylres.upoly
+from sylres.bipoly import BiPoly, IdealBasis
 from sylres.field import PrimeField, build_extension, extend_field
+from sylres.invariant import _power_projections
+from sylres.normalform import LinearForm
+from sylres.sylvester import build_Sx, build_Sy, is_column_reduced
 from sylres.upoly import (
     UPoly,
     berlekamp_massey,
+    common_generator,
     interpolate,
     interpolate_rows,
     multipoint_eval,
@@ -359,3 +366,123 @@ def test_extension_field_polys():
     assert q == f and r.is_zero
     d, u, v = xgcd(f, g)
     assert u * f + v * g == d
+
+
+# ---------------------------------------------------------------------------
+# common_generator: one Berlekamp-Massey run plus annihilation checks
+
+CG_FIELDS = {name: BM_FIELDS[name] for name in ("F2", "F4^2 (tower)", "F7^3", "F65537", "F(2^31-1)")}
+
+
+def _lcm_of_generators(ctx, seqs):
+    """The reference common_generator must reproduce exactly."""
+    return functools.reduce(plcm, (berlekamp_massey(ctx, s) for s in seqs), UPoly.one(ctx))
+
+
+def _counted_common_generator(monkeypatch, ctx, seqs):
+    """common_generator(ctx, seqs) and its number of Berlekamp-Massey runs."""
+    calls = []
+
+    def counting(ctx, seq):
+        calls.append(len(seq))
+        return berlekamp_massey(ctx, seq)
+
+    monkeypatch.setattr(sylres.upoly, "berlekamp_massey", counting)
+    got = common_generator(ctx, seqs)
+    monkeypatch.undo()
+    return got, len(calls)
+
+
+def _lfsr(F, g: UPoly, init, n):
+    """n terms of the sequence with the given first deg g terms that the
+    monic g annihilates: s_t = -sum_{j < deg g} g_j s_{t - deg g + j}."""
+    s = list(init)
+    L = g.deg
+    while len(s) < n:
+        acc = 0
+        for j in range(L):
+            acc = F.add(acc, F.mul(g.coeff(j), s[len(s) - L + j]))
+        s.append(F.neg(acc))
+    return s[:n]
+
+
+def _projection_basis(F, rng, d, e):
+    for _ in range(200):
+        basis = IdealBasis(BiPoly.random(F, d, e, rng), BiPoly.random(F, d, e, rng))
+        if is_column_reduced(build_Sy(basis)) and is_column_reduced(build_Sx(basis)):
+            return basis
+    raise AssertionError(f"no column-reduced basis of bidegree ({d}, {e}) over {F!r}")
+
+
+@pytest.mark.parametrize("name", sorted(CG_FIELDS))
+def test_common_generator_matches_lcm_on_power_projections(name, monkeypatch):
+    F = CG_FIELDS[name]
+    rng = random.Random(f"common-generator-{name}")
+    for d, e in ((1, 2), (2, 2), (3, 2)):
+        basis = _projection_basis(F, rng, d, e)
+        forms = [LinearForm.random(basis, rng) for _ in range(3)]
+        full = 4 * d * e
+        for N in (full, full - 1, d * e, 3):
+            seqs = _power_projections(basis, forms, N)
+            got, runs = _counted_common_generator(monkeypatch, F, seqs)
+            assert got == _lcm_of_generators(F, seqs), (d, e, N)
+            assert 1 <= runs <= 3
+
+
+@pytest.mark.parametrize("name", sorted(CG_FIELDS))
+def test_common_generator_runs_once_on_one_recurrence(name, monkeypatch):
+    F = CG_FIELDS[name]
+    rng = random.Random(f"one-recurrence-{name}")
+    g = UPoly.random(F, 6, rng, monic=True)
+    seqs = [_lfsr(F, g, [F.sample(rng) for _ in range(6)], 16) for _ in range(4)]
+    got, runs = _counted_common_generator(monkeypatch, F, seqs)
+    assert got == _lcm_of_generators(F, seqs) == g
+    assert runs == 1  # every row, of full or lower complexity, passes the check
+
+
+@pytest.mark.parametrize("name", sorted(CG_FIELDS))
+def test_common_generator_adversarial_rows(name, monkeypatch):
+    F = CG_FIELDS[name]
+    rng = random.Random(f"adversarial-{name}")
+
+    def rand_row(n):
+        return [F.sample(rng) for _ in range(n)]
+
+    def lfsr_row(deg, n, xpow=0):
+        g = UPoly.random(F, deg, rng, monic=True).shift(xpow)
+        return _lfsr(F, g, [1] + rand_row(g.deg - 1), n) if g.deg else [0] * n
+
+    def check(seqs, runs=None):
+        got, counted = _counted_common_generator(monkeypatch, F, seqs)
+        assert got == _lcm_of_generators(F, seqs), seqs
+        assert got.c[-1] == 1
+        if runs is not None:
+            assert counted == runs, seqs
+
+    # an all-zero first row: generator 1, so every nonzero row falls back
+    check([[0] * 12, lfsr_row(3, 12)], runs=2)
+    check([[0] * 12, [0] * 12], runs=1)
+    # a second row of higher linear complexity than the first: the check fails
+    check([lfsr_row(2, 20), lfsr_row(5, 20)], runs=2)
+    # 2D > N: near-random rows of odd length
+    for n in (7, 9, 15):
+        check([rand_row(n), rand_row(n), rand_row(n)], runs=3)
+    # pre-periodic rows: generators with x-power factors
+    n = 10
+    one_at = [[int(i == k) for i in range(n)] for k in range(4)]  # generators x^(k+1)
+    check([one_at[0], one_at[2]], runs=2)
+    check([one_at[2], one_at[0], one_at[1]], runs=1)  # x^3 annihilates both prefixes
+    check([lfsr_row(2, 14, xpow=2), lfsr_row(2, 14, xpow=1), lfsr_row(1, 14, xpow=3)])
+    # the check passes for a row generated by a divisor of the first generator
+    g1, g2 = UPoly.random(F, 2, rng, monic=True), UPoly.random(F, 2, rng, monic=True)
+    first = _lfsr(F, g1 * g2, [0, 0, 0, 1], 16)  # impulse responses: complexity = degree
+    second = _lfsr(F, g2, [0, 1], 16)
+    assert berlekamp_massey(F, first) == g1 * g2
+    check([first, second], runs=1)
+    # the shortest prefixes
+    for n in (0, 1, 2):
+        check([[0] * n, rand_row(n)])
+        check([rand_row(n), rand_row(n), [0] * n])
+        check([[1] * n, [F.q - 1] * n])
+    check(np.zeros((3, 0), dtype=np.int64))
+    assert common_generator(F, []) == UPoly.one(F)
