@@ -238,26 +238,33 @@ class BiPoly:
             return BiPoly(self.ctx, self.padded(k + 1, self.g.shape[1])[::-1, :])
         return BiPoly(self.ctx, self.padded(self.g.shape[0], k + 1)[:, ::-1])
 
-    def trunc_deg(self, var: str, l: int) -> "BiPoly":
-        """Coefficients of var-degree < l."""
-        return BiPoly(self.ctx, self.g[: max(l, 1)] if var == "x" else self.g[:, : max(l, 1)])
-
 
 def bimul(f: BiPoly, g: BiPoly) -> BiPoly:
-    """Product via Kronecker substitution y -> x**stride and back."""
+    """Product of two bivariate polynomials (grid_mul on their grids)."""
     if f.is_zero or g.is_zero:
         return BiPoly.zero(f.ctx)
-    stride = f.deg_y + g.deg_y + 1
-    fa = f.padded(f.deg_x + 1, stride).reshape(-1)
-    ga = g.padded(g.deg_x + 1, stride).reshape(-1)
-    # trim the trailing intra-row padding so conv sizes stay tight
-    fa = fa[: f.deg_x * stride + f.deg_y + 1]
-    ga = ga[: g.deg_x * stride + g.deg_y + 1]
-    prod = f.ctx.conv(fa, ga)
-    nx = f.deg_x + g.deg_x + 1
-    out = np.zeros(nx * stride, dtype=np.int64)
-    out[: len(prod)] = prod
-    return BiPoly(f.ctx, out.reshape(nx, stride))
+    return BiPoly(f.ctx, grid_mul(f.ctx, f.g, g.g))
+
+
+def grid_mul(ctx: FieldCtx, F: np.ndarray, G: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Product of the code grids F and G ([i, j] the coefficient of u^i v^j)
+    by one ctx.conv under v -> t, u -> t**stride, stride the product's
+    v-width: shape (F rows + G rows - 1, F cols + G cols - 1), or only the
+    first `rows` rows (mod u^rows), from operands truncated alike."""
+    if rows is not None:
+        F, G = F[:rows], G[:rows]
+    (a, s), (b, t) = F.shape, G.shape
+    stride = max(s + t - 1, 0)
+    out = np.zeros((max(a + b - 1, 0), stride), dtype=np.int64)
+    if min(a, b, s, t) > 0:
+        fa = np.zeros((a, stride), dtype=np.int64)
+        ga = np.zeros((b, stride), dtype=np.int64)
+        fa[:, :s] = F
+        ga[:, :t] = G
+        # trim the trailing intra-row padding so conv sizes stay tight
+        prod = ctx.conv(fa.reshape(-1)[: (a - 1) * stride + s], ga.reshape(-1)[: (b - 1) * stride + t])
+        out.reshape(-1)[: len(prod)] = prod
+    return out if rows is None else out[:rows]
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ REJECTION_REASONS = (
     "degree-drop",
     "sx-not-reduced",
     "sy-not-reduced",
-    "zero-minpoly",
     "sigma-too-large",
     "sigma-not-in-base",
 )
@@ -220,9 +219,6 @@ def last_invariant_factor(
         t0 = time.perf_counter_ns()
         mu2 = min_poly_mult_x(cond, rng, opts.trials)
         timings["minpoly"] = timings.get("minpoly", 0) + time.perf_counter_ns() - t0
-        if mu2.is_zero:
-            rejections["zero-minpoly"] += 1
-            continue
         t0 = time.perf_counter_ns()
         sigma = recover_last_invariant(mu2, record)
         timings["recover"] = timings.get("recover", 0) + time.perf_counter_ns() - t0

@@ -16,6 +16,9 @@ ascending outer coefficients (see bipoly).  The structured products
 solve_window_T) work on such arrays only; matvec, matvec_T,
 trunc_inv_apply and trunc_inv_apply_T are their list[UPoly] adapters,
 converting once at entry and once at exit.
+Each product is one bipoly.grid_mul per generator on cached code grids.
+The truncated solves halve the window down to solves against S(0): a
+Bezout solve on code arrays (forward) or a dense inverse (transposed).
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._dense import SingularMatrixError, gauss_inverse
-from .bipoly import BiPoly, IdealBasis, bimul, fit, to_array, to_list, unvec, vec
-from .upoly import FixedDivisor, UPoly, xgcd
+from .bipoly import BiPoly, IdealBasis, fit, grid_mul, to_array, to_list, vec
+from .upoly import UPoly, inverse_series, xgcd
 
 
 class NotColumnReducedError(ValueError):
@@ -95,6 +98,12 @@ class SylvMat:
     def constant_matrix(self) -> np.ndarray:
         """S(0): the outer-variable constant coefficient, as a scalar matrix."""
         return self.at(0)
+
+    def grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The generators' code grids indexed [outer, inner], built once."""
+        if "grids" not in self._cache:
+            self._cache["grids"] = tuple(g.g if self.wrt == "y" else g.g.T for g in (self.g1, self.g2))
+        return self._cache["grids"]
 
 
 def _columns(S: SylvMat):
@@ -172,17 +181,19 @@ def matvec(S: SylvMat, w: list[UPoly]) -> list[UPoly]:
 
 
 def matvec_window(S: SylvMat, W: np.ndarray, l: int | None = None) -> np.ndarray:
-    """(S @ W) mod outer^l as an (n, l) array (the whole product when l is
-    None), multiplying against outer-truncated generators; the truncation
-    keeps deep solve nodes proportional to their window."""
-    g1, g2 = S.g1, S.g2
+    """(S @ W) mod outer^l as an (n, l) array (the whole product, of width
+    width(W) + degree, when l is None): one grid_mul per generator, each
+    truncated to outer^l, which keeps deep solve nodes proportional to
+    their window."""
     if l is not None:
         W = W[:, :l]
-        g1, g2 = g1.trunc_deg(S.outer, l), g2.trunc_deg(S.outer, l)
-    ctx = S.ctx
-    total = bimul(unvec(ctx, W[: S.m2], S.wrt), g1) + bimul(unvec(ctx, W[S.m2 :], S.wrt), g2)
-    V = vec(total, S.wrt, S.n)
-    return V if l is None else fit(V, l)
+    # a block's rows, reversed and transposed, are the [outer, inner] grid
+    # of sum_i W[i] inner^(count-1-i); each product has n inner
+    # coefficients, and read highest first they are a product vector
+    blocks = (W[: S.m2], W[S.m2 :])
+    V1, V2 = (grid_mul(S.ctx, B[::-1].T, G, l).T[::-1] for B, G in zip(blocks, S.grids()))
+    width = max(V1.shape[1], V2.shape[1]) if l is None else l
+    return S.ctx.vadd(fit(V1, width), fit(V2, width))
 
 
 def matvec_T(S: SylvMat, ell: list[UPoly], out_len: int) -> list[UPoly]:
@@ -195,25 +206,23 @@ def matvec_window_T(S: SylvMat, L: np.ndarray, out_len: int) -> np.ndarray:
     """Transpose of matvec restricted to outer windows of width out_len: the
     two products become middle products (outer-variable correlations
     against the generators)."""
-    R = S.reversed_matrix()
-    return _transposed_product(S, L, R.g1, R.g2, S.c1, S.c2, out_len)
+    return _transposed_product(S, L, S.reversed_matrix().grids(), S.c1, S.c2, out_len)
 
 
 def _matvec_semiT(S: SylvMat, U: np.ndarray, out_len: int) -> np.ndarray:
     """(sum_k S_k^T outer^k) @ U: transposed layers, ordinary convolution."""
-    return _transposed_product(S, U, S.g1, S.g2, 0, 0, out_len)
+    return _transposed_product(S, U, S.grids(), 0, 0, out_len)
 
 
-def _transposed_product(S, L, g1, g2, off1, off2, out_len) -> np.ndarray:
+def _transposed_product(S, L, grids, off1, off2, out_len) -> np.ndarray:
     """Rows m1.. of g1 * Lambda and m2.. of g2 * Lambda (in the inner
-    variable), outer window [off, off + out_len), where Lambda =
-    sum_i L[i] * inner^i (ascending, unlike vec/unvec)."""
-    lam = unvec(S.ctx, L[::-1], S.wrt)
+    variable; grids of g1, g2 given), outer window [off, off + out_len),
+    where Lambda = sum_i L[i] * inner^i (ascending, unlike vec/unvec)."""
     out = np.zeros((S.n, out_len), dtype=np.int64)
-    for top, count, g, lo, off in ((0, S.m2, g1, S.m1, off1), (S.m2, S.m1, g2, S.m2, off2)):
-        P = bimul(g, lam)
-        G = P.g if S.wrt == "x" else P.g.T
-        block = G[lo : lo + count, off : off + out_len]
+    blocks = ((0, S.m2, S.m1, off1), (S.m2, S.m1, S.m2, off2))
+    for G, (top, count, lo, off) in zip(grids, blocks):
+        P = grid_mul(S.ctx, G, L.T, off + out_len)
+        block = P[off:, lo : lo + count].T
         out[top : top + block.shape[0], : block.shape[1]] = block
     return out
 
@@ -226,7 +235,11 @@ class _BaseSolver:
     """Solves S(0) z = r through the scalar Sylvester system: with p, q the
     outer-constant generator slices, z encodes (A, B) with A p + B q = R and
     deg A < m2, deg B < m1.  Nonsingularity of S(0) forces gcd(p, q) = 1 and
-    full formal degree for p or q, so the Bezout route below is total."""
+    full formal degree for p or q, so one Bezout route is total: (a) q has
+    degree m2, A = (R u) rem q and B = (R - A p) / q, where u p + v q = 1;
+    (b) p has degree m1 and the roles swap.  It keeps O(n) codes: u (or v)
+    mod the divisor, the slices, and the reversed divisor's inverse series
+    to precision n; each division is the reversal trick on code arrays."""
 
     def __init__(self, S: SylvMat):
         p0 = S.g1.upoly_coeff(S.outer, 0)
@@ -236,31 +249,39 @@ class _BaseSolver:
         g, u0, v0 = xgcd(p0, q0)
         if g.deg != 0:
             raise SingularMatrixError("constant coefficient matrix is singular")
-        if q0.deg == S.m2:
-            self.route_a = True
-            self.div = FixedDivisor(q0)
-        elif p0.deg == S.m1:
-            self.route_a = False
-            self.div = FixedDivisor(p0)
-        else:
+        self.route_a = q0.deg == S.m2
+        if not self.route_a and p0.deg != S.m1:
             raise SingularMatrixError("constant coefficient matrix is singular")
-        self.S = S
-        self.p0, self.q0, self.u0, self.v0 = p0, q0, u0, v0
+        div, other, mult = (q0, p0, u0) if self.route_a else (p0, q0, v0)
+        self.ctx, self.dd, self.div = S.ctx, div.deg, div.c
+        self.other = other.padded(S.n - self.dd + 1)
+        # deg(mult) < dd keeps every quotient below precision n
+        self.mult = mult.rem(div).padded(self.dd)
+        self.inv = inverse_series(div.rev(), S.n).padded(S.n)
+
+    def _quo(self, f: np.ndarray) -> np.ndarray:
+        """Quotient of f (formal degree len(f) - 1 >= dd - 1) by the divisor."""
+        k = len(f) - self.dd
+        return self.ctx.conv(f[::-1][:k], self.inv[:k])[:k][::-1]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        S = self.S
-        R = UPoly(S.ctx, r[::-1])
-        if self.route_a:
-            A = self.div.rem(R * self.u0)
-            B = self.div.exact_div(R - A * self.p0)
-        else:
-            B = self.div.rem(R * self.v0)
-            A = self.div.exact_div(R - B * self.q0)
-        return np.concatenate([A.padded(S.m2)[::-1], B.padded(S.m1)[::-1]])
+        ctx, dd = self.ctx, self.dd
+        R = r[::-1]
+        X = R[:0]  # (R mult) rem divisor, dd codes
+        if dd:
+            t = ctx.conv(R, self.mult)
+            Q, X = self._quo(t), t[:dd]
+            if len(Q):
+                X = ctx.vsub(X, ctx.conv(Q, self.div)[:dd])
+            R = ctx.vsub(R, ctx.conv(X, self.other))
+        Y = self._quo(R)  # exact: R - X other is divisible
+        A, B = (X, Y) if self.route_a else (Y, X)
+        return np.concatenate([A[::-1], B[::-1]])
 
 
 class _BaseSolverT:
-    """Dense inverse of S(0), applied transposed (precomputed parameter)."""
+    """Dense inverse of S(0) (n^2 codes), applied transposed; the projection
+    window program needs it only when the column degrees differ."""
 
     def __init__(self, S: SylvMat):
         self.ctx = S.ctx

@@ -399,16 +399,17 @@ def interpolate_rows(ctx: FieldCtx, pts, V) -> np.ndarray:
 def berlekamp_massey(ctx: FieldCtx, seq) -> UPoly:
     """Monic minimal generating polynomial of the given sequence prefix.
 
-    The connection polynomials C and B are int64 arrays of length n + 2
-    (their degrees never exceed L <= n); each step's discrepancy is one
-    vdot against the reversed sequence and each update one vsub."""
+    The connection polynomial C is an int64 array of length n + 2 (degree
+    <= L <= n), B the copy of C[: L + 1] saved at the last length change;
+    each step's discrepancy is one vdot against the reversed sequence and
+    each update one vsub over B's support, C[m : m + len(B)]."""
     s = np.fromiter(seq, dtype=np.int64)
     n = len(s)
     s_rev = s[::-1]
     s_list = s.tolist()
     C = np.zeros(n + 2, dtype=np.int64)  # connection polynomial C(D), ascending
     C[0] = 1
-    B = C.copy()
+    B = C[:1].copy()
     L, m, b = 0, 1, 1
     for i in range(n):
         # d = s_i + sum_{j=1..L} C_j s_{i-j}
@@ -417,8 +418,8 @@ def berlekamp_massey(ctx: FieldCtx, seq) -> UPoly:
             m += 1
             continue
         coef = np.int64(ctx.mul(d, ctx.inv(b)))
-        T = C.copy() if 2 * L <= i else None
-        C[m:] = ctx.vsub(C[m:], ctx.vmul(coef, B[: n + 2 - m]))
+        T = C[: L + 1].copy() if 2 * L <= i else None
+        C[m : m + len(B)] = ctx.vsub(C[m : m + len(B)], ctx.vmul(coef, B))
         if T is None:
             m += 1
         else:

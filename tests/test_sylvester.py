@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from sylres._dense import SingularMatrixError, gauss_rank
-from sylres.bipoly import BiPoly, IdealBasis, vec_x, vec_y
-from sylres.field import PrimeField
+from sylres.bipoly import BiPoly, IdealBasis, bimul, fit, grid_mul, to_array, to_list, vec_x, vec_y
+from sylres.field import PrimeField, build_extension, extend_field
 from sylres.sylvester import (
     NotColumnReducedError,
     SylvMat,
+    _BaseSolver,
+    _matvec_semiT,
+    _solver,
     build_Sx,
     build_Sy,
     build_Tx,
@@ -16,10 +19,13 @@ from sylres.sylvester import (
     is_column_reduced,
     matvec,
     matvec_T,
+    matvec_window,
+    matvec_window_T,
+    solve_window,
     trunc_inv_apply,
     trunc_inv_apply_T,
 )
-from sylres.upoly import UPoly
+from sylres.upoly import FixedDivisor, UPoly, xgcd
 
 F2 = PrimeField(2)
 F101 = PrimeField(101)
@@ -269,3 +275,160 @@ def test_singular_constant_matrix_raises():
     S = build_Sy(IdealBasis(a, b))
     with pytest.raises(SingularMatrixError):
         trunc_inv_apply(S, [UPoly.one(F101)] * S.n, 2)
+
+
+# ---------------------------------------------------------------------------
+# the array base solver and the grid products, differential
+
+
+_F4 = build_extension(2, 4, random.Random(1))
+DIFF_FIELDS = {
+    "F2": F2,
+    "F4^2 (tower)": extend_field(_F4, 16, random.Random(2)),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F65537^2": build_extension(65537, 65538, random.Random(4)),
+    "F65537": F65537,
+    "F(2^31-1)": PrimeField(2**31 - 1),
+}
+
+# generator shapes (c1, m1, c2, m2): outer and inner degree of g1, then g2
+SHAPES = [(2, 2, 2, 2), (1, 0, 2, 3), (3, 2, 1, 0), (3, 2, 1, 3), (0, 1, 2, 2)]
+
+
+def _generator(ctx, wrt, c, m, rng, deficient=False):
+    """Random generator of outer degree c and inner degree m whose
+    outer-constant slice has full inner degree m, or, if deficient (needs
+    c, m >= 1), lower inner degree."""
+    G = BiPoly.random(ctx, c, m, rng).g.copy()  # [outer, inner]
+    G[0, m] = 0 if deficient else 1 + rng.randrange(ctx.q - 1)
+    while not G[:, m].any():
+        G[1:, m] = ctx.rand_array(rng, c)
+    return BiPoly(ctx, G if wrt == "y" else G.T)
+
+
+def _bezout_reference(S, r):
+    """The Bezout base solve through UPoly and FixedDivisor, route (a) when
+    q0 has full degree m2, else route (b)."""
+    p0 = S.g1.upoly_coeff(S.outer, 0)
+    q0 = S.g2.upoly_coeff(S.outer, 0)
+    _, u0, v0 = xgcd(p0, q0)
+    R = UPoly(S.ctx, r[::-1])
+    if q0.deg == S.m2:
+        div = FixedDivisor(q0)
+        A = div.rem(R * u0)
+        B = div.exact_div(R - A * p0)
+    else:
+        div = FixedDivisor(p0)
+        B = div.rem(R * v0)
+        A = div.exact_div(R - B * q0)
+    return np.concatenate([A.padded(S.m2)[::-1], B.padded(S.m1)[::-1]])
+
+
+def _solvable(ctx, wrt, shape, rng, deficient=False, tries=60):
+    c1, m1, c2, m2 = shape
+    for _ in range(tries):
+        g1 = _generator(ctx, wrt, c1, m1, rng)
+        g2 = _generator(ctx, wrt, c2, m2, rng, deficient)
+        S = SylvMat(wrt, g1, g2)
+        try:
+            return S, _BaseSolver(S)
+        except SingularMatrixError:
+            continue
+    raise AssertionError("no nonsingular S(0) drawn")
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+def test_base_solver_matches_upoly_bezout_route(name):
+    ctx, rng = DIFF_FIELDS[name], random.Random(name)
+    cases = [(shape, False) for shape in SHAPES] + [((2, 2, 2, 2), True), ((1, 3, 2, 1), True)]
+    for wrt in "xy":
+        for shape, deficient in cases:
+            S, solver = _solvable(ctx, wrt, shape, rng, deficient)
+            assert solver.route_a == (not deficient)
+            M0 = S.constant_matrix()
+            for _ in range(3):
+                r = ctx.rand_array(rng, S.n)
+                z = solver.solve(r)
+                assert np.array_equal(z, _bezout_reference(S, r))
+                assert np.array_equal(ctx.vsum(ctx.vmul(M0, z)), r)
+
+
+def _dense_product(S, W, l):
+    """(D @ W) mod outer^l from dense_form, as an (n, l) array."""
+    D = dense_form(S)
+    cols = to_list(S.ctx, W)
+    rows = [sum((D[i][j] * cols[j] for j in range(S.n)), UPoly.zero(S.ctx)) for i in range(S.n)]
+    return fit(to_array(rows), l)
+
+
+def _dense_transposed(S, L, out_len, reversed_layers):
+    """out[j, m] = sum_{i, s} L[i, s] D_ij[s - m] (the transpose of the
+    product) or, for the semi-transpose, sum_{i, k} D_ij[k] L[i, m - k]."""
+    ctx, D = S.ctx, dense_form(S)
+    out = np.zeros((S.n, out_len), dtype=np.int64)
+    for j in range(S.n):
+        for m in range(out_len):
+            acc = 0
+            for i in range(S.n):
+                for s in range(L.shape[1]):
+                    k = s - m if reversed_layers else m - s
+                    acc = ctx.add(acc, ctx.mul(int(L[i, s]), D[i][j].coeff(k) if k >= 0 else 0))
+            out[j, m] = acc
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+def test_grid_products_match_dense_form(name):
+    ctx, rng = DIFF_FIELDS[name], random.Random(name)
+    for wrt in "xy":
+        for c1, m1, c2, m2 in SHAPES:
+            S = SylvMat(wrt, _generator(ctx, wrt, c1, m1, rng), _generator(ctx, wrt, c2, m2, rng))
+            width = rng.randrange(2, 5)
+            W = ctx.rand_array(rng, S.n * width).reshape(S.n, width)
+            for l in (1, 2, width - 1, width, width + S.degree):
+                assert np.array_equal(matvec_window(S, W, l), _dense_product(S, W, l))
+            full = matvec_window(S, W)
+            assert np.array_equal(full, _dense_product(S, W, width + S.degree))
+            for out_len in (1, width):
+                want = _dense_transposed(S, W, out_len, True)
+                assert np.array_equal(matvec_window_T(S, W, out_len), want)
+                want = _dense_transposed(S, W, out_len, False)
+                assert np.array_equal(_matvec_semiT(S, W, out_len), want)
+
+
+def test_grid_mul_matches_bimul_and_truncates():
+    rng = random.Random(16)
+    for ctx in DIFF_FIELDS.values():
+        f = BiPoly.random(ctx, rng.randrange(0, 4), rng.randrange(0, 4), rng)
+        g = BiPoly.random(ctx, rng.randrange(0, 4), rng.randrange(0, 4), rng)
+        P = grid_mul(ctx, f.g, g.g)
+        assert P.shape == (f.deg_x + g.deg_x + 1, f.deg_y + g.deg_y + 1)
+        assert BiPoly(ctx, P) == bimul(f, g) == bimul(g, f)
+        for rows in (1, 2, P.shape[0], P.shape[0] + 2):
+            assert np.array_equal(grid_mul(ctx, f.g, g.g, rows), P[:rows])
+        empty = np.zeros((0, 3), dtype=np.int64)
+        assert grid_mul(ctx, empty, g.g).shape == (g.deg_x, g.deg_y + 3)
+        assert not grid_mul(ctx, empty, g.g).any()
+
+
+def test_solve_window_builds_no_polynomial_objects(monkeypatch):
+    rng = random.Random(17)
+    while True:
+        basis = random_basis(F65537, 8, 8, rng)
+        if basis.d == basis.e == 8:
+            break
+    S = build_Sy(basis).reversed_matrix()
+    _solver(S, _BaseSolver)  # per-matrix setup
+    V = F65537.rand_array(rng, S.n * 32).reshape(S.n, 32)
+    built = {"UPoly": 0, "BiPoly": 0}
+    for cls in (UPoly, BiPoly):
+
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    U = solve_window(S, V, 32)
+    assert built == {"UPoly": 0, "BiPoly": 0}
+    monkeypatch.undo()
+    assert np.array_equal(matvec_window(S, U, 32), V)
