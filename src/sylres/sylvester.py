@@ -76,9 +76,11 @@ class SylvMat:
         """Generators reversed in the outer variable at the column degrees;
         its constant matrix is this matrix's column leading matrix."""
         if "rev" not in self._cache:
-            self._cache["rev"] = SylvMat(
-                self.wrt, self.g1.rev(self.outer, self.c1), self.g2.rev(self.outer, self.c2)
-            )
+            rev = SylvMat(self.wrt, self.g1.rev(self.outer, self.c1), self.g2.rev(self.outer, self.c2))
+            # its outer-constant slices are our leading coefficients
+            if "lead_xgcd" in self._cache:
+                rev._cache["const_xgcd"] = self._cache["lead_xgcd"]
+            self._cache["rev"] = rev
         return self._cache["rev"]
 
     def at(self, x0: int) -> np.ndarray:
@@ -150,15 +152,16 @@ def build_Tx(basis: IdealBasis, delta: int) -> SylvMat:
 
 def is_column_reduced(S: SylvMat) -> bool:
     """Leading-coefficient criterion: the outer-variable leading coefficients
-    of the generators are coprime and at least one has full inner degree."""
+    of the generators are coprime and at least one has full inner degree.
+    Their Bezout triple is kept for reversed_matrix()'s base solver."""
     if "reduced" in S._cache:
         return S._cache["reduced"]
     s = S.g1.lead_coeff(S.outer)
     t = S.g2.lead_coeff(S.outer)
     ok = s.deg == S.m1 or t.deg == S.m2
     if ok:
-        g, _, _ = xgcd(s, t)
-        ok = g.deg == 0
+        S._cache["lead_xgcd"] = xgcd(s, t)
+        ok = S._cache["lead_xgcd"][0].deg == 0
     S._cache["reduced"] = ok
     return ok
 
@@ -237,16 +240,18 @@ class _BaseSolver:
     deg A < m2, deg B < m1.  Nonsingularity of S(0) forces gcd(p, q) = 1 and
     full formal degree for p or q, so one Bezout route is total: (a) q has
     degree m2, A = (R u) rem q and B = (R - A p) / q, where u p + v q = 1;
-    (b) p has degree m1 and the roles swap.  It keeps O(n) codes: u (or v)
-    mod the divisor, the slices, and the reversed divisor's inverse series
-    to precision n; each division is the reversal trick on code arrays."""
+    (b) p has degree m1 and the roles swap.  It keeps O(n) codes: u (or v),
+    of lower degree than the divisor, the slices, and the reversed divisor's
+    inverse series to precision n; each division is the reversal trick on
+    code arrays.  The Bezout triple of (p, q) is the one handed down by
+    reversed_matrix() when S is a reversed matrix, else computed here."""
 
     def __init__(self, S: SylvMat):
         p0 = S.g1.upoly_coeff(S.outer, 0)
         q0 = S.g2.upoly_coeff(S.outer, 0)
         if p0.is_zero and q0.is_zero:
             raise SingularMatrixError("constant coefficient matrix is singular")
-        g, u0, v0 = xgcd(p0, q0)
+        g, u0, v0 = S._cache["const_xgcd"] if "const_xgcd" in S._cache else xgcd(p0, q0)
         if g.deg != 0:
             raise SingularMatrixError("constant coefficient matrix is singular")
         self.route_a = q0.deg == S.m2
@@ -255,8 +260,9 @@ class _BaseSolver:
         div, other, mult = (q0, p0, u0) if self.route_a else (p0, q0, v0)
         self.ctx, self.dd, self.div = S.ctx, div.deg, div.c
         self.other = other.padded(S.n - self.dd + 1)
-        # deg(mult) < dd keeps every quotient below precision n
-        self.mult = mult.rem(div).padded(self.dd)
+        # xgcd's degree bounds give deg(mult) < dd, which keeps every
+        # quotient below precision n
+        self.mult = mult.padded(self.dd)
         self.inv = inverse_series(div.rev(), S.n).padded(S.n)
 
     def _quo(self, f: np.ndarray) -> np.ndarray:

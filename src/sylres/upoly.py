@@ -3,11 +3,14 @@
 Coefficients are int64 code arrays in ascending degree order; the zero
 polynomial is the empty array, so deg = len - 1 (-1 for zero).
 Multiplication is the field context's exact conv() (schoolbook for short
-operands, a limb-split float FFT for long ones).  Evaluation at many points
-is Horner across all points at once, and interpolation is the Lagrange
-form with every quotient by (x - point) formed at once (interpolate_rows,
-many value rows through the same points); both are O(n^2) array passes,
-which beat a subproduct tree at every size this package reaches.
+operands, a limb-split float FFT for long ones).  xgcd and pgcd run one
+Euclid on stacked (remainder, cofactor) code rows, and inverse_series one
+Newton loop on code arrays; only results become UPolys.  Evaluation at
+many points is Horner across all points at once, and interpolation is the
+Lagrange form with every quotient by (x - point) formed at once
+(interpolate_rows, many value rows through the same points); both are
+O(n^2) array passes, which beat a subproduct tree at every size this
+package reaches.
 """
 
 from __future__ import annotations
@@ -259,17 +262,19 @@ def _taylor_shift_rec(f: UPoly, alpha: int) -> UPoly:
 
 
 def inverse_series(f: UPoly, prec: int) -> UPoly:
-    """1/f mod x^prec (Newton iteration); needs f(0) != 0."""
+    """1/f mod x^prec by Newton iteration on code arrays,
+    h <- 2h - h (f h) mod x^k with k doubling; needs f(0) != 0."""
     if f.is_zero or f.coeff(0) == 0:
         raise ZeroDivisionError("series inverse needs a unit constant term")
     ctx = f.ctx
-    h = UPoly.const(ctx, ctx.inv(f.coeff(0)))
+    h = np.array([ctx.inv(f.coeff(0))], dtype=np.int64)
     k = 1
     while k < prec:
         k = min(2 * k, prec)
-        e = (f.trunc(k) * h).trunc(k)
-        h = (h + h - (h * e).trunc(k)).trunc(k)
-    return h.trunc(prec)
+        e = ctx.conv(f.c[:k], h)[:k]
+        he = ctx.conv(h, e)[:k]
+        h = ctx.vsub(np.pad(ctx.vadd(h, h), (0, k - len(h))), np.pad(he, (0, k - len(he))))
+    return UPoly(ctx, h[:prec])
 
 
 class FixedDivisor:
@@ -296,11 +301,10 @@ class FixedDivisor:
             return UPoly.zero(f.ctx), f
         if dg == 0:
             return f.scale(f.ctx.inv(self.g.coeff(0))), UPoly.zero(f.ctx)
-        k = f.deg - dg
-        qrev = (f.rev() * self._inverse(k + 1)).trunc(k + 1)
-        q = qrev.rev(k)
-        r = UPoly(f.ctx, f.ctx.vsub(f.padded(dg), (q * self.g).padded(dg)))
-        return q, r
+        ctx, k = f.ctx, f.deg - dg
+        q = ctx.conv(f.c[::-1][: k + 1], self._inverse(k + 1).padded(k + 1))[: k + 1][::-1]
+        r = ctx.vsub(f.c[:dg], ctx.conv(q, self.g.c)[:dg])
+        return UPoly(ctx, q), UPoly(ctx, r)
 
     def rem(self, f: UPoly) -> UPoly:
         return self.divrem(f)[1]
@@ -312,31 +316,50 @@ class FixedDivisor:
         return q
 
 
-def xgcd(f: UPoly, g: UPoly):
-    """Monic gcd d with d = u*f + v*g."""
+def _euclid(f: UPoly, g: UPoly, rows: int):
+    """The classical remainder sequence of (f, g) on one (rows, W) code
+    block, W = max(len f, len g): row 0 the remainder and, for rows = 3, the
+    cofactors u, v (r = u f + v g) sharing each update (von zur Gathen-
+    Gerhard, Modern Computer Algebra, 3.2).  A quotient term c x^s is one
+    vmul and one vsub, M0[:, s:] -= c M1[:, :W - s]; W columns suffice, as
+    deg u <= deg g and deg v <= deg f throughout.  Returns the block of the
+    last nonzero remainder made monic by one vmul (zero if f = g = 0)."""
     ctx = f.ctx
+    W = max(len(f.c), len(g.c))
+    M0 = np.zeros((rows, W), dtype=np.int64)
+    M1 = np.zeros((rows, W), dtype=np.int64)
+    M0[0, : len(f.c)] = f.c
+    M1[0, : len(g.c)] = g.c
+    if rows == 3 and W:
+        M0[1, 0] = M1[2, 0] = 1
+    d0, d1 = f.deg, g.deg
+    while d1 >= 0:
+        linv = ctx.inv(int(M1[0, d1]))
+        while d0 >= d1:
+            s = d0 - d1
+            c = np.int64(ctx.mul(int(M0[0, d0]), linv))
+            M0[:, s:] = ctx.vsub(M0[:, s:], ctx.vmul(M1[:, : W - s], c))
+            d0 -= 1  # the top coefficient is cancelled; trim the rest
+            while d0 >= 0 and M0[0, d0] == 0:
+                d0 -= 1
+        M0, M1, d0, d1 = M1, M0, d1, d0
+    if d0 < 0:
+        return M0
+    return ctx.vmul(M0, np.int64(ctx.inv(int(M0[0, d0]))))
+
+
+def xgcd(f: UPoly, g: UPoly):
+    """Monic gcd d with d = u*f + v*g.  For nonzero f, g that are not
+    associates, deg u < deg g - deg d and deg v < deg f - deg d; for
+    associates, u = 0."""
     if f.is_zero and g.is_zero:
         raise ValueError("xgcd(0, 0) undefined")
-    r0, r1 = f, g
-    u0, u1 = UPoly.one(ctx), UPoly.zero(ctx)
-    v0, v1 = UPoly.zero(ctx), UPoly.one(ctx)
-    while not r1.is_zero:
-        q, r = r0.divrem(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    lead = int(r0.c[-1])
-    if lead != 1:
-        s = ctx.inv(lead)
-        r0, u0, v0 = r0.scale(s), u0.scale(s), v0.scale(s)
-    return r0, u0, v0
+    return tuple(UPoly(f.ctx, row) for row in _euclid(f, g, 3))
 
 
 def pgcd(f: UPoly, g: UPoly) -> UPoly:
-    r0, r1 = f, g
-    while not r1.is_zero:
-        r0, r1 = r1, r0.rem(r1)
-    return r0.monic() if not r0.is_zero else r0
+    """Monic gcd (zero for f = g = 0): the remainder row of xgcd's Euclid."""
+    return UPoly(f.ctx, _euclid(f, g, 1)[0])
 
 
 def plcm(f: UPoly, g: UPoly) -> UPoly:

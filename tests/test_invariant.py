@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import sylres.upoly
 from sylres.bipoly import BiPoly, IdealBasis, bimul
@@ -377,3 +379,41 @@ def test_window_form_differs_from_ell_only_for_unequal_column_degrees():
         window = transposed_normal_form(basis, ell, basis.d - 1, basis.ny - 1)
         on_monomials = ell.coeffs.reshape(basis.ny, basis.d)[::-1].reshape(-1)  # i fastest
         assert np.array_equal(window, on_monomials) is fixed
+
+
+# ---------------------------------------------------------------------------
+# end to end: resultant_certified against the dense resultant
+
+_F4 = build_extension(2, 4, random.Random(1))
+E2E_FIELDS = {
+    "F2": F2,  # lifted inside resultant_certified
+    "F4^2 (tower)": extend_field(_F4, 16, random.Random(2)),
+    "F(2^31-1)": PrimeField(2**31 - 1),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(E2E_FIELDS)),
+    da=st.integers(0, 3),
+    ea=st.integers(0, 3),
+    db=st.integers(0, 3),
+    eb=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="F2", da=2, ea=0, db=1, eb=0, seed=1)  # deg_y = 0: n_y = 0
+@example(name="F(2^31-1)", da=3, ea=0, db=1, eb=2, seed=2)  # deg_y a = 0
+@example(name="F4^2 (tower)", da=3, ea=2, db=1, eb=2, seed=3)  # unequal column degrees
+@example(name="F2", da=1, ea=3, db=3, eb=1, seed=4)
+def test_resultant_certified_matches_dense_resultant(name, da, ea, db, eb, seed):
+    F, rng = E2E_FIELDS[name], random.Random(seed)
+    a, b = BiPoly.random(F, da, ea, rng), BiPoly.random(F, db, eb, rng)
+    res = dense_resultant(a, b)
+    if not is_column_reduced(build_Sy(IdealBasis(a, b))):
+        with pytest.raises(NotColumnReducedError):
+            resultant_certified(a, b, rng)
+        return
+    rep = resultant_certified(a, b, rng)
+    if rep.status == STATUS_CERTIFIED:
+        assert rep.sigma.scale(rep.scale) == res
+    elif rep.status != STATUS_FAILURE:  # sigma divides the last invariant factor
+        assert not res.is_zero and res.rem(rep.sigma).is_zero

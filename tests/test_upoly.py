@@ -19,6 +19,7 @@ from sylres.upoly import (
     common_generator,
     interpolate,
     interpolate_rows,
+    inverse_series,
     multipoint_eval,
     pgcd,
     plcm,
@@ -366,6 +367,119 @@ def test_extension_field_polys():
     assert q == f and r.is_zero
     d, u, v = xgcd(f, g)
     assert u * f + v * g == d
+
+
+# ---------------------------------------------------------------------------
+# xgcd and pgcd on one code block, against the UPoly Euclid
+
+EUCLID_FIELDS = {name: BM_FIELDS[name] for name in ("F2", "F4^2 (tower)", "F7^3", "F65537", "F(2^31-1)")}
+EUCLID_FIELDS["F65537^2"] = build_extension(65537, 65538, random.Random(4))
+
+
+def _xgcd_reference(f, g):
+    """The UPoly Euclid xgcd replaced: one divrem, two products and two
+    subtractions per step, then the monic scaling."""
+    ctx = f.ctx
+    r0, r1 = f, g
+    u0, u1 = UPoly.one(ctx), UPoly.zero(ctx)
+    v0, v1 = UPoly.zero(ctx), UPoly.one(ctx)
+    while not r1.is_zero:
+        q, r = r0.divrem(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    s = ctx.inv(int(r0.c[-1]))
+    return r0.scale(s), u0.scale(s), v0.scale(s)
+
+
+def _pgcd_reference(f, g):
+    r0, r1 = f, g
+    while not r1.is_zero:
+        r0, r1 = r1, r0.rem(r1)
+    return r0.monic()
+
+
+def _euclid_cases(F, rng):
+    """(f, g) pairs: random (either degree order), a planted common factor,
+    constants, zero operands, equal and associate operands, and remainder
+    sequences whose every quotient has degree 2."""
+    def R(deg):
+        return UPoly.random(F, deg, rng)
+
+    zero = UPoly.zero(F)
+    cases = [(R(rng.randrange(0, 10)), R(rng.randrange(0, 10))) for _ in range(12)]
+    for _ in range(6):
+        h = R(rng.randrange(1, 4))
+        cases.append((R(rng.randrange(0, 6)) * h, R(rng.randrange(0, 6)) * h))
+    cases += [(R(2), R(7)), (R(0), R(5)), (R(5), R(0)), (R(0), R(0)), (R(6), zero), (zero, R(3)), (zero, zero)]
+    f = R(5)
+    cases += [(f, f), (f, f.scale(F.q - 1)), (R(0), R(0).scale(F.q - 1))]
+    # r_{i-1} = q_i r_i + r_{i+1} with deg q_i = 2, built from the gcd upwards
+    lo = R(1)
+    hi = R(2) * lo
+    for _ in range(3):
+        lo, hi = hi, R(2) * hi + lo
+    cases += [(hi, lo), (lo, hi)]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(EUCLID_FIELDS))
+def test_xgcd_and_pgcd_match_upoly_euclid(name):
+    F, rng = EUCLID_FIELDS[name], random.Random(f"euclid-{name}")
+    for f, g in _euclid_cases(F, rng):
+        assert pgcd(f, g) == _pgcd_reference(f, g), (f, g)
+        if f.is_zero and g.is_zero:
+            assert pgcd(f, g).is_zero
+            with pytest.raises(ValueError):
+                xgcd(f, g)
+            continue
+        assert xgcd(f, g) == _xgcd_reference(f, g), (f, g)
+
+
+def _inverse_series_reference(f, prec):
+    """The UPoly Newton iteration inverse_series replaced."""
+    h = UPoly.const(f.ctx, f.ctx.inv(f.coeff(0)))
+    k = 1
+    while k < prec:
+        k = min(2 * k, prec)
+        e = (f.trunc(k) * h).trunc(k)
+        h = (h + h - (h * e).trunc(k)).trunc(k)
+    return h.trunc(prec)
+
+
+@pytest.mark.parametrize("name", sorted(EUCLID_FIELDS))
+def test_inverse_series_matches_upoly_newton(name):
+    F, rng = EUCLID_FIELDS[name], random.Random(f"inverse-series-{name}")
+    for deg in (0, 1, 3, 8, 40):
+        f = UPoly.random(F, deg, rng)
+        while f.coeff(0) == 0:
+            f = UPoly.random(F, deg, rng)
+        for prec in (0, 1, 2, 3, 7, 16, 33, 100):
+            h = inverse_series(f, prec)
+            assert h == _inverse_series_reference(f, prec), (deg, prec)
+            assert (f * h).trunc(prec) == UPoly.one(F).trunc(prec)
+    with pytest.raises(ZeroDivisionError):
+        inverse_series(UPoly(F, [0, 1]), 4)
+
+
+@given(
+    name=st.sampled_from(sorted(EUCLID_FIELDS)),
+    df=st.integers(0, 12),
+    dg=st.integers(0, 12),
+    dh=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_xgcd_bezout_identity_and_degree_bounds(name, df, dg, dh, seed):
+    F, rng = EUCLID_FIELDS[name], random.Random(seed)
+    h = UPoly.random(F, dh, rng)
+    f, g = UPoly.random(F, df, rng) * h, UPoly.random(F, dg, rng) * h
+    d, u, v = xgcd(f, g)
+    assert d == u * f + v * g and d.c[-1] == 1
+    assert f.rem(d).is_zero and g.rem(d).is_zero and d.rem(h).is_zero
+    if f.monic() == g.monic():  # associates: d = g / lc(g)
+        assert u.is_zero and v == UPoly.const(F, F.inv(g.coeff(g.deg)))
+    else:
+        assert u.deg < g.deg - d.deg and v.deg < f.deg - d.deg
 
 
 # ---------------------------------------------------------------------------
