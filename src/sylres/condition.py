@@ -22,8 +22,6 @@ class ConditioningRecord:
     alpha: int
     beta: int
     degrees: tuple[int, int, int, int]  # (d_a, d_b, e_a, e_b) of the source basis
-    y_stage: bool = True
-    x_stage: bool = True
 
 
 def condition_for_Sx(basis: IdealBasis, alpha: int) -> IdealBasis:

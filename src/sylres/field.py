@@ -16,7 +16,10 @@ its paths: schoolbook when the shorter operand has at most
 SCHOOLBOOK_CUTOFF coefficients, else a float FFT on small limbs whose
 count an a priori rounding bound fixes.  An extension field packs its
 digits into one base-field convolution (Kronecker substitution) and
-inverts without log tables by the Itoh-Tsujii norm.
+inverts without log tables by the Itoh-Tsujii norm.  One plane product
+(_sum_planes) serves vmul without tables, that inverse, dot_map and the log
+tables, which start from the smallest primitive code (by the order test);
+scalar add, sub and neg come from the vector ops.
 """
 
 from __future__ import annotations
@@ -284,29 +287,26 @@ class ExtField(FieldCtx):
             self._frob = self.decode(np.array([self.pow_(tq, i) for i in range(k)]))
 
     def _build_log_tables(self):
+        # g is the smallest primitive code: g^((q-1)/l) != 1 for every prime
+        # l | q - 1; exp[n : 2n] = exp[:n] g^n doubles the filled prefix
         q = self.q
-        for g in range(2, q):
-            exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
-            log = np.full(q, -1, dtype=np.int64)
-            acc, ok = 1, True
-            for i in range(q - 1):
-                exp[i] = acc
-                if log[acc] >= 0:
-                    ok = False  # g has smaller order
-                    break
-                log[acc] = i
-                acc = self._mul_polybasis(acc, g)
-            if ok:
-                # wraparound so sums of logs index directly; log 0 is past
-                # every sum of two nonzero logs, where exp reads 0
-                exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
-                log[0] = 2 * (q - 1)
-                self._exp, self._log = exp, log
-                return
-        raise FieldError("no multiplicative generator found (not a field?)")
-
-    def _mul_polybasis(self, x: int, y: int) -> int:
-        return int(self._vmul_planes(_as_codes(x), _as_codes(y)))
+        ells = _prime_factors(q - 1)
+        g = next((g for g in range(2, q) if all(self.pow_(g, (q - 1) // l) != 1 for l in ells)), None)
+        exp = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+        exp[0] = n = 1
+        while g is not None and n < q - 1:
+            m = min(n, q - 1 - n)
+            exp[n : n + m] = self.vmul(exp[:m], self.mul(int(exp[n - 1]), g))
+            n += m
+        log = np.full(q, -1, dtype=np.int64)
+        log[exp[: q - 1]] = np.arange(q - 1)
+        if np.any(log[1:] < 0):  # no g passed, or a zero divisor did
+            raise FieldError("no multiplicative generator found (not a field?)")
+        # wraparound so sums of logs index directly; log 0 is past every sum
+        # of two nonzero logs, where exp reads 0
+        exp[q - 1 : 2 * (q - 1)] = exp[: q - 1]
+        log[0] = 2 * (q - 1)
+        self._exp, self._log = exp, log
 
     def __repr__(self):
         return f"F_{self.p}^{self.k}"
@@ -337,33 +337,18 @@ class ExtField(FieldCtx):
     def encode(self, digits: np.ndarray) -> np.ndarray:
         return digits @ self._place
 
-    # scalar fast paths
-    def add(self, x, y):
-        if self.p == 2:
-            return x ^ y
-        return int(self.vadd(np.int64(x), np.int64(y)))
-
-    def sub(self, x, y):
-        if self.p == 2:
-            return x ^ y
-        return int(self.vsub(np.int64(x), np.int64(y)))
-
-    def neg(self, x):
-        if self.p == 2:
-            return x
-        return int(self.vneg(np.int64(x)))
-
+    # log-table scalar fast paths; the rest are FieldCtx's, from the vector ops
     def mul(self, x, y):
         if self._exp is not None:
             return int(self._exp[self._log[x] + self._log[y]])
-        return self._mul_polybasis(x, y)
+        return super().mul(x, y)
 
     def inv(self, x):
         if x == 0:
             raise ZeroDivisionError("inverse of zero")
         if self._exp is not None:
             return int(self._exp[(self.q - 1 - self._log[x]) % (self.q - 1)])
-        return int(self.vinv(_as_codes(x)))
+        return super().inv(x)
 
     def vadd(self, a, b):
         if self.p == 2:
@@ -392,36 +377,31 @@ class ExtField(FieldCtx):
         k = self.deg
         return self.base.vadd(C[..., :k], self._digit_map(C[..., k:], self._red))
 
-    def _mul_digits(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def _sum_planes(self, P: np.ndarray) -> np.ndarray:
+        """Digit-pair products P[..., i, j] summed into the 2k - 1 planes by
+        i + j, high planes folded: row i of one skewed copy is P[..., i, :]
+        shifted by i, and one base vsum adds the rows, kept outermost in
+        memory (numpy reduces a short innermost axis an order slower)."""
         k = self.deg
-        C = np.zeros(np.broadcast_shapes(A.shape[:-1], B.shape[:-1]) + (2 * k - 1,), dtype=np.int64)
+        skew = np.zeros((k,) + P.shape[:-2] + (2 * k - 1,), dtype=np.int64)
         for i in range(k):
-            for j in range(k):
-                C[..., i + j] = self.base.vadd(C[..., i + j], self.base.vmul(A[..., i], B[..., j]))
-        return self._reduce_planes(C)
+            skew[i, ..., i : i + k] = P[..., i, :]
+        return self._reduce_planes(self.base.vsum(np.moveaxis(skew, 0, -1)))
+
+    def _mul_digits(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return self._sum_planes(self.base.vmul(A[..., :, None], B[..., None, :]))
 
     def _vmul_planes(self, a, b):
         return self.encode(self._mul_digits(self.decode(a), self.decode(b)))
 
     def dot_map(self, A):
         # without log tables, vmul and vsum decode and re-encode A on every
-        # call; here A is decoded once into digit planes A_i, and x -> A x
-        # sums base products A_i x_j into plane i + j, reducing only the
-        # (rows, 2k - 1) result
+        # call; here A's digit planes A_i are stacked once into one base map,
+        # applied once per digit x_j of x for every product A_i x_j
         if self._exp is not None:
             return super().dot_map(A)
-        digits = np.moveaxis(self.decode(A), -1, 0)
-        planes = [self.base.dot_map(np.ascontiguousarray(P)) for P in digits]
-        return functools.partial(self._dot_planes, planes, _as_codes(A).shape[:-1])
-
-    def _dot_planes(self, planes, rows, x):
-        k = self.deg
-        xd = self.decode(x)
-        C = np.zeros(rows + (2 * k - 1,), dtype=np.int64)
-        for i, Ai in enumerate(planes):
-            for j in range(k):
-                C[..., i + j] = self.base.vadd(C[..., i + j], Ai(xd[:, j]))
-        return self.encode(self._reduce_planes(C))
+        planes = self.base.dot_map(np.ascontiguousarray(np.swapaxes(self.decode(A), -1, -2)))
+        return lambda x: self.encode(self._sum_planes(np.stack([planes(xj) for xj in self.decode(x).T], -1)))
 
     def vmul(self, a, b):
         if self._exp is None:

@@ -62,7 +62,6 @@ REJECTION_REASONS = (
 @dataclass
 class InvariantOptions:
     trials: int = 3
-    epsilon: float = 0.1
     max_attempts: int = 16
 
 
@@ -72,7 +71,6 @@ class InvariantReport:
     status: str
     record: ConditioningRecord | None = None
     trials: int = 0
-    seed: int | None = None
     scale: int = 1
     attempts: int = 0
     timings_ns: dict = field(default_factory=dict)
@@ -160,6 +158,8 @@ def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> U
 _EXT_CACHE: dict[tuple, FieldCtx] = {}
 _EXT_CACHE_SIZE = 32
 
+_EPSILON = 0.1  # the working field has at least (12 d e)^(1 + _EPSILON) elements
+
 
 def _working_field(ctx: FieldCtx, min_card: int) -> FieldCtx:
     """Deterministic cached extension reaching min_card (identity if large
@@ -194,7 +194,7 @@ def last_invariant_factor(
         return InvariantReport(UPoly.one(ctx), STATUS_PROBABLE, trials=0, timings_ns=timings)
 
     de = max(basis.d * basis.e, 1)
-    min_card = int(np.ceil((12 * de) ** (1.0 + opts.epsilon)))
+    min_card = int(np.ceil((12 * de) ** (1.0 + _EPSILON)))
     work_ctx = _working_field(ctx, min_card)
     wbasis = basis.lift(work_ctx) if work_ctx is not ctx else basis
 

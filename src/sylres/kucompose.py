@@ -134,15 +134,10 @@ def _nested_horner(ctx, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
     return vals
 
 
-def compose_rem(
-    basis: IdealBasis, f: UPoly, params: KUParams | None = None, d_eps: int | None = None
-) -> BiPoly:
-    """phi(f(x)): the normal form of a univariate f of degree < delta,
+def compose_rem(basis: IdealBasis, f: UPoly, params: KUParams) -> BiPoly:
+    """phi(f(x)): the normal form of a univariate f of degree < params.delta,
     computed by the composition pipeline.  Equals normal_form exactly."""
     ctx = basis.ctx
-    if params is None:
-        bound = max(f.deg + 1, 3)
-        params = KUParams.choose(bound, d_eps=d_eps)
     params.check_cardinality(basis)
     if f.is_zero:
         return BiPoly.zero(ctx)

@@ -19,6 +19,9 @@ converting once at entry and once at exit.
 Each product is one bipoly.grid_mul per generator on cached code grids.
 The truncated solves halve the window down to solves against S(0): a
 Bezout solve on code arrays (forward) or a dense inverse (transposed).
+The Bezout triple of a matrix's outer-constant slices is cached on it
+(const_xgcd); is_column_reduced(S) reads S.reversed_matrix()'s, whose
+constant slices are S's leading coefficients, and whose solver reuses it.
 """
 
 from __future__ import annotations
@@ -76,12 +79,17 @@ class SylvMat:
         """Generators reversed in the outer variable at the column degrees;
         its constant matrix is this matrix's column leading matrix."""
         if "rev" not in self._cache:
-            rev = SylvMat(self.wrt, self.g1.rev(self.outer, self.c1), self.g2.rev(self.outer, self.c2))
-            # its outer-constant slices are our leading coefficients
-            if "lead_xgcd" in self._cache:
-                rev._cache["const_xgcd"] = self._cache["lead_xgcd"]
-            self._cache["rev"] = rev
+            g1, g2 = self.g1.rev(self.outer, self.c1), self.g2.rev(self.outer, self.c2)
+            self._cache["rev"] = SylvMat(self.wrt, g1, g2)
         return self._cache["rev"]
+
+    def const_xgcd(self):
+        """The Bezout triple (g, u, v) of the generators' outer-constant
+        slices p, q (u p + v q = g), computed once."""
+        if "const_xgcd" not in self._cache:
+            p0, q0 = (gen.upoly_coeff(self.outer, 0) for gen in (self.g1, self.g2))
+            self._cache["const_xgcd"] = xgcd(p0, q0)
+        return self._cache["const_xgcd"]
 
     def at(self, x0: int) -> np.ndarray:
         """S evaluated at outer = x0, as a scalar matrix: each generator is
@@ -153,17 +161,12 @@ def build_Tx(basis: IdealBasis, delta: int) -> SylvMat:
 def is_column_reduced(S: SylvMat) -> bool:
     """Leading-coefficient criterion: the outer-variable leading coefficients
     of the generators are coprime and at least one has full inner degree.
-    Their Bezout triple is kept for reversed_matrix()'s base solver."""
-    if "reduced" in S._cache:
-        return S._cache["reduced"]
-    s = S.g1.lead_coeff(S.outer)
-    t = S.g2.lead_coeff(S.outer)
-    ok = s.deg == S.m1 or t.deg == S.m2
-    if ok:
-        S._cache["lead_xgcd"] = xgcd(s, t)
-        ok = S._cache["lead_xgcd"][0].deg == 0
-    S._cache["reduced"] = ok
-    return ok
+    They are the outer-constant slices of S.reversed_matrix(), so their
+    Bezout triple is that matrix's const_xgcd(), which its base solver reuses."""
+    if "reduced" not in S._cache:
+        full = S.g1.lead_coeff(S.outer).deg == S.m1 or S.g2.lead_coeff(S.outer).deg == S.m2
+        S._cache["reduced"] = full and S.reversed_matrix().const_xgcd()[0].deg == 0
+    return S._cache["reduced"]
 
 
 def dense_form(S: SylvMat) -> list[list[UPoly]]:
@@ -243,15 +246,15 @@ class _BaseSolver:
     (b) p has degree m1 and the roles swap.  It keeps O(n) codes: u (or v),
     of lower degree than the divisor, the slices, and the reversed divisor's
     inverse series to precision n; each division is the reversal trick on
-    code arrays.  The Bezout triple of (p, q) is the one handed down by
-    reversed_matrix() when S is a reversed matrix, else computed here."""
+    code arrays.  The Bezout triple of (p, q) is S.const_xgcd(), which
+    is_column_reduced() has already computed when S is a reversed matrix."""
 
     def __init__(self, S: SylvMat):
         p0 = S.g1.upoly_coeff(S.outer, 0)
         q0 = S.g2.upoly_coeff(S.outer, 0)
         if p0.is_zero and q0.is_zero:
             raise SingularMatrixError("constant coefficient matrix is singular")
-        g, u0, v0 = S._cache["const_xgcd"] if "const_xgcd" in S._cache else xgcd(p0, q0)
+        g, u0, v0 = S.const_xgcd()
         if g.deg != 0:
             raise SingularMatrixError("constant coefficient matrix is singular")
         self.route_a = q0.deg == S.m2

@@ -67,12 +67,13 @@ def example3_polys():
 
 
 def reduced_random_basis(ctx, dmax, emax, rng):
-    while True:
+    for _ in range(200):
         a = BiPoly.random(ctx, rng.randrange(1, dmax + 1), rng.randrange(1, emax + 1), rng)
         b = BiPoly.random(ctx, rng.randrange(1, dmax + 1), rng.randrange(1, emax + 1), rng)
         basis = IdealBasis(a, b)
         if is_column_reduced(build_Sy(basis)) and is_column_reduced(build_Sx(basis)):
             return basis
+    raise AssertionError(f"no column-reduced basis of bidegree up to ({dmax}, {emax}) over {ctx!r}")
 
 
 def test_criterion_1_example1_invfact():
@@ -314,12 +315,14 @@ def test_criterion_10_scaling_stretch():
     for d in sizes:
         per_seed = []
         for _ in range(5):
-            while True:
+            for _ in range(200):
                 a = BiPoly.random(F65537, d, d, rng)
                 b = BiPoly.random(F65537, d, d, rng)
                 basis = IdealBasis(a, b)
                 if is_column_reduced(build_Sy(basis)) and is_column_reduced(build_Sx(basis)):
                     break
+            else:
+                raise AssertionError(f"no column-reduced basis of bidegree ({d}, {d}) over F_65537")
             f = BiPoly.random(F65537, 2 * (d - 1), 2 * (basis.ny - 1), rng)
             t0 = time.perf_counter()
             normal_form(basis, f)

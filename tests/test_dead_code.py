@@ -1,7 +1,8 @@
 """Dead-code guard over src/sylres: no module (other than the package
 __init__, which re-exports) keeps an import it never uses, and no private
-module-level function or class survives that nothing in the package
-references outside its own body."""
+module-level function or class, nor private method of a module-level
+class, survives that nothing in the package references outside its own
+body."""
 
 import ast
 from pathlib import Path
@@ -49,21 +50,32 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _definitions(tree):
+    """Each module-level function or class, and each method of a
+    module-level class, with the nodes of its module outside its own body."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        siblings = [n for n in tree.body if n is not node]
+        yield node, siblings
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield method, siblings + [n for n in node.body if n is not method]
+
+
 def test_no_unreferenced_private_definitions():
     modules = _modules()
     unreferenced = []
     for name, tree in modules.items():
         if name == "__init__.py":
             continue
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
+        for node, siblings in _definitions(tree):
             ident = node.name
             if not ident.startswith("_") or ident.startswith("__"):
                 continue
             # every module of the package, minus the definition's own body
-            others = [t for t in modules.values() if t is not tree]
-            others += [n for n in tree.body if n is not node]
+            others = [t for t in modules.values() if t is not tree] + siblings
             if ident not in _referenced_names(others):
                 unreferenced.append(f"{name}:{node.lineno} {ident}")
     assert unreferenced == []

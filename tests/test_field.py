@@ -555,6 +555,131 @@ def test_itoh_tsujii_inverse_matches_fermat(F):
         F.inv(0)
 
 
+# -- the plane product and the log tables against Python-int arithmetic ------
+
+
+def _int_digits(F, x):
+    return [x // F.base.q**i % F.base.q for i in range(F.deg)]
+
+
+def _int_add(F, x, y):
+    if not isinstance(F, ExtField):
+        return (x + y) % F.p
+    digits = [_int_add(F.base, u, v) for u, v in zip(_int_digits(F, x), _int_digits(F, y))]
+    return sum(d * F.base.q**i for i, d in enumerate(digits))
+
+
+def _int_mul(F, x, y):
+    """x y on Python ints: the digit polynomials multiplied schoolbook and
+    reduced by long division by the modulus, base arithmetic recursively
+    down to the prime field."""
+    if not isinstance(F, ExtField):
+        return x * y % F.p
+    B, k = F.base, F.deg
+    xd, yd = _int_digits(F, x), _int_digits(F, y)
+    prod = [0] * (2 * k - 1)
+    for i in range(k):
+        for j in range(k):
+            prod[i + j] = _int_add(B, prod[i + j], _int_mul(B, xd[i], yd[j]))
+    m = [int(c) for c in F.modulus]
+    for top in range(2 * k - 2, k - 1, -1):
+        c = _int_mul(B, F.p - 1, prod[top])  # -prod[top]: the code p - 1 is -1
+        for s in range(k + 1):
+            prod[top - k + s] = _int_add(B, prod[top - k + s], _int_mul(B, c, m[s]))
+    return sum(d * B.q**i for i, d in enumerate(prod[:k]))
+
+
+def _int_dot(F, row, x):
+    acc = 0
+    for u, v in zip(row, x):
+        acc = _int_add(F, acc, _int_mul(F, u, v))
+    return acc
+
+
+_PLANE_FIELDS = {
+    "F101^2": build_extension(101, 101**2, random.Random(4)),
+    "F101^3": build_extension(101, 101**3, random.Random(7)),
+    "F101^5": build_extension(101, 101**5, random.Random(8)),
+    "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+    "F65537^3": build_extension(65537, 65537**3, random.Random(9)),
+    "F101^2^2 (tower)": extend_field(build_extension(101, 101**2, random.Random(4)), 101**4, random.Random(5)),
+}
+
+
+def _codes(F, rng, shape, edge):
+    """Random codes of the given shape, led by the edge codes that fit."""
+    n = int(np.prod(shape, dtype=int))
+    codes = F.rand_array(rng, n)
+    codes[: min(n, len(edge))] = edge[:n]
+    return codes.reshape(shape)
+
+
+@pytest.mark.parametrize("F", list(_PLANE_FIELDS.values()), ids=list(_PLANE_FIELDS))
+def test_plane_product_matches_integer_reference(F):
+    assert F._exp is None
+    rng = random.Random(44)
+    Q, q = F.base.q, F.q
+    edge_a = [q - 1, q - 1, Q - 1, Q, 1, 0, Q + 1, q - Q]
+    edge_b = [q - 1, Q, Q - 1, q - 1, q - 1, 5, Q * Q - 1, 1]
+    for shape in ((), (1,), (7, 33), (0,)):
+        a, b = _codes(F, rng, shape, edge_a), _codes(F, rng, shape, edge_b)
+        want = [_int_mul(F, u, v) for u, v in zip(a.ravel().tolist(), b.ravel().tolist())]
+        for got in (F.vmul(a, b), F._vmul_planes(a, b)):
+            assert np.shape(got) == shape
+            assert np.ravel(got).tolist() == want, (F, shape)
+        if want:  # the scalar path goes through the same product
+            assert F.mul(int(a.ravel()[0]), int(b.ravel()[0])) == want[0]
+    for shape in ((1,), (33,), (7, 33), (0,), (7, 0)):
+        A, x = _codes(F, rng, shape, edge_a), _codes(F, rng, shape[-1:], edge_b)
+        got = F.dot_map(A)(x)
+        assert np.shape(got) == shape[:-1]
+        rows = A.reshape(int(np.prod(shape[:-1], dtype=int)), shape[-1]).tolist()
+        want = [_int_dot(F, row, x.tolist()) for row in rows]
+        assert np.ravel(got).tolist() == want, (F, shape)
+
+
+def _reference_log_tables(F):
+    """The exhaustive generator search: the first g >= 2 whose powers run
+    through q - 1 distinct codes, tables filled during the walk."""
+    q = F.q
+    for g in range(2, q):
+        exp, log, acc = [], {}, 1
+        for i in range(q - 1):
+            if acc in log:
+                break  # g has smaller order
+            exp.append(acc)
+            log[acc] = i
+            acc = _int_mul(F, acc, g)
+        else:
+            exp_table = np.zeros(4 * (q - 1) + 1, dtype=np.int64)
+            exp_table[: q - 1] = exp_table[q - 1 : 2 * (q - 1)] = exp
+            log_table = np.array([2 * (q - 1)] + [log[c] for c in range(1, q)], dtype=np.int64)
+            return exp_table, log_table
+    raise AssertionError(f"{F!r} has no multiplicative generator")
+
+
+_LOG_TABLE_FIELDS = {
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F2^8": build_extension(2, 256, random.Random(6)),
+    "F3^5": build_extension(3, 243, random.Random(8)),
+    "F89^2": build_extension(89, 89**2, random.Random(9)),
+    "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+}
+
+
+@pytest.mark.parametrize("F", list(_LOG_TABLE_FIELDS.values()), ids=list(_LOG_TABLE_FIELDS))
+def test_log_tables_match_the_generator_search(F):
+    exp, log = _reference_log_tables(F)
+    assert np.array_equal(F._exp, exp)
+    assert np.array_equal(F._log, log)
+
+
+def test_log_tables_reject_a_ring_without_generator():
+    # t^2 + 1 = (t + 2)(t + 3) over F_5: F_5[t]/<m> has zero divisors
+    with pytest.raises(FieldError, match="generator"):
+        ExtField(PrimeField(5), np.array([1, 0, 1]), check=False)
+
+
 # -- one square-and-multiply and one Horner ----------------------------------
 
 from sylres.field import FieldCtx, power  # noqa: E402

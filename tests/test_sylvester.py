@@ -48,7 +48,7 @@ def example1_basis(ctx=F2):
 
 
 def random_basis(ctx, d, e, rng, reduced=True):
-    while True:
+    for _ in range(200):
         a = BiPoly.random(ctx, rng.randrange(1, d + 1), rng.randrange(1, e + 1), rng)
         b = BiPoly.random(ctx, rng.randrange(1, d + 1), rng.randrange(1, e + 1), rng)
         basis = IdealBasis(a, b)
@@ -56,6 +56,7 @@ def random_basis(ctx, d, e, rng, reduced=True):
             return basis
         if is_column_reduced(build_Sy(basis)) and is_column_reduced(build_Sx(basis)):
             return basis
+    raise AssertionError(f"no column-reduced basis of bidegree up to ({d}, {e}) over {ctx!r}")
 
 
 def as_dense_strings(M):
@@ -416,10 +417,12 @@ def test_grid_mul_matches_bimul_and_truncates():
 
 def test_solve_window_builds_no_polynomial_objects(monkeypatch):
     rng = random.Random(17)
-    while True:
+    for _ in range(200):
         basis = random_basis(F65537, 8, 8, rng)
         if basis.d == basis.e == 8:
             break
+    else:
+        raise AssertionError("no column-reduced basis of bidegree (8, 8) over F_65537")
     S = build_Sy(basis).reversed_matrix()
     _solver(S, _BaseSolver)  # per-matrix setup
     V = F65537.rand_array(rng, S.n * 32).reshape(S.n, 32)
@@ -444,10 +447,11 @@ def test_solve_window_builds_no_polynomial_objects(monkeypatch):
 def _full_degree_basis(rng, d):
     """A column-reduced basis with deg a = deg b = (d, d), returned fresh
     (cold caches), as the nf-ntt benchmark workload draws it."""
-    while True:
+    for _ in range(200):
         a, b = BiPoly.random(F65537, d, d, rng), BiPoly.random(F65537, d, d, rng)
         if is_column_reduced(build_Sy(IdealBasis(a, b))) and is_column_reduced(build_Sx(IdealBasis(a, b))):
             return IdealBasis(a, b)
+    raise AssertionError(f"no column-reduced basis of bidegree ({d}, {d}) over F_65537")
 
 
 def test_normal_form_runs_one_xgcd_per_sylvester_matrix(monkeypatch):
