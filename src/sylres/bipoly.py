@@ -243,26 +243,37 @@ def bimul(f: BiPoly, g: BiPoly) -> BiPoly:
     """Product of two bivariate polynomials (grid_mul on their grids)."""
     if f.is_zero or g.is_zero:
         return BiPoly.zero(f.ctx)
-    return BiPoly(f.ctx, grid_mul(f.ctx, f.g, g.g))
+    return BiPoly(f.ctx, grid_mul(f.ctx, [(f.g, g.g)]))
 
 
-def grid_mul(ctx: FieldCtx, F: np.ndarray, G: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """Product of the code grids F and G ([i, j] the coefficient of u^i v^j)
-    by one ctx.conv under v -> t, u -> t**stride, stride the product's
-    v-width: shape (F rows + G rows - 1, F cols + G cols - 1), or only the
-    first `rows` rows (mod u^rows), from operands truncated alike."""
+def _pack(F: np.ndarray, stride: int) -> np.ndarray:
+    # rows of F laid end to end at the given stride, trailing padding trimmed
+    # so conv sizes stay tight
+    a, s = F.shape
+    out = np.zeros(a * stride, dtype=np.int64)
+    out.reshape(a, stride)[:, :s] = F
+    return out[: (a - 1) * stride + s]
+
+
+def grid_mul(ctx: FieldCtx, pairs, rows: int | None = None, memo: dict | None = None, keys=None) -> np.ndarray:
+    """sum_k F_k G_k over pairs of code grids ([i, j] the coefficient of
+    u^i v^j) by one ctx.conv_sum under v -> t, u -> t**stride, stride the
+    widest product's v-width: shape (max rows of F_k G_k, stride), or only
+    the first `rows` rows (mod u^rows), from operands truncated alike.  A
+    product of two grids is the one-pair case.  keys[k], when given, names
+    G_k for ctx.conv_sum's memo; the packed operand is keyed with its rows
+    and the stride, so one memo serves every truncation of a grid."""
     if rows is not None:
-        F, G = F[:rows], G[:rows]
-    (a, s), (b, t) = F.shape, G.shape
-    stride = max(s + t - 1, 0)
-    out = np.zeros((max(a + b - 1, 0), stride), dtype=np.int64)
-    if min(a, b, s, t) > 0:
-        fa = np.zeros((a, stride), dtype=np.int64)
-        ga = np.zeros((b, stride), dtype=np.int64)
-        fa[:, :s] = F
-        ga[:, :t] = G
-        # trim the trailing intra-row padding so conv sizes stay tight
-        prod = ctx.conv(fa.reshape(-1)[: (a - 1) * stride + s], ga.reshape(-1)[: (b - 1) * stride + t])
+        pairs = [(F[:rows], G[:rows]) for F, G in pairs]
+    stride = max(0, max(F.shape[1] + G.shape[1] for F, G in pairs) - 1)
+    out = np.zeros((max(0, max(len(F) + len(G) for F, G in pairs) - 1), stride), dtype=np.int64)
+    packed, tags = [], []
+    for k, (F, G) in enumerate(pairs):
+        if F.size and G.size:
+            packed.append((_pack(F, stride), _pack(G, stride)))
+            tags.append(keys and (keys[k], len(G), stride))
+    if packed:
+        prod = ctx.conv_sum(packed, memo, tags)
         out.reshape(-1)[: len(prod)] = prod
     return out if rows is None else out[:rows]
 

@@ -10,13 +10,16 @@ Scalar operations take and return Python ints.  The v*-operations act
 elementwise on int64 numpy arrays; horner() evaluates along the first
 axis of a coefficient array at broadcast points, and power() is the one
 square-and-multiply, for any associative product.  The prime-field
-convolution kernels (schoolbook and float FFT) live in _backend.  conv() is
-the full polynomial-coefficient convolution used by upoly, exact on both of
-its paths: schoolbook when the shorter operand has at most
-SCHOOLBOOK_CUTOFF coefficients, else a float FFT on small limbs whose
-count an a priori rounding bound fixes.  An extension field packs its
-digits into one base-field convolution (Kronecker substitution) and
-inverts without log tables by the Itoh-Tsujii norm.  One plane product
+convolution kernels (schoolbook and float FFT) live in _backend.
+conv_sum() is the sum of K full polynomial-coefficient convolutions, and
+conv(), used by upoly, its one-pair case; both are exact on both paths:
+schoolbook for each pair whose shorter operand has at most
+SCHOOLBOOK_CUTOFF coefficients, else one float FFT product of all the
+longer pairs, on small centred sign-magnitude limbs whose count an a
+priori rounding bound for K pairs fixes.  An extension field sums its
+conv()s, packs the digits of each into one base-field convolution
+(Kronecker substitution), and inverts without log tables by the
+Itoh-Tsujii norm.  One plane product
 (_sum_planes) serves vmul without tables, that inverse, dot_map and the log
 tables, which start from the smallest primitive code (by the order test);
 scalar add, sub and neg come from the vector ops.
@@ -34,7 +37,8 @@ from . import _backend
 _MR_ROUNDS = 40
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
 
-# Shorter-operand length up to which conv() is schoolbook (measured crossover).
+# Shorter-operand length up to which a conv_sum() pair is schoolbook (measured
+# end to end on the benchmark's workloads; 96, 192 and 256 were no faster).
 SCHOOLBOOK_CUTOFF = 128
 
 _MAX_PRIME = 1 << 31  # single products must fit in int64
@@ -148,6 +152,21 @@ class FieldCtx:
         """Sum over the last axis of A * x for a 1-D x, exact in every field."""
         return self.vsum(self.vmul(A, x))
 
+    def conv_sum(self, pairs, memo: dict | None = None, keys=None) -> np.ndarray:
+        """sum_k conv(a_k, b_k) over the pairs (a_k, b_k), each product
+        zero-extended to the longest; conv is the one-pair case.  keys name
+        the b_k whose transforms a field may keep in memo (PrimeField); here
+        the products are summed one by one."""
+        return self._add_parts([self.conv(a, b) for a, b in pairs])
+
+    def _add_parts(self, parts) -> np.ndarray:
+        # the parts are fresh products, so the longest one takes the sum
+        out = max(parts, key=len)
+        for part in parts:
+            if part is not out:
+                out[: len(part)] = self.vadd(out[: len(part)], part)
+        return out
+
     def dot_map(self, A):
         """x -> vdot(A, x) for a fixed A, for applying one A to many x;
         fields that can prepare A once do so here."""
@@ -240,9 +259,27 @@ class PrimeField(FieldCtx):
 
     # polynomial-coefficient convolution: exact on both paths
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if min(len(a), len(b)) <= SCHOOLBOOK_CUTOFF:
+        # conv_sum's one-pair case; a schoolbook pair skips its bookkeeping,
+        # which costs about a microsecond on each of the hundreds of short
+        # products in a normal form
+        if len(a) <= SCHOOLBOOK_CUTOFF or len(b) <= SCHOOLBOOK_CUTOFF:
             return _backend.conv_mod(a, b, self.p)
-        return _backend.fft_conv_mod(a, b, self.p)
+        return self.conv_sum(((a, b),))
+
+    def conv_sum(self, pairs, memo=None, keys=None):
+        # schoolbook per pair whose shorter operand has at most
+        # SCHOOLBOOK_CUTOFF coefficients, one spectral product for the rest
+        # (see _backend.fft_conv_mod for memo and keys)
+        parts, long = [], []
+        for k, (a, b) in enumerate(pairs):
+            if len(a) <= SCHOOLBOOK_CUTOFF or len(b) <= SCHOOLBOOK_CUTOFF:
+                parts.append(_backend.conv_mod(a, b, self.p))
+            else:
+                long.append(k)
+        if long:
+            keys = keys and [keys[k] for k in long]
+            parts.append(_backend.fft_conv_mod([pairs[k] for k in long], self.p, memo, keys))
+        return self._add_parts(parts)
 
 
 _LOG_TABLE_LIMIT = 8192  # build multiplicative log/antilog tables below this size

@@ -16,7 +16,10 @@ ascending outer coefficients (see bipoly).  The structured products
 solve_window_T) work on such arrays only; matvec, matvec_T,
 trunc_inv_apply and trunc_inv_apply_T are their list[UPoly] adapters,
 converting once at entry and once at exit.
-Each product is one bipoly.grid_mul per generator on cached code grids.
+S @ W is one bipoly.grid_mul of two pairs (one spectral product when FFT
+sized); its transpose is one grid_mul per generator.  A truncated solve
+transforms each generator grid once per (rows, FFT length) in a memo it
+owns and drops on return.
 The truncated solves halve the window down to solves against S(0): a
 Bezout solve on code arrays (forward) or a dense inverse (transposed).
 The Bezout triple of a matrix's outer-constant slices is cached on it
@@ -186,20 +189,20 @@ def matvec(S: SylvMat, w: list[UPoly]) -> list[UPoly]:
     return to_list(S.ctx, matvec_window(S, to_array(w)))
 
 
-def matvec_window(S: SylvMat, W: np.ndarray, l: int | None = None) -> np.ndarray:
+def matvec_window(S: SylvMat, W: np.ndarray, l: int | None = None, memo: dict | None = None) -> np.ndarray:
     """(S @ W) mod outer^l as an (n, l) array (the whole product, of width
-    width(W) + degree, when l is None): one grid_mul per generator, each
-    truncated to outer^l, which keeps deep solve nodes proportional to
-    their window."""
+    width(W) + degree, when l is None): one two-pair grid_mul, truncated to
+    outer^l, which keeps deep solve nodes proportional to their window.
+    memo, owned by one solve against S, keeps the generators' spectra."""
     if l is not None:
         W = W[:, :l]
     # a block's rows, reversed and transposed, are the [outer, inner] grid
-    # of sum_i W[i] inner^(count-1-i); each product has n inner
-    # coefficients, and read highest first they are a product vector
-    blocks = (W[: S.m2], W[S.m2 :])
-    V1, V2 = (grid_mul(S.ctx, B[::-1].T, G, l).T[::-1] for B, G in zip(blocks, S.grids()))
-    width = max(V1.shape[1], V2.shape[1]) if l is None else l
-    return S.ctx.vadd(fit(V1, width), fit(V2, width))
+    # of sum_i W[i] inner^(count-1-i); both block products have n inner
+    # coefficients, so they share one stride and sum in one product, whose
+    # inner coefficients, read highest first, are the product vector
+    pairs = [(B[::-1].T, G) for B, G in zip((W[: S.m2], W[S.m2 :]), S.grids())]
+    V = grid_mul(S.ctx, pairs, l, memo, (0, 1)).T[::-1]
+    return V if l is None else fit(V, l)
 
 
 def matvec_T(S: SylvMat, ell: list[UPoly], out_len: int) -> list[UPoly]:
@@ -215,19 +218,21 @@ def matvec_window_T(S: SylvMat, L: np.ndarray, out_len: int) -> np.ndarray:
     return _transposed_product(S, L, S.reversed_matrix().grids(), S.c1, S.c2, out_len)
 
 
-def _matvec_semiT(S: SylvMat, U: np.ndarray, out_len: int) -> np.ndarray:
+def _matvec_semiT(S: SylvMat, U: np.ndarray, out_len: int, memo: dict | None = None) -> np.ndarray:
     """(sum_k S_k^T outer^k) @ U: transposed layers, ordinary convolution."""
-    return _transposed_product(S, U, S.grids(), 0, 0, out_len)
+    return _transposed_product(S, U, S.grids(), 0, 0, out_len, memo)
 
 
-def _transposed_product(S, L, grids, off1, off2, out_len) -> np.ndarray:
+def _transposed_product(S, L, grids, off1, off2, out_len, memo=None) -> np.ndarray:
     """Rows m1.. of g1 * Lambda and m2.. of g2 * Lambda (in the inner
     variable; grids of g1, g2 given), outer window [off, off + out_len),
-    where Lambda = sum_i L[i] * inner^i (ascending, unlike vec/unvec)."""
+    where Lambda = sum_i L[i] * inner^i (ascending, unlike vec/unvec).  The
+    two products keep different inner rows, so each is its own grid_mul;
+    memo, owned by one solve against S, keeps the generators' spectra."""
     out = np.zeros((S.n, out_len), dtype=np.int64)
     blocks = ((0, S.m2, S.m1, off1), (S.m2, S.m1, S.m2, off2))
-    for G, (top, count, lo, off) in zip(grids, blocks):
-        P = grid_mul(S.ctx, G, L.T, off + out_len)
+    for key, (G, (top, count, lo, off)) in enumerate(zip(grids, blocks)):
+        P = grid_mul(S.ctx, [(L.T, G)], off + out_len, memo, (key,))
         block = P[off:, lo : lo + count].T
         out[top : top + block.shape[0], : block.shape[1]] = block
     return out
@@ -318,19 +323,21 @@ def trunc_inv_apply(S: SylvMat, v: list[UPoly], l: int) -> list[UPoly]:
 def solve_window(S: SylvMat, V: np.ndarray, l: int) -> np.ndarray:
     """U (n, l) with S U = V (mod outer^l), V of width l; requires S(0)
     nonsingular."""
-    return _solve_series(S, _solver(S, _BaseSolver).solve, matvec_window, V, l)
+    return _solve_series(S, _solver(S, _BaseSolver).solve, matvec_window, V, l, {})
 
 
-def _solve_series(S, base_solve, mv, V, l) -> np.ndarray:
+def _solve_series(S, base_solve, mv, V, l, memo) -> np.ndarray:
     """U (n, l) with mv-products S U = V (mod outer^l), V of width l; the
-    low half is solved first and the high half against its residual."""
+    low half is solved first and the high half against its residual.  memo
+    holds the generators' spectra for every mv-product of this solve and is
+    dropped with it: never on S, which a caller may hold long after."""
     if l == 1:
         return base_solve(V[:, 0]).reshape(-1, 1)
     h = l // 2
-    U_lo = _solve_series(S, base_solve, mv, V[:, :h], h)
-    prod = mv(S, U_lo, l)
+    U_lo = _solve_series(S, base_solve, mv, V[:, :h], h, memo)
+    prod = mv(S, U_lo, l, memo)
     R = S.ctx.vsub(V[:, h:l], prod[:, h:l])
-    U_hi = _solve_series(S, base_solve, mv, R, l - h)
+    U_hi = _solve_series(S, base_solve, mv, R, l - h, memo)
     return np.concatenate([U_lo, U_hi], axis=1)
 
 
@@ -343,5 +350,5 @@ def trunc_inv_apply_T(S: SylvMat, ell: list[UPoly], l: int) -> list[UPoly]:
 def solve_window_T(S: SylvMat, L: np.ndarray, l: int) -> np.ndarray:
     """Transpose of solve_window as a linear map on the coefficient window
     of width l: reverse, solve against the transposed layers, reverse back."""
-    U = _solve_series(S, _solver(S, _BaseSolverT).solve, _matvec_semiT, fit(L, l)[:, ::-1], l)
+    U = _solve_series(S, _solver(S, _BaseSolverT).solve, _matvec_semiT, fit(L, l)[:, ::-1], l, {})
     return U[:, ::-1]

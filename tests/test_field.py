@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -349,12 +350,15 @@ def _loop_conv(a, b, p):
 
 def _operands(p, la, lb, rng):
     yield np.array([rng.randrange(p) for _ in range(la)]), np.array([rng.randrange(p) for _ in range(lb)])
-    yield np.full(la, p - 1), np.full(lb, p - 1)
+    # p - 1 centres to -1; p // 2 and p // 2 + 1 are the largest centred
+    # magnitudes, of either sign
+    for v in (p - 1, p // 2, (p // 2 + 1) % p, 0):
+        yield np.full(la, v), np.full(lb, v)
 
 
 def _assert_all_kernels(F, a, b, want):
     p = F.p
-    for got in (F.conv(a, b), _backend.fft_conv_mod(a, b, p), _backend.conv_mod(a, b, p)):
+    for got in (F.conv(a, b), _backend.fft_conv_mod([(a, b)], p), _backend.conv_mod(a, b, p)):
         assert got.dtype == np.int64
         assert np.array_equal(got, want), (p, len(a), len(b))
 
@@ -398,8 +402,9 @@ def _limb_boundaries(p, limit):
 def test_fft_exact_at_the_limb_count_boundaries(p):
     F = PrimeField(p)
     rng = random.Random(31)
-    bounds = _limb_boundaries(p, 4096)
-    assert bounds  # both sides of at least one boundary run below 4096
+    # centred limbs keep one limb (F_65537) or two (p near 2**31) past 4096
+    bounds = _limb_boundaries(p, 16384)
+    assert bounds  # both sides of at least one boundary run below 16384
     for n in bounds:
         assert _backend.fft_limbs(p, n, n)[0] < _backend.fft_limbs(p, n + 1, n + 1)[0]
         for m in (n, n + 1):
@@ -425,7 +430,7 @@ def test_fft_exact_at_every_limb_count(monkeypatch, p):
     # raising the unit roundoff steps the gate, at one small length, through
     # every limb count that narrows the limbs: from the float64 choice up to
     # one-bit limbs
-    bits = (p - 1).bit_length()
+    bits = (p // 2).bit_length()
     widths = [-(-bits // L) for L in range(1, bits + 1)]
     pickable = {L for L in range(1, bits + 1) if L == 1 or widths[L - 1] < widths[L - 2]}
     rng = random.Random(32)
@@ -439,11 +444,87 @@ def test_fft_exact_at_every_limb_count(monkeypatch, p):
             break
         seen.append(L)
         for a, b in _operands(p, 40, 33, rng):
-            assert np.array_equal(_backend.fft_conv_mod(a, b, p), _int_conv(a, b, p)), (eps, L)
+            assert np.array_equal(_backend.fft_conv_mod([(a, b)], p), _int_conv(a, b, p)), (eps, L)
         eps *= 2**0.5
     assert seen == sorted(seen)
     assert set(seen) == {L for L in pickable if L >= seen[0]}
     assert seen[-1] == bits
+
+
+def _limbs(p, v, L, w):
+    """The kernel's limbs of v, read back through the inverse transform."""
+    N = 1 << max(len(v) - 1, 1).bit_length()
+    return np.rint(np.fft.irfft(_backend._limb_spectra([v], p, L, w, N)[0], N)[:, : len(v)]).astype(np.int64)
+
+
+@pytest.mark.parametrize("p", _CONV_PRIMES)
+def test_fft_gate_matches_the_documented_bound_on_the_kernel_limbs(p):
+    # the gate's largest limb magnitude M is checked against the limbs the
+    # kernel makes of the residues that reach it, and its choice of L
+    # against the docstring's bound in exact arithmetic on both sides of
+    # every limb boundary, for one and two pairs
+    half = p // 2
+    bits = half.bit_length()
+    M = {}
+    for L in range(1, bits + 1):
+        w = -(-bits // L)
+        tops = {half, (1 << w) - 1} if (1 << w) - 1 <= half else {half}
+        v = np.array(sorted(tops | {p - t for t in tops} | {0, 1, p - 1}))
+        limbs = _limbs(p, v, L, w)
+        centred = np.where(v > half, v - p, v)
+        assert np.array_equal((limbs << (w * np.arange(L))[:, None]).sum(axis=0), centred), (p, L)
+        M[L] = int(np.abs(limbs).max())
+        assert M[L] == min(half, (1 << w) - 1)
+
+    def reference(n, K):
+        N = 1 << (2 * n - 2).bit_length()
+        for L in range(1, bits + 1):
+            if Fraction(L * K * n * M[L] ** 2 * (16 * (N.bit_length() - 1) + L * K + 2), 2**53) < Fraction(1, 4):
+                return L, -(-bits // L)
+        return None  # past the bound: the gate refuses
+
+    def gate(n, K):
+        try:
+            return _backend.fft_limbs(p, n, n, K)[:2]
+        except ValueError:
+            return None
+
+    for K in (1, 2):
+        # both sides of every limb count change up to lengths of 2**40
+        sizes, n = {1, 2, 129, 4096}, 1
+        while gate(n, K) is not None and n < 2**40:
+            L = gate(n, K)
+            lo, hi = n, 2**40
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if gate(mid, K) == L else (lo, mid)
+            sizes |= {lo, hi}
+            n = hi
+        for n in sorted(sizes):
+            assert gate(n, K) == reference(n, K), (p, n, K)
+
+
+@pytest.mark.parametrize("p", _CONV_PRIMES)
+def test_two_term_sums_match_integer_reference(p):
+    # conv_sum is one spectral product for the FFT-sized pairs plus a
+    # schoolbook product per short pair, on the same operands as conv
+    F = PrimeField(p)
+    rng = random.Random(33 + p)
+    shapes = (((5, 17), (9, 4)), ((300, 200), (250, 260)), ((300, 200), (40, 500)), ((129, 700), (700, 1)))
+    for (la, lb), (lc, ld) in shapes:
+        for (a, b), (c, d) in zip(_operands(p, la, lb, rng), _operands(p, lc, ld, rng)):
+            want = np.zeros(max(la + lb, lc + ld) - 1, dtype=np.int64)
+            want[: la + lb - 1] += _int_conv(a, b, p)
+            want[: lc + ld - 1] += _int_conv(c, d, p)
+            want %= p
+            assert np.array_equal(F.conv_sum([(a, b), (c, d)]), want), (p, la, lb, lc, ld)
+            if min(la, lb, lc, ld) > 1:
+                assert np.array_equal(_backend.fft_conv_mod([(a, b), (c, d)], p), want)
+                # the second call reads b's and d's spectra from the memo
+                memo = {}
+                for _ in range(2):
+                    assert np.array_equal(_backend.fft_conv_mod([(a, b), (c, d)], p, memo, ("b", "d")), want)
+                assert len(memo) == 2
 
 
 def test_schoolbook_limb_split_past_the_single_product_gate():

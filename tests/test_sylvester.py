@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import sylres._backend
 import sylres.sylvester
 import sylres.upoly
 from sylres._dense import SingularMatrixError, gauss_rank
@@ -405,14 +406,21 @@ def test_grid_mul_matches_bimul_and_truncates():
     for ctx in DIFF_FIELDS.values():
         f = BiPoly.random(ctx, rng.randrange(0, 4), rng.randrange(0, 4), rng)
         g = BiPoly.random(ctx, rng.randrange(0, 4), rng.randrange(0, 4), rng)
-        P = grid_mul(ctx, f.g, g.g)
+        P = grid_mul(ctx, [(f.g, g.g)])
         assert P.shape == (f.deg_x + g.deg_x + 1, f.deg_y + g.deg_y + 1)
         assert BiPoly(ctx, P) == bimul(f, g) == bimul(g, f)
         for rows in (1, 2, P.shape[0], P.shape[0] + 2):
-            assert np.array_equal(grid_mul(ctx, f.g, g.g, rows), P[:rows])
+            assert np.array_equal(grid_mul(ctx, [(f.g, g.g)], rows), P[:rows])
         empty = np.zeros((0, 3), dtype=np.int64)
-        assert grid_mul(ctx, empty, g.g).shape == (g.deg_x, g.deg_y + 3)
-        assert not grid_mul(ctx, empty, g.g).any()
+        assert grid_mul(ctx, [(empty, g.g)]).shape == (g.deg_x, g.deg_y + 3)
+        assert not grid_mul(ctx, [(empty, g.g)]).any()
+        # a pair list is the sum of its products, on the widest stride
+        h = BiPoly.random(ctx, rng.randrange(0, 4), rng.randrange(0, 4), rng)
+        two = grid_mul(ctx, [(f.g, g.g), (h.g, f.g)])
+        assert BiPoly(ctx, two) == bimul(f, g) + bimul(h, f)
+        for rows in (1, 2, two.shape[0]):
+            assert np.array_equal(grid_mul(ctx, [(f.g, g.g), (h.g, f.g)], rows), two[:rows])
+        assert np.array_equal(grid_mul(ctx, [(f.g, g.g), (empty, h.g)])[: P.shape[0], : P.shape[1]], P)
 
 
 def test_solve_window_builds_no_polynomial_objects(monkeypatch):
@@ -438,6 +446,108 @@ def test_solve_window_builds_no_polynomial_objects(monkeypatch):
     assert built == {"UPoly": 0, "BiPoly": 0}
     monkeypatch.undo()
     assert np.array_equal(matvec_window(S, U, 32), V)
+
+
+def _fft_sized_matrix(rng):
+    """A column-reduced F_65537 basis of two polynomials of bidegree (12, 12)
+    and its S_y: n = 24 and packed generators of 12 * 24 + 13 codes, so
+    windows of 8 or more outer coefficients give FFT-sized products."""
+    for _ in range(20):
+        basis = IdealBasis(*(BiPoly.random(F65537, 12, 12, rng) for _ in "ab"))
+        S = build_Sy(basis)
+        if S.n == 24 and S.degree == 12 and is_column_reduced(S) and is_column_reduced(build_Sx(basis)):
+            return basis, S
+    raise AssertionError("no column-reduced basis of bidegree (12, 12) over F_65537")
+
+
+def _count_calls(monkeypatch, owner, name, log):
+    orig = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        log.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+def test_fft_sized_matvec_window_is_one_spectral_product(monkeypatch):
+    # both generator blocks share the stride n, so S @ W is one rfft of all
+    # four operands' limbs and one irfft of the summed spectra
+    S = _fft_sized_matrix(random.Random(18))[1]
+    W = F65537.rand_array(random.Random(19), S.n * 40).reshape(S.n, 40)
+    want = _dense_product(S, W, 40)
+    rfft, irfft = [], []
+    _count_calls(monkeypatch, np.fft, "rfft", rfft)
+    _count_calls(monkeypatch, np.fft, "irfft", irfft)
+    got = matvec_window(S, W, 40)
+    assert (len(rfft), len(irfft)) == (1, 1)
+    assert len(rfft[0][0]) == 4  # four operands, one limb each
+    monkeypatch.undo()
+    assert np.array_equal(got, want)
+
+
+def test_truncated_solves_transform_each_generator_once_per_length(monkeypatch):
+    S = _fft_sized_matrix(random.Random(20))[1].reversed_matrix()
+    rng = random.Random(21)
+    V = F65537.rand_array(rng, S.n * 64).reshape(S.n, 64)
+    for solve in (solve_window, sylres.sylvester.solve_window_T):
+        transformed, products = [], []
+        _count_calls(monkeypatch, sylres._backend, "_limb_spectra", transformed)
+        _count_calls(monkeypatch, sylres._backend, "fft_conv_mod", products)
+        U = solve(S, V, 64)
+        monkeypatch.undo()
+        # each FFT product transforms its K first operands, then the
+        # generators (second operands) that its memo does not hold yet
+        assert products and len(products) == len(transformed)
+        generators = [
+            (v.tobytes(), N)
+            for (pairs, *_), (vs, _, _, _, N) in zip(products, transformed)
+            for v in vs[len(pairs) :]
+        ]
+        assert len(generators) == len(set(generators)), solve.__name__
+        assert len(generators) < sum(len(pairs) for pairs, *_ in products), solve.__name__
+        if solve is solve_window:
+            assert np.array_equal(matvec_window(S, U, 64), V)
+        else:
+            assert np.array_equal(U, _solve_window_T_reference(S, V, 64))
+
+
+def _solve_window_T_reference(S, L, l):
+    """solve_window_T without a memo: the transposed series solve with each
+    product made afresh."""
+    base = _solver(S, sylres.sylvester._BaseSolverT).solve
+    U = sylres.sylvester._solve_series(
+        S, base, lambda S, U, l, memo: _matvec_semiT(S, U, l), fit(L, l)[:, ::-1], l, None
+    )
+    return U[:, ::-1]
+
+
+def _holds_complex(obj, seen) -> bool:
+    if id(obj) in seen:
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return np.iscomplexobj(obj)
+    if isinstance(obj, dict):
+        return any(_holds_complex(v, seen) for v in obj.values())
+    if isinstance(obj, (tuple, list)):
+        return any(_holds_complex(v, seen) for v in obj)
+    if isinstance(obj, SylvMat):
+        return _holds_complex(obj._cache, seen)
+    return hasattr(obj, "__dict__") and _holds_complex(vars(obj), seen)
+
+
+def test_no_spectrum_outlives_its_solve(monkeypatch):
+    # a caller may hold an ideal and its matrices for as long as it likes,
+    # so FFT spectra live only in the memo of one solve
+    basis = _fft_sized_matrix(random.Random(22))[0]
+    f = BiPoly.random(F65537, 2 * (basis.d - 1), 2 * (basis.ny - 1), random.Random(23))
+    products = []
+    _count_calls(monkeypatch, sylres._backend, "fft_conv_mod", products)
+    normal_form(basis, f)
+    monkeypatch.undo()
+    assert any(memo is not None for _, _, memo, _ in products)  # memoised FFT products ran
+    assert basis._cache and not _holds_complex(basis._cache, set())
 
 
 # ---------------------------------------------------------------------------
