@@ -21,7 +21,6 @@ from .upoly import UPoly
 class ConditioningRecord:
     alpha: int
     beta: int
-    degrees: tuple[int, int, int, int]  # (d_a, d_b, e_a, e_b) of the source basis
 
 
 def condition_for_Sx(basis: IdealBasis, alpha: int) -> IdealBasis:
@@ -42,7 +41,7 @@ def condition_for_both(basis: IdealBasis, alpha: int, beta: int):
     mid = condition_for_Sx(basis, alpha)
     a2 = mid.a.subs_shift("x", beta).rev("x", basis.da)
     b2 = mid.b.subs_shift("x", beta).rev("x", basis.db)
-    record = ConditioningRecord(alpha=alpha, beta=beta, degrees=basis.degree_vector())
+    record = ConditioningRecord(alpha=alpha, beta=beta)
     return IdealBasis(a2, b2), record
 
 

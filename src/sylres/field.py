@@ -22,7 +22,9 @@ conv()s, packs the digits of each into one base-field convolution
 Itoh-Tsujii norm.  One plane product
 (_sum_planes) serves vmul without tables, that inverse, dot_map and the log
 tables, which start from the smallest primitive code (by the order test);
-scalar add, sub and neg come from the vector ops.
+vsum is one base vsum of the digit planes (xor in characteristic 2); scalar
+add, sub and neg come from the vector ops.  working_field() is the one
+cached, fixed-seed extension that the drivers and the oracles lift to.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class FieldError(ValueError):
     pass
 
 
-def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Miller-Rabin with a fixed round count and deterministic base stream."""
     if n < 2:
         return False
@@ -61,7 +63,7 @@ def is_probable_prime(n: int, rounds: int = _MR_ROUNDS) -> bool:
         d //= 2
         s += 1
     gen = random.Random(n ^ 0x5DEECE66D)
-    for _ in range(rounds):
+    for _ in range(_MR_ROUNDS):
         a = gen.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -139,15 +141,6 @@ class FieldCtx:
     def inv(self, x: int) -> int:
         return int(self.vinv(_as_codes(x)))
 
-    def vsum(self, a) -> np.ndarray:
-        """Sum over the last axis, folding halves pairwise with vadd, so
-        O(log n) vector calls are exact in every field."""
-        a = _as_codes(a)
-        while a.shape[-1] > 1:
-            h = a.shape[-1] // 2
-            a = np.concatenate([self.vadd(a[..., :h], a[..., h : 2 * h]), a[..., 2 * h :]], axis=-1)
-        return a[..., 0] if a.shape[-1] else np.zeros(a.shape[:-1], dtype=np.int64)
-
     def vdot(self, A, x) -> np.ndarray:
         """Sum over the last axis of A * x for a 1-D x, exact in every field."""
         return self.vsum(self.vmul(A, x))
@@ -176,9 +169,6 @@ class FieldCtx:
         """sum_k C[k] z**k over the first axis of C, with z broadcast against
         C[0]: Horner from C[-1], one vmul and one vadd per coefficient."""
         return _horner(C, z, lambda acc, z, c: self.vadd(self.vmul(acc, z), c))
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
 
 class PrimeField(FieldCtx):
@@ -252,7 +242,7 @@ class PrimeField(FieldCtx):
 
     def vdot(self, A, x):
         # exact int64 products (on 16-bit limbs of x near 2**31); past that
-        # gate, the pairwise vsum
+        # gate, vsum of the reduced products
         A, x = _as_codes(A), _as_codes(x)
         out = _backend.limb_mod(A.__matmul__, x, x.shape[-1], self.p)
         return super().vdot(A, x) if out is None else out
@@ -403,6 +393,13 @@ class ExtField(FieldCtx):
         if self.p == 2:
             return _as_codes(a).copy()
         return self.encode(self.base.vneg(self.decode(a)))
+
+    def vsum(self, a):
+        # xor in characteristic 2; else one base vsum of every digit plane,
+        # each plane moved onto the summed last axis
+        if self.p == 2:
+            return np.bitwise_xor.reduce(_as_codes(a), axis=-1)
+        return self.encode(self.base.vsum(np.swapaxes(self.decode(a), -1, -2)))
 
     def _digit_map(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
         """Digits D (last axis r) times a base-field matrix M (r, c): one
@@ -559,3 +556,11 @@ def extend_field(ctx: FieldCtx, min_cardinality: int, rng: random.Random) -> Fie
         m += 1
         card *= ctx.q
     return ExtField(ctx, random_irreducible(ctx, m, rng), check=False)
+
+
+@functools.lru_cache(maxsize=32)
+def working_field(ctx: FieldCtx, min_card: int) -> FieldCtx:
+    """extend_field(ctx, min_card) from a seed fixed by (p, k, min_card), so
+    every call gets the same field; built once per (ctx, min_card) and
+    keyed on the field itself, so unequal fields never share an entry."""
+    return extend_field(ctx, min_card, random.Random(f"sylres-ext-{ctx.p}-{ctx.k}-{min_card}"))

@@ -30,9 +30,9 @@ import numpy as np
 from ._dense import gauss_det
 from .bipoly import BiPoly, IdealBasis
 from .condition import ConditioningRecord, condition_for_both, recover_last_invariant
-from .field import FieldCtx, extend_field
+from .field import working_field
 from .normalform import LinearForm, NormalFormProgram, normal_form
-from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced
+from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced, require_both_reduced
 from .upoly import UPoly, common_generator, xgcd
 
 STATUS_CERTIFIED = "certified-resultant"
@@ -83,15 +83,8 @@ class InvariantReport:
 
 def projection_sequence(basis: IdealBasis, ell: LinearForm, N: int) -> list[int]:
     """The power projections ell(phi(x^i)) for i = 0 .. N-1."""
-    _require_both_reduced(basis)
+    require_both_reduced(basis)  # even when no projection is asked for
     return [int(s) for s in _power_projections(basis, [ell], N)[0]]
-
-
-def _require_both_reduced(basis: IdealBasis) -> None:
-    """The column-reducedness precondition, checked at the call even when
-    no projection is asked for."""
-    if not (is_column_reduced(build_Sy(basis)) and is_column_reduced(build_Sx(basis))):
-        raise NotColumnReducedError("both Sylvester matrices must be column reduced")
 
 
 def _power_projections(basis: IdealBasis, forms: list[LinearForm], N: int) -> np.ndarray:
@@ -150,30 +143,12 @@ def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> U
     Berlekamp-Massey run plus one annihilation check per further form
     (upoly.common_generator).  Always a divisor of the true minimal
     polynomial; equal with high probability."""
-    _require_both_reduced(basis)
+    require_both_reduced(basis)
     forms = [LinearForm.random(basis, rng) for _ in range(max(trials, 1))]
     return common_generator(basis.ctx, _power_projections(basis, forms, 4 * basis.d * basis.e))
 
 
-_EXT_CACHE: dict[tuple, FieldCtx] = {}
-_EXT_CACHE_SIZE = 32
-
 _EPSILON = 0.1  # the working field has at least (12 d e)^(1 + _EPSILON) elements
-
-
-def _working_field(ctx: FieldCtx, min_card: int) -> FieldCtx:
-    """Deterministic cached extension reaching min_card (identity if large
-    enough already).  Keyed on the field itself, so unequal fields never
-    share an entry; the oldest entry goes when the cache is full."""
-    if ctx.q >= min_card:
-        return ctx
-    key = (ctx, min_card)
-    if key not in _EXT_CACHE:
-        if len(_EXT_CACHE) >= _EXT_CACHE_SIZE:
-            del _EXT_CACHE[next(iter(_EXT_CACHE))]
-        rng = random.Random(f"sylres-ext-{ctx.p}-{ctx.k}-{min_card}")
-        _EXT_CACHE[key] = extend_field(ctx, min_card, rng)
-    return _EXT_CACHE[key]
 
 
 def last_invariant_factor(
@@ -195,7 +170,7 @@ def last_invariant_factor(
 
     de = max(basis.d * basis.e, 1)
     min_card = int(np.ceil((12 * de) ** (1.0 + _EPSILON)))
-    work_ctx = _working_field(ctx, min_card)
+    work_ctx = working_field(ctx, min_card)
     wbasis = basis.lift(work_ctx) if work_ctx is not ctx else basis
 
     attempts = 0
@@ -285,7 +260,7 @@ def _determinant_scale(basis: IdealBasis, sigma: UPoly, rng: random.Random) -> i
     """c with det S_y = c * sigma, by evaluation at a point avoiding the
     roots of sigma (over a small extension when the base field is tiny)."""
     ctx = basis.ctx
-    ev_ctx = _working_field(ctx, 2 * max(sigma.deg, 1) + 2) if ctx.q <= 2 * sigma.deg else ctx
+    ev_ctx = working_field(ctx, 2 * max(sigma.deg, 1) + 2) if ctx.q <= 2 * sigma.deg else ctx
     Sy = build_Sy(basis.lift(ev_ctx) if ev_ctx is not ctx else basis)
     sig = UPoly(ev_ctx, sigma.c) if ev_ctx is not ctx else sigma
     for _ in range(64):

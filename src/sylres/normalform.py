@@ -29,23 +29,17 @@ import numpy as np
 from .bipoly import BiPoly, IdealBasis, bimul, fit, to_array, to_list, unvec, vec
 from .field import power
 from .sylvester import (
-    NotColumnReducedError,
     SylvMat,
-    build_Sx,
     build_Sy,
     build_Tx,
-    is_column_reduced,
     matvec_window,
     matvec_window_T,
+    require_both_reduced,
+    require_reduced,
     solve_window,
     solve_window_T,
 )
 from .upoly import UPoly
-
-
-def _require_reduced(S: SylvMat, name: str) -> None:
-    if not is_column_reduced(S):
-        raise NotColumnReducedError(f"{name} is not column reduced")
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +80,7 @@ def matrix_divrem(S: SylvMat, v: list[UPoly]):
     """
     if len(v) != S.n:
         raise ValueError(f"vector length {len(v)} does not match dimension {S.n}")
+    require_reduced(S, "divisor matrix")
     V = to_array(v)
     W, Vhat = _DivisionProgram(S, _degree(V)).divide(V)
     return to_list(S.ctx, W), to_list(S.ctx, Vhat)
@@ -95,36 +90,25 @@ def matrix_divrem(S: SylvMat, v: list[UPoly]):
 # normal form
 
 
-def reduce_ydeg(basis: IdealBasis, f: BiPoly, with_witness: bool = False):
-    """f' with deg_y f' < e, deg_x f' <= max(n_x - 1, deg_x f), f - f' in I.
-
-    The witness (T_x, w) replays the membership: v_x(f) = T_x w + v_x(f').
-    """
-    _require_reduced(build_Sx(basis), "S_x")
-    if f.deg_y < basis.e:
-        return (f, None, None) if with_witness else f
+def reduce_ydeg(basis: IdealBasis, f: BiPoly) -> BiPoly:
+    """f' with deg_y f' < e, deg_x f' <= max(n_x - 1, deg_x f), f - f' in I:
+    the remainder of vec_x(f) divided by T_x (build_Tx, which requires S_x
+    column reduced)."""
     Tx = build_Tx(basis, max(f.deg_x, 0))
+    if f.deg_y < basis.e:
+        return f
     V = vec(f, "x", Tx.n)
-    W, Vhat = _DivisionProgram(Tx, _degree(V)).divide(V)
-    fp = unvec(f.ctx, Vhat, "x")
-    return (fp, Tx, to_list(f.ctx, W)) if with_witness else fp
+    return unvec(f.ctx, _DivisionProgram(Tx, _degree(V)).divide(V)[1], "x")
 
 
 def normal_form(basis: IdealBasis, f: BiPoly) -> BiPoly:
-    """The canonical representative of f + I in K[x,y]_{<(d, n_y)}.
+    """The canonical representative of f + I in K[x,y]_{<(d, n_y)}: the
+    forward map of f's own NormalFormProgram.
 
     Requires both Sylvester matrices column reduced; linear in f, zero on
     the ideal, and idempotent.
     """
-    Sy = build_Sy(basis)
-    _require_reduced(Sy, "S_y")
-    _require_reduced(build_Sx(basis), "S_x")
-    if f.is_zero:
-        return f
-    if f.deg_y >= basis.ny:
-        f = reduce_ydeg(basis, f)
-    V = vec(f, "y", basis.ny)
-    return unvec(f.ctx, _DivisionProgram(Sy, _degree(V)).divide(V)[1], "y")
+    return NormalFormProgram(basis, f.deg_x, f.deg_y).forward(f)
 
 
 def mul_mod(basis: IdealBasis, f: BiPoly, g: BiPoly) -> BiPoly:
@@ -179,9 +163,8 @@ class LinearForm:
         return cls(basis, c)
 
     def apply_embedded(self, emb: np.ndarray) -> int:
-        """sum_i coeffs[i] * emb[i], summed by ctx.vsum."""
-        ctx = self.basis.ctx
-        return int(ctx.vsum(ctx.vmul(self.coeffs, emb)))
+        """sum_i coeffs[i] * emb[i], by ctx.vdot."""
+        return int(self.basis.ctx.vdot(self.coeffs, emb))
 
     def apply(self, f: BiPoly) -> int:
         return self.apply_embedded(embed(self.basis, f))
@@ -202,7 +185,6 @@ class _DivisionProgram:
     depends on lin beyond lin >= deg V."""
 
     def __init__(self, S: SylvMat, lin: int):
-        _require_reduced(S, "divisor matrix")
         self.S = S
         self.V = lin + 1
         self.d = S.degree
@@ -240,33 +222,34 @@ class _DivisionProgram:
 
 
 class NormalFormProgram:
-    """phi restricted to K[x,y]_{<=(delta, eta)} as a fixed linear program.
+    """phi restricted to K[x,y]_{<=(delta, eta)} as a fixed linear program:
+    when eta >= n_y, a division against T_x (div1) reduces deg_y below e,
+    then one against S_y (div2) reduces deg_x below d.
 
-    forward() agrees with normal_form on that space; transpose() computes
-    ell o phi on the monomial basis {x^i y^j : i <= delta, j <= eta}.
+    forward() is phi on that space, through div1 and div2; transpose()
+    runs their transposes in reverse order and computes ell o phi on the
+    monomial basis {x^i y^j : i <= delta, j <= eta}.
     """
 
     def __init__(self, basis: IdealBasis, delta: int, eta: int):
-        _require_reduced(build_Sy(basis), "S_y")
-        _require_reduced(build_Sx(basis), "S_x")
+        require_both_reduced(basis)
         self.basis = basis
         self.delta = delta
         self.eta = eta
         self.two_stage = eta >= basis.ny
+        lin2 = delta
         if self.two_stage:
             self.Tx = build_Tx(basis, delta)
             self.div1 = _DivisionProgram(self.Tx, eta)
-            lin2 = max(self.Tx.n - 1, delta)
-            self.div2 = _DivisionProgram(build_Sy(basis), lin2)
-        else:
-            self.Tx = None
-            self.div1 = None
-            self.div2 = _DivisionProgram(build_Sy(basis), delta)
+            lin2 = max(self.Tx.n - 1, delta)  # the x-degree div1 leaves
+        self.div2 = _DivisionProgram(build_Sy(basis), lin2)
 
     def forward(self, f: BiPoly) -> BiPoly:
         if f.deg_x > self.delta or f.deg_y > self.eta:
             raise ValueError("input outside the program's degree window")
-        return normal_form(self.basis, f)
+        if self.two_stage:
+            f = unvec(f.ctx, self.div1.divide(vec(f, "x", self.Tx.n))[1], "x")
+        return unvec(f.ctx, self.div2.divide(vec(f, "y", self.basis.ny))[1], "y")
 
     def transpose(self, ell: LinearForm) -> np.ndarray:
         basis = self.basis

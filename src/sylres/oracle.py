@@ -9,15 +9,13 @@ flags.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 from ._dense import SingularMatrixError, _reduce, gauss_det
 from .bipoly import BiPoly, IdealBasis
-from .field import extend_field
+from .field import working_field
 from .normalform import embed, normal_form
-from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced
+from .sylvester import build_Sy, require_both_reduced
 from .upoly import UPoly, interpolate
 
 _ORACLE_DIM_GATE = 64
@@ -103,15 +101,15 @@ def dense_smith(M: list[list[UPoly]]) -> list[UPoly]:
 def dense_resultant(a: BiPoly, b: BiPoly) -> UPoly:
     """Res_y(a, b) = det S_y, by Gaussian determinants at enough points and
     interpolation (degree bound d_a e_b + d_b e_a).  A field with too few
-    points is extended by a fixed-seed extension, and the result is checked
-    to descend to the base field."""
+    points is lifted to field.working_field, and the result is checked to
+    descend to the base field."""
     basis = IdealBasis(a, b)
     _check_gate(basis.ny)
     ctx = basis.ctx
     if basis.ny == 0:
         return UPoly.one(ctx)
     npts = basis.da * basis.eb + basis.db * basis.ea + 1
-    ev = extend_field(ctx, npts, random.Random(f"sylres-resultant-{ctx.q}-{npts}"))
+    ev = working_field(ctx, npts)
     Sy = build_Sy(basis.lift(ev))
     pts = np.arange(npts, dtype=np.int64)
     vals = np.array([gauss_det(ev, Sy.at(int(x0))) for x0 in pts], dtype=np.int64)
@@ -139,9 +137,7 @@ def dense_minpoly_mult_x(basis: IdealBasis) -> UPoly:
     multiplication-by-x map, by one row reduction of the Krylov matrix
     [u, M u, ..., M^dim u]: its rank t is the degree, and the reduced
     column t holds M^t u on u, ..., M^(t-1) u."""
-    Sy, Sx = build_Sy(basis), build_Sx(basis)
-    if not (is_column_reduced(Sy) and is_column_reduced(Sx)):
-        raise NotColumnReducedError("both Sylvester matrices must be column reduced")
+    require_both_reduced(basis)
     ctx = basis.ctx
     M = mult_x_matrix(basis)
     dim = M.shape[0]

@@ -25,6 +25,8 @@ Bezout solve on code arrays (forward) or a dense inverse (transposed).
 The Bezout triple of a matrix's outer-constant slices is cached on it
 (const_xgcd); is_column_reduced(S) reads S.reversed_matrix()'s, whose
 constant slices are S's leading coefficients, and whose solver reuses it.
+require_reduced and require_both_reduced are the package's one gate on
+column reducedness.
 """
 
 from __future__ import annotations
@@ -146,8 +148,7 @@ def build_Tx(basis: IdealBasis, delta: int) -> SylvMat:
     neither is); the result stays column reduced.
     """
     Sx = build_Sx(basis)
-    if not is_column_reduced(Sx):
-        raise NotColumnReducedError("S_x is not column reduced")
+    require_reduced(Sx, "S_x")
     if delta < basis.nx:
         return Sx
     m = delta - basis.nx + 1
@@ -170,6 +171,18 @@ def is_column_reduced(S: SylvMat) -> bool:
         full = S.g1.lead_coeff(S.outer).deg == S.m1 or S.g2.lead_coeff(S.outer).deg == S.m2
         S._cache["reduced"] = full and S.reversed_matrix().const_xgcd()[0].deg == 0
     return S._cache["reduced"]
+
+
+def require_reduced(S: SylvMat, name: str) -> None:
+    """NotColumnReducedError naming S unless S is column reduced."""
+    if not is_column_reduced(S):
+        raise NotColumnReducedError(f"{name} is not column reduced")
+
+
+def require_both_reduced(basis: IdealBasis) -> None:
+    """The normal form's precondition: S_y, then S_x, column reduced."""
+    require_reduced(build_Sy(basis), "S_y")
+    require_reduced(build_Sx(basis), "S_x")
 
 
 def dense_form(S: SylvMat) -> list[list[UPoly]]:
@@ -302,7 +315,7 @@ class _BaseSolverT:
         self.MinvT = gauss_inverse(S.ctx, S.constant_matrix()).T
 
     def solve(self, r: np.ndarray) -> np.ndarray:
-        return self.ctx.vsum(self.ctx.vmul(self.MinvT, r))
+        return self.ctx.vdot(self.MinvT, r)
 
 
 def _solver(S: SylvMat, kind: type):

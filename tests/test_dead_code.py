@@ -2,7 +2,8 @@
 __init__, which re-exports) keeps an import it never uses, and no private
 module-level function or class, nor private method of a module-level
 class, survives that nothing in the package references outside its own
-body."""
+body, and no private module-level constant that nothing in the package
+reads."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,33 @@ def test_no_unreferenced_private_definitions():
             if ident not in _referenced_names(others):
                 unreferenced.append(f"{name}:{node.lineno} {ident}")
     assert unreferenced == []
+
+
+def _read_names(trees):
+    """Names loaded, read as attributes or imported anywhere in trees."""
+    names = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.split(".")[-1])
+    return names
+
+
+def test_no_unread_private_constants():
+    modules = _modules()
+    read = _read_names(modules.values())
+    unread = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if not isinstance(target, ast.Name):
+                    continue
+                ident = target.id
+                if ident.startswith("_") and not ident.startswith("__") and ident not in read:
+                    unread.append(f"{name}:{node.lineno} {ident}")
+    assert unread == []

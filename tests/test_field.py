@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from sylres.field import (
     extend_field,
     is_probable_prime,
     random_irreducible,
+    working_field,
     _is_irreducible,
 )
 from sylres.upoly import UPoly
@@ -717,6 +719,36 @@ def test_plane_product_matches_integer_reference(F):
         rows = A.reshape(int(np.prod(shape[:-1], dtype=int)), shape[-1]).tolist()
         want = [_int_dot(F, row, x.tolist()) for row in rows]
         assert np.ravel(got).tolist() == want, (F, shape)
+
+
+_VSUM_FIELDS = {
+    "F7^3": build_extension(7, 343, random.Random(3)),  # log tables
+    "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+    "F101^2": build_extension(101, 101**2, random.Random(4)),
+    "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+    # F_2 lifted as last_invariant_factor lifts it for d = e = 3
+    "F2 lifted": working_field(PrimeField(2), int(np.ceil((12 * 9) ** 1.1))),
+}
+
+
+@pytest.mark.parametrize("F", list(_VSUM_FIELDS.values()), ids=list(_VSUM_FIELDS))
+def test_ext_vsum_and_vdot_match_integer_reference(F):
+    # vsum sums each digit plane over the last axis, not the digits of one code
+    rng = random.Random(45)
+    Q, q = F.base.q, F.q
+    edge = [q - 1, Q - 1, Q, 1, 0, Q + 1, q - Q]
+    for shape in ((1,), (2,), (33,), (7, 33), (3, 4, 5), (0,), (7, 0)):
+        cases = (
+            (_codes(F, rng, shape, edge), _codes(F, rng, shape[-1:], edge[::-1])),
+            (np.full(shape, q - 1, dtype=np.int64), np.full(shape[-1:], q - 1, dtype=np.int64)),
+        )
+        for A, x in cases:
+            rows = A.reshape(int(np.prod(shape[:-1], dtype=int)), shape[-1]).tolist()
+            want_sum = [functools.reduce(functools.partial(_int_add, F), row, 0) for row in rows]
+            want_dot = [_int_dot(F, row, x.tolist()) for row in rows]
+            for got, want in ((F.vsum(A), want_sum), (F.vdot(A, x), want_dot)):
+                assert np.shape(got) == shape[:-1]
+                assert np.ravel(got).tolist() == want, (F, shape)
 
 
 def _reference_log_tables(F):

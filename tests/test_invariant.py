@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import sylres.upoly
 from sylres.bipoly import BiPoly, IdealBasis, bimul
-from sylres.field import PrimeField, build_extension, extend_field
+from sylres.field import PrimeField, build_extension, extend_field, working_field
 from sylres.invariant import (
     REJECTION_REASONS,
     STATUS_CERTIFIED,
@@ -18,16 +18,15 @@ from sylres.invariant import (
     InvariantOptions,
     RootsAtInfinityError,
     _power_projections,
-    _working_field,
     elimination_generator,
     last_invariant_factor,
     min_poly_mult_x,
     projection_sequence,
     resultant_certified,
 )
-from sylres.normalform import LinearForm, embed, normal_form, transposed_normal_form
+from sylres.normalform import LinearForm, embed, normal_form, reduce_ydeg, transposed_normal_form
 from sylres.oracle import dense_minpoly_mult_x, dense_resultant, dense_smith
-from sylres.sylvester import NotColumnReducedError, build_Sx, build_Sy, dense_form, is_column_reduced
+from sylres.sylvester import NotColumnReducedError, build_Sx, build_Sy, build_Tx, dense_form, is_column_reduced
 from sylres.upoly import UPoly, berlekamp_massey, plcm
 
 from test_sylvester import example1_basis, example2_basis, random_basis
@@ -224,14 +223,55 @@ class _CollidingPrimeField(PrimeField):
 
 
 def test_working_field_cache_separates_hash_collisions():
-    from sylres.invariant import _working_field
-
     F3, F5 = _CollidingPrimeField(3), _CollidingPrimeField(5)
     assert hash(F3) == hash(F5) and F3 != F5
-    E3 = _working_field(F3, 30)
-    E5 = _working_field(F5, 30)
+    E3 = working_field(F3, 30)
+    E5 = working_field(F5, 30)
     assert (E3.p, E5.p) == (3, 5)
-    assert _working_field(F3, 30) is E3
+    assert working_field(F3, 30) is E3
+
+
+def _example3_basis(swap):
+    # the F_7 fixture of the paper's Example 3: its y-leads share x + 3, so
+    # S_x is not column reduced and S_y is; swapping x and y swaps the roles
+    a = [(1, 1, 1), (3, 0, 1), (1, 2, 0), (5, 1, 0), (5, 0, 0)]
+    b = [(1, 2, 1), (5, 0, 1), (1, 2, 0), (4, 1, 0), (2, 0, 0)]
+    if swap:
+        a, b = ([(c, j, i) for c, i, j in terms] for terms in (a, b))
+    return IdealBasis(BiPoly.from_terms(F7, a), BiPoly.from_terms(F7, b))
+
+
+@pytest.mark.parametrize("bad, swap", [("S_x", False), ("S_y", True)])
+def test_every_entry_point_names_the_one_unreduced_matrix(bad, swap):
+    basis = _example3_basis(swap)
+    assert is_column_reduced(build_Sx(basis)) == (bad != "S_x")
+    assert is_column_reduced(build_Sy(basis)) == (bad != "S_y")
+    f = BiPoly.random(F7, 2 * basis.d, 2 * basis.ny, random.Random(80))
+    ell = LinearForm(basis, np.ones(basis.d * basis.ny, dtype=np.int64))
+    calls = {
+        "normal_form": lambda: normal_form(basis, f),
+        "transposed_normal_form": lambda: transposed_normal_form(basis, ell, 3, 3),
+        "projection_sequence": lambda: projection_sequence(basis, ell, 5),
+        "min_poly_mult_x": lambda: min_poly_mult_x(basis, random.Random(81)),
+        "dense_minpoly_mult_x": lambda: dense_minpoly_mult_x(basis),
+    }
+    # the y-reduction needs S_x only
+    x_only = {
+        "reduce_ydeg": lambda: reduce_ydeg(basis, f),
+        "build_Tx": lambda: build_Tx(basis, 2 * basis.nx),
+    }
+    if bad == "S_x":
+        calls.update(x_only)
+    else:
+        for call in x_only.values():
+            call()
+    for name, call in calls.items():
+        try:
+            call()
+        except NotColumnReducedError as exc:
+            assert str(exc) == f"{bad} is not column reduced", name
+        else:
+            pytest.fail(f"{name} did not raise")
 
 
 @pytest.mark.parametrize("N", [0, 5])
@@ -339,7 +379,7 @@ def _reduced_basis(ctx, shape, rng):
 
 _RECURRENCE_FIELDS = {
     # F_2 lifted as last_invariant_factor lifts it for d = e = 3
-    "F2 lifted": _working_field(F2, int(np.ceil((12 * 9) ** 1.1))),
+    "F2 lifted": working_field(F2, int(np.ceil((12 * 9) ** 1.1))),
     "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
     "F7^3": build_extension(7, 343, random.Random(3)),
     "F101^2 (no log table)": build_extension(101, 101**2, random.Random(4)),
