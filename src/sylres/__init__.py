@@ -23,7 +23,6 @@ from .field import (
     is_probable_prime,
 )
 from .invariant import (
-    DeterminantScaleError,
     InvariantOptions,
     InvariantReport,
     RootsAtInfinityError,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BiPoly",
     "ConditioningRecord",
-    "DeterminantScaleError",
     "ExtField",
     "FieldCtx",
     "FieldError",

@@ -91,7 +91,9 @@ class BiPoly:
 
     @classmethod
     def random(cls, ctx, dx: int, dy: int, rng: random.Random):
-        """Random polynomial with exact degrees (dx, dy)."""
+        """Random polynomial with exact degrees (dx, dy); zero if one is < 0."""
+        if dx < 0 or dy < 0:
+            return cls.zero(ctx)
         g = ctx.rand_array(rng, (dx + 1) * (dy + 1)).reshape(dx + 1, dy + 1)
         while not g[dx, :].any():
             g[dx, :] = ctx.rand_array(rng, dy + 1)

@@ -24,7 +24,6 @@ from .field import ExtField, FieldError, PrimeField, random_irreducible
 from .invariant import (
     STATUS_CERTIFIED,
     STATUS_FAILURE,
-    DeterminantScaleError,
     InvariantOptions,
     RootsAtInfinityError,
     last_invariant_factor,
@@ -32,7 +31,7 @@ from .invariant import (
     resultant_certified,
 )
 from .kucompose import FieldTooSmallError, KUParams, compose_rem
-from .normalform import normal_form
+from .normalform import mul_mod, normal_form
 from .oracle import OracleGateError, dense_resultant, dense_smith
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, dense_form, is_column_reduced
 from .upoly import UPoly
@@ -161,7 +160,10 @@ def cmd_nf(args) -> int:
                 raise CliError("--algo ku needs a univariate input (in x)", 1)
             fu = f.as_univariate("x")
             bound = max(fu.deg + 1, 3)
-            params = KUParams.choose(bound, d_eps=args.d_eps or None)
+            try:
+                params = KUParams.choose(bound, d_eps=args.d_eps or None)
+            except ValueError as exc:
+                raise CliError(f"--d-eps: {exc}", 1)
             nf = compose_rem(basis, fu, params)
         else:
             nf = normal_form(basis, f)
@@ -191,11 +193,9 @@ def _invariant_command(args, runner, verify) -> int:
     rng = random.Random(args.seed)
     opts = InvariantOptions(trials=args.trials)
     try:
-        report = runner(basis, rng, opts)
+        report = runner(basis.a, basis.b, rng, opts)
     except (RootsAtInfinityError, NotColumnReducedError) as exc:
         raise CliError(str(exc), 2)
-    except DeterminantScaleError as exc:
-        raise CliError(f"cannot certify: {exc}", 2)
     if report.status == STATUS_FAILURE:
         raise CliError("conditioning retries exhausted (computation failure)", 2)
     if args.verify_oracle:
@@ -230,21 +230,15 @@ def _verify_resultant(basis, report):
 
 
 def cmd_invfact(args) -> int:
-    return _invariant_command(
-        args, lambda basis, rng, o: last_invariant_factor(basis.a, basis.b, rng, o), _verify_last_factor
-    )
+    return _invariant_command(args, last_invariant_factor, _verify_last_factor)
 
 
 def cmd_elimgen(args) -> int:
-    return _invariant_command(
-        args, lambda basis, rng, o: elimination_generator(basis.a, basis.b, rng, o), _verify_last_factor
-    )
+    return _invariant_command(args, elimination_generator, _verify_last_factor)
 
 
 def cmd_resultant(args) -> int:
-    return _invariant_command(
-        args, lambda basis, rng, o: resultant_certified(basis.a, basis.b, rng, o), _verify_resultant
-    )
+    return _invariant_command(args, resultant_certified, _verify_resultant)
 
 
 def cmd_smith_oracle(args) -> int:
@@ -286,8 +280,6 @@ def _bench_one(basis, rng, op, trials):
         normal_form(basis, f)
         return time.perf_counter_ns() - t0, "ok"
     if op == "mul_mod":
-        from .normalform import mul_mod
-
         f = BiPoly.random(ctx, basis.d - 1, basis.ny - 1, rng)
         g = BiPoly.random(ctx, basis.d - 1, basis.ny - 1, rng)
         t0 = time.perf_counter_ns()
@@ -306,12 +298,27 @@ def _bench_one(basis, rng, op, trials):
         f = UPoly.random(ctx, bound - 1, rng)
         try:
             params = KUParams.choose(bound)
+        except ValueError:
+            return 0, "bound-too-small"  # the radix needs 2 <= d_eps < 4de
+        try:
             t0 = time.perf_counter_ns()
             compose_rem(basis, f, params)
             return time.perf_counter_ns() - t0, "ok"
         except FieldTooSmallError:
             return 0, "field-too-small"
     raise CliError(f"unknown bench op {op!r}", 1)
+
+
+def sizes(text: str) -> list[tuple[int, int]]:
+    """The --sizes type: a comma list of d or d:e, nonnegative integers.  A
+    ValueError here is an argparse usage error (exit 1)."""
+    out = []
+    for tok in text.split(",") if text.strip() else []:
+        d, colon, e = tok.partition(":")
+        out.append((int(d), int(e if colon else d)))
+    if any(v < 0 for size in out for v in size):
+        raise ValueError("negative degree")
+    return out
 
 
 BENCH_OPS = ("normal_form", "mul_mod", "invfact", "resultant", "compose_rem")
@@ -321,15 +328,6 @@ def cmd_bench(args) -> int:
     if args.algo != "baseline":
         raise CliError("bench only times the baseline algorithm", 1)
     ctx = _field(args)
-    sizes = []
-    if args.sizes.strip():
-        for tok in args.sizes.split(","):
-            tok = tok.strip()
-            if ":" in tok:
-                ds, es = tok.split(":", 1)
-                sizes.append((int(ds), int(es)))
-            else:
-                sizes.append((int(tok), int(tok)))
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
     for o in ops:
         if o not in BENCH_OPS:
@@ -339,7 +337,7 @@ def cmd_bench(args) -> int:
         writer = csv.writer(out)
         writer.writerow(["d", "e", "q", "algo", "seed", "op", "wall_ns", "status"])
         master = random.Random(args.seed)
-        for d, e in sizes:
+        for d, e in args.sizes:
             for rep in range(args.seeds):
                 inst_seed = master.randrange(2**32)
                 basis, rng = _bench_instance(ctx, d, e, inst_seed)
@@ -367,8 +365,10 @@ def _add_common(p, with_f=False, solver=True):
     if solver:  # smith-oracle runs one deterministic algorithm and reads none of these
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")
-        p.add_argument("--d-eps", type=int, default=0, help="composition radix (0 = auto)")
-        p.add_argument("--trials", type=int, default=3, help="projection trials")
+        if with_f:  # nf's --algo ku is the only reader of the composition radix
+            p.add_argument("--d-eps", type=int, default=0, help="composition radix (0 = auto)")
+        else:  # only the invariant drivers read the projection trials
+            p.add_argument("--trials", type=int, default=3, help="projection trials")
         p.add_argument("--verify-oracle", action="store_true", help="cross-check against dense oracles")
 
 
@@ -400,7 +400,7 @@ def build_parser() -> _Parser:
     p.add_argument("-p", "--modulus", type=int, required=True)
     p.add_argument("--ext-degree", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="", help="comma list of d (or d:e) instance sizes")
+    p.add_argument("--sizes", type=sizes, default="", help="comma list of d (or d:e) instance sizes")
     p.add_argument("--seeds", type=int, default=3, help="instances per size")
     p.add_argument("--ops", default="normal_form,invfact", help=f"subset of {','.join(BENCH_OPS)}")
     p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")

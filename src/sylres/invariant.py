@@ -33,7 +33,7 @@ from .condition import ConditioningRecord, condition_for_both, recover_last_inva
 from .field import working_field
 from .normalform import LinearForm, NormalFormProgram, normal_form
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced, require_both_reduced
-from .upoly import UPoly, common_generator, xgcd
+from .upoly import UPoly, common_generator, pgcd
 
 STATUS_CERTIFIED = "certified-resultant"
 STATUS_PROBABLE = "invariant-factor-probable"
@@ -43,10 +43,6 @@ STATUS_FAILURE = "failure"
 
 class RootsAtInfinityError(ValueError):
     pass
-
-
-class DeterminantScaleError(ArithmeticError):
-    """The determinant scale of a certified resultant could not be fixed."""
 
 
 # Why last_invariant_factor discarded an attempt, one name per retry point.
@@ -226,7 +222,7 @@ def elimination_generator(
 ) -> InvariantReport:
     """Generator of <a, b> intersected with K[x]; requires the y-leading
     coefficients of a and b to be coprime (no roots at infinity)."""
-    g, _, _ = xgcd(a.lead_coeff("y"), b.lead_coeff("y"))
+    g = pgcd(a.lead_coeff("y"), b.lead_coeff("y"))
     if g.deg != 0:
         raise RootsAtInfinityError(
             f"roots at infinity: y-leading coefficients share the factor {g!r}"
@@ -237,9 +233,11 @@ def elimination_generator(
 def resultant_certified(
     a: BiPoly, b: BiPoly, rng: random.Random, opts: InvariantOptions | None = None
 ) -> InvariantReport:
-    """Res_y(a, b) through the degree certificate: when deg sigma equals the
-    sum of the column degrees of S_y, the resultant is scale * sigma with the
-    scale fixed by one determinant evaluation."""
+    """Res_y(a, b) through the degree certificate.  S_y is column reduced,
+    so det S_y has degree D (the sum of the column degrees) and leading
+    coefficient det L, L the column-leading matrix (the constant matrix of
+    S_y.reversed_matrix()).  The monic sigma divides det S_y, so
+    deg sigma = D gives Res_y = det L * sigma, with no further draws."""
     basis = IdealBasis(a, b)
     Sy = build_Sy(basis)
     if not is_column_reduced(Sy):
@@ -251,26 +249,6 @@ def resultant_certified(
     if report.sigma.deg != target:
         report.status = STATUS_DIVISOR
         return report
-    report.scale = _determinant_scale(basis, report.sigma, rng)
+    report.scale = gauss_det(basis.ctx, Sy.reversed_matrix().constant_matrix())
     report.status = STATUS_CERTIFIED
     return report
-
-
-def _determinant_scale(basis: IdealBasis, sigma: UPoly, rng: random.Random) -> int:
-    """c with det S_y = c * sigma, by evaluation at a point avoiding the
-    roots of sigma (over a small extension when the base field is tiny)."""
-    ctx = basis.ctx
-    ev_ctx = working_field(ctx, 2 * max(sigma.deg, 1) + 2) if ctx.q <= 2 * sigma.deg else ctx
-    Sy = build_Sy(basis.lift(ev_ctx) if ev_ctx is not ctx else basis)
-    sig = UPoly(ev_ctx, sigma.c) if ev_ctx is not ctx else sigma
-    for _ in range(64):
-        x0 = ev_ctx.sample(rng)
-        sv = sig.eval_at(x0)
-        if sv == 0:
-            continue
-        det = gauss_det(ev_ctx, Sy.at(x0))
-        c = ev_ctx.mul(det, ev_ctx.inv(sv))
-        if ev_ctx is not ctx and c >= ctx.q:
-            raise DeterminantScaleError("determinant scale did not descend to the base field")
-        return c
-    raise DeterminantScaleError("could not find an evaluation point avoiding the roots of sigma")

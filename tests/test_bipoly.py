@@ -21,6 +21,13 @@ def test_bimul_fixtures():
     assert bimul(f, BiPoly.one(F101)) == f
 
 
+@pytest.mark.parametrize("dx, dy", [(2, -1), (-1, 2), (-1, -1)])
+def test_random_negative_degree_is_zero(dx, dy):
+    # as UPoly.random: a negative degree asks for the zero polynomial
+    f = BiPoly.random(F101, dx, dy, random.Random(1))
+    assert f.is_zero and f == BiPoly.zero(F101)
+
+
 def test_bimul_matches_double_loop():
     rng = random.Random(1)
     for _ in range(25):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sylres.cli import main, parse_poly_text
+from sylres.cli import BENCH_OPS, main, parse_poly_text
 from sylres.field import PrimeField
 
 EX1_A = "1 1 1\n1 0 1\n1 2 0\n"  # (x+1)y + x^2
@@ -151,6 +151,55 @@ def test_smith_oracle_takes_no_solver_knobs(files, capsys, knob):
     assert "unrecognized arguments" in err and knob[0] in err
 
 
+@pytest.mark.parametrize(
+    "command, knob", [("invfact", "--d-eps"), ("elimgen", "--d-eps"), ("resultant", "--d-eps"), ("nf", "--trials")]
+)
+def test_subcommands_take_only_the_knobs_they_read(files, capsys, command, knob):
+    # the drivers never compose, and nf draws no projections
+    a = files("a.txt", EX2_A)
+    b = files("b.txt", EX2_B)
+    extra = ["--f", files("f.txt", "1 3\n")] if command == "nf" else []
+    code, out, err = run(capsys, [command, "-p", "101", "--a", a, "--b", b, *extra, knob, "2"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "unrecognized arguments" in err and knob in err
+
+
+@pytest.mark.parametrize("d_eps", ["1", "-3", "50"])
+def test_nf_ku_bad_radix_exit1(files, capsys, d_eps):
+    a = files("a.txt", EX2_A)
+    b = files("b.txt", EX2_B)
+    f = files("f.txt", "\n".join(f"1 {i}" for i in range(16)))
+    code, out, err = run(capsys, ["nf", "-p", "101", "--a", a, "--b", b, "--f", f, "--algo", "ku", "--d-eps", d_eps])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--d-eps" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sizes", ["abc", "2,,", "-1", "2:-3"])
+def test_bench_bad_sizes_exit1(capsys, sizes):
+    # 2:-3 used to hang drawing a polynomial of y-degree -3
+    code, out, err = run(capsys, ["bench", "-p", "65537", f"--sizes={sizes}", "--seeds", "1", "--ops", "normal_form"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "--sizes" in err
+
+
+@pytest.mark.parametrize("sizes", ["2:0", "0:2", "0:0"])
+def test_bench_degenerate_sizes_rows(capsys, sizes):
+    # a zero degree is a valid instance; compose_rem's bound 4de < 3 leaves
+    # no radix, which is a status row like field-too-small
+    ops = ",".join(BENCH_OPS)
+    code, out, err = run(capsys, ["bench", "-p", "65537", f"--sizes={sizes}", "--seeds", "1", "--ops", ops])
+    assert code == 0, err
+    rows = list(csv.DictReader(out.splitlines()))
+    status = {row["op"]: row["status"] for row in rows}
+    assert list(status) == list(BENCH_OPS)
+    assert status["normal_form"] == status["mul_mod"] == "ok"
+    assert status["compose_rem"] == "bound-too-small"
+
+
 def test_usage_errors_exit1(files, capsys):
     code, _, err = run(capsys, ["invfact", "-p", "2"])
     assert code == 1
@@ -253,19 +302,3 @@ def test_verify_oracle_above_dimension_gate_exit2(files, capsys):
         assert code == 2, err
         assert out == "" and "oracle gated to dimension 64" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
-
-
-def test_resultant_scale_failure_exit2(files, capsys, monkeypatch):
-    import sylres.invariant as invmod
-
-    def fail(*_):
-        raise invmod.DeterminantScaleError("could not find an evaluation point")
-
-    monkeypatch.setattr(invmod, "_determinant_scale", fail)
-    rng = random.Random(3)
-    ga = files("ga.txt", "\n".join(f"{rng.randrange(1, 101)} {i} {j}" for i in range(3) for j in range(3)))
-    gb = files("gb.txt", "\n".join(f"{rng.randrange(1, 101)} {i} {j}" for i in range(3) for j in range(3)))
-    code, out, err = run(capsys, ["resultant", "-p", "101", "--a", ga, "--b", gb, "--seed", "5"])
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and "evaluation point" in err and "Traceback" not in err

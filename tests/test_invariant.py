@@ -173,6 +173,56 @@ def test_resultant_certified_example3():
     assert rep.sigma == UPoly(F7, [5, 4, 3, 4, 1])  # (x+2)(x+3)^3 monic
 
 
+_F8 = build_extension(2, 8, random.Random(5))
+# (field, bidegrees (d_a, e_a, d_b, e_b) or None for Example 3, seed); the
+# small fields are lifted by the driver, and d_a != d_b gives unequal
+# column degrees of S_y
+_SCALE_CASES = {
+    "F7 example 3": (F7, None, 69),
+    "F2^3": (_F8, (2, 1, 2, 2), 0),
+    "F2^3 unequal x-degrees": (_F8, (3, 2, 1, 2), 1),
+    "F65537 unequal x-degrees": (F65537, (3, 1, 1, 2), 2),
+}
+
+
+def _scale_case(name):
+    F, shape, seed = _SCALE_CASES[name]
+    if shape is None:
+        return example3_polys(F), seed
+    basis = _reduced_basis(F, shape, random.Random(seed))
+    return (basis.a, basis.b), seed
+
+
+@pytest.mark.parametrize("name", sorted(_SCALE_CASES))
+def test_resultant_certified_draws_nothing_after_the_driver(name):
+    # the scale is det of S_y's column-leading matrix, so certifying costs
+    # no draws beyond last_invariant_factor's own
+    (a, b), seed = _scale_case(name)
+    rng, ref = random.Random(seed), random.Random(seed)
+    rep = resultant_certified(a, b, rng)
+    want = last_invariant_factor(a, b, ref)
+    assert rep.status == STATUS_CERTIFIED and rep.sigma == want.sigma
+    assert rng.getstate() == ref.getstate()
+    assert rep.sigma.scale(rep.scale) == dense_resultant(a, b)
+
+
+def test_lifted_resultant_builds_only_the_drivers_field(monkeypatch):
+    import sylres.invariant as invmod
+
+    calls = []
+
+    def spy(ctx, min_card):
+        calls.append(min_card)
+        return working_field(ctx, min_card)
+
+    monkeypatch.setattr(invmod, "working_field", spy)
+    a, b = example3_polys()
+    rep = resultant_certified(a, b, random.Random(69))
+    assert rep.status == STATUS_CERTIFIED
+    basis = IdealBasis(a, b)
+    assert calls == [int(np.ceil((12 * basis.d * basis.e) ** 1.1))]
+
+
 def test_resultant_certified_multi_factor_refuses():
     rng = random.Random(70)
     for _ in range(10):
@@ -429,6 +479,7 @@ E2E_FIELDS = {
     "F2": F2,  # lifted inside resultant_certified
     "F4^2 (tower)": extend_field(_F4, 16, random.Random(2)),
     "F(2^31-1)": PrimeField(2**31 - 1),
+    "F2^3": _F8,  # a lifted extension base: the scale is read in F_8
 }
 
 
@@ -444,6 +495,9 @@ E2E_FIELDS = {
 @example(name="F(2^31-1)", da=3, ea=0, db=1, eb=2, seed=2)  # deg_y a = 0
 @example(name="F4^2 (tower)", da=3, ea=2, db=1, eb=2, seed=3)  # unequal column degrees
 @example(name="F2", da=1, ea=3, db=3, eb=1, seed=4)
+@example(name="F2^3", da=3, ea=2, db=1, eb=2, seed=0)  # unequal x-degrees, certified
+@example(name="F2^3", da=2, ea=1, db=1, eb=2, seed=2)
+@example(name="F(2^31-1)", da=3, ea=1, db=1, eb=2, seed=5)
 def test_resultant_certified_matches_dense_resultant(name, da, ea, db, eb, seed):
     F, rng = E2E_FIELDS[name], random.Random(seed)
     a, b = BiPoly.random(F, da, ea, rng), BiPoly.random(F, db, eb, rng)
