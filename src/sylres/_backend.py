@@ -1,51 +1,119 @@
 """Hot numeric kernels in numpy: exact convolution mod p (schoolbook for
 short operands; for long ones a float FFT on small centred limbs, which sums
-K products under one inverse transform) and exact limb-split products.
+K products under one inverse transform) and exact products of residue
+matrices in float64 BLAS.
 
-All kernels work on int64 arrays of residues mod a prime p < 2**31, so a
-single product fits in int64 and sums are reduced before they can overflow.
+All kernels work on int64 arrays of residues mod a prime p < 2**31.  Every
+exact product that is not an FFT passes one gate (Gate): its accumulator,
+int64 or float64, is exact when every partial sum is an integer it holds,
+else one operand is split into limbs narrow enough that each limb product is.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
-_INT64_BOUND = 1 << 63
-_LIMB_BITS = 16
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
+INT64_EXACT = (1 << 63) - 1  # every integer of magnitude at most this is an int64
+FLOAT_EXACT = 1 << 53  # and at most this a float64 (a 53-bit significand)
 
 # unit roundoff of float64; the FFT gate's only constant (tests raise it to
 # force every limb count at small sizes)
 _FFT_EPS = 2.0**-53
 
 
-def limb_mod(op, x: np.ndarray, K: int, p: int) -> np.ndarray | None:
-    """op(x) % p for an op linear in x whose every output sums at most K
-    products of a residue with an entry of x: one int64 call when no such
-    sum can reach 2**63, else one call per 16-bit limb of x, each reduced
-    before recombining; None when even a limb sum could overflow."""
-    if K * (p - 1) ** 2 < _INT64_BOUND:
-        return op(x) % p
-    if K * (p - 1) * _LIMB_MASK < _INT64_BOUND:
-        lo = op(x & _LIMB_MASK) % p
-        hi = op(x >> _LIMB_BITS) % p
-        return (lo + (hi << _LIMB_BITS)) % p
-    return None
+class Gate:
+    """When a product whose every output sums at most K terms r * v, r a
+    residue mod p and v an entry of the other operand, is exact in an
+    accumulator holding every integer of magnitude at most `exact`.
+
+    Proof.  Every term and every partial sum is an integer in
+    [0, K (p-1)**2]; while that is at most `exact`, each product and each
+    addition, fused or not, has a representable exact result, so none rounds
+    or wraps, in any order of summation.  Past that, v is split into w-bit
+    limbs, v = sum_s v_s 2**(w s) with 0 <= v_s <= 2**w - 1, and the same
+    holds for each limb product while K (p-1)(2**w - 1) <= exact.  The
+    thresholds depend on p and `exact` alone, so they are computed once
+    (gate()), and a call compares K with them.
+    """
+
+    def __init__(self, p: int, exact: int):
+        self.p = p
+        self.bits = (p - 1).bit_length()
+        self.single = exact // (p - 1) ** 2  # the largest K for one call
+        self._limb_terms = exact // (p - 1)  # the largest K (2**w - 1)
+
+    def width(self, K: int) -> int:
+        """0 when K-term sums are exact in one call, else the widest limb
+        width w with K (p-1)(2**w - 1) <= exact (then w < bits(p - 1))."""
+        if K <= self.single:
+            return 0
+        w = (self._limb_terms // K + 1).bit_length() - 1
+        if w == 0:
+            raise ValueError(f"sums of {K} products mod {self.p} are not exact even on 1-bit limbs")
+        return w
+
+    def limb_mod(self, op, v: np.ndarray, K: int) -> np.ndarray:
+        """op(v) % p for an op linear in v whose every output sums at most
+        K products of a residue with an entry of v: one call, or one per
+        w-bit limb of v, each reduced and joined by shifts (Horner from the
+        top limb, which needs no mask; a reduced value shifted by w < 31
+        bits stays below 2**62)."""
+        p = self.p
+        if K <= self.single:
+            return op(v) % p
+        w = self.width(K)
+        mask, top = (1 << w) - 1, (self.bits - 1) // w * w
+        out = op(v >> top) % p
+        for s in range(top - w, -1, -w):
+            out = ((out << w) + op((v >> s) & mask if s else v & mask) % p) % p
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def gate(p: int, exact: int) -> Gate:
+    """The one Gate for residues mod p in an accumulator exact to `exact`."""
+    return Gate(p, exact)
+
+
+def matmul_map(A: np.ndarray, p: int):
+    """x -> A @ x mod p for a fixed residue array A (..., K) and residues x
+    of shape (K,) or (K, c), in float64 BLAS under the float gate.  A is
+    split into limbs when the gate asks (the bound is symmetric in the two
+    factors, and A is fixed), and its limbs are stacked into one float64
+    matrix once, so each call is one BLAS product and one reduction."""
+    g = gate(p, FLOAT_EXACT)
+    A = np.asarray(A, dtype=np.int64)
+    K = A.shape[-1]
+    w = g.width(K)
+    planes = np.stack([(A >> s) & ((1 << w) - 1) for s in range(0, g.bits, w)]) if w else A
+    lead = planes.shape[:-1]
+    F = planes.reshape(math.prod(lead), K).astype(np.float64)
+
+    def apply(x):
+        P = (F @ x).astype(np.int64)
+        P %= p
+        P = P.reshape(lead + x.shape[1:])
+        if not w:
+            return P
+        out = P[-1]  # the limb planes joined by shifts, as in Gate.limb_mod
+        for plane in P[-2::-1]:
+            out = ((out << w) + plane) % p
+        return out
+
+    return apply
 
 
 def conv_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Full convolution of residue arrays mod p by np.convolve (schoolbook),
-    exact while the shorter operand has fewer than 2**16 entries."""
+    exact under the int64 gate: each output sums at most len(shorter) terms."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) == 0:
         return np.zeros(0, dtype=np.int64)
-    out = limb_mod(lambda v: np.convolve(v, b), a, len(a), p)
-    if out is None:
-        raise ValueError(f"schoolbook operands of length {len(a)} could overflow int64")
-    return out
+    return gate(p, INT64_EXACT).limb_mod(lambda v: np.convolve(v, b), a, len(a))
 
 
 def fft_limbs(p: int, la: int, lb: int, K: int = 1) -> tuple[int, int, int]:

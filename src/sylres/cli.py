@@ -321,6 +321,15 @@ def sizes(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def positive(text: str) -> int:
+    """The type of counts that must be at least 1 (--trials, bench
+    --seeds).  A ValueError here is an argparse usage error (exit 1)."""
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be at least 1")
+    return n
+
+
 BENCH_OPS = ("normal_form", "mul_mod", "invfact", "resultant", "compose_rem")
 
 
@@ -368,7 +377,7 @@ def _add_common(p, with_f=False, solver=True):
         if with_f:  # nf's --algo ku is the only reader of the composition radix
             p.add_argument("--d-eps", type=int, default=0, help="composition radix (0 = auto)")
         else:  # only the invariant drivers read the projection trials
-            p.add_argument("--trials", type=int, default=3, help="projection trials")
+            p.add_argument("--trials", type=positive, default=3, help="projection trials")
         p.add_argument("--verify-oracle", action="store_true", help="cross-check against dense oracles")
 
 
@@ -401,10 +410,10 @@ def build_parser() -> _Parser:
     p.add_argument("--ext-degree", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", type=sizes, default="", help="comma list of d (or d:e) instance sizes")
-    p.add_argument("--seeds", type=int, default=3, help="instances per size")
+    p.add_argument("--seeds", type=positive, default=3, help="instances per size")
     p.add_argument("--ops", default="normal_form,invfact", help=f"subset of {','.join(BENCH_OPS)}")
     p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")
-    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--trials", type=positive, default=3)
     p.add_argument("--out", default="", help="CSV output file (default stdout)")
     p.set_defaults(fn=cmd_bench)
     return ap

@@ -16,15 +16,20 @@ conv(), used by upoly, its one-pair case; both are exact on both paths:
 schoolbook for each pair whose shorter operand has at most
 SCHOOLBOOK_CUTOFF coefficients, else one float FFT product of all the
 longer pairs, on small centred sign-magnitude limbs whose count an a
-priori rounding bound for K pairs fixes.  An extension field sums its
-conv()s, packs the digits of each into one base-field convolution
-(Kronecker substitution), and inverts without log tables by the
-Itoh-Tsujii norm.  One plane product
-(_sum_planes) serves vmul without tables, that inverse, dot_map and the log
-tables, which start from the smallest primitive code (by the order test);
-vsum is one base vsum of the digit planes (xor in characteristic 2); scalar
-add, sub and neg come from the vector ops.  working_field() is the one
-cached, fixed-seed extension that the drivers and the oracles lift to.
+priori rounding bound for K pairs fixes.  dot_map(A) is x -> A @ x for a
+fixed A; over F_p it is one float64 BLAS product and vdot one int64 dot,
+both behind the exactness gate of _backend.Gate (K-term sums of residue
+products are exact while K (p-1)**2 is at most the accumulator's exact
+range, else computed on limbs that keep each limb sum inside it).  An
+extension field sums its conv()s, packs the digits of each into one
+base-field convolution (Kronecker substitution), and inverts without log
+tables by the Itoh-Tsujii norm.  One plane product (_sum_planes) serves
+vmul without tables, that inverse, dot_map and the log tables, which start
+from the smallest primitive code (by the order test); its high planes fold
+back through one prepared base dot_map of the reduction matrix.  vsum is
+one base vsum of the digit planes (xor in characteristic 2); scalar add,
+sub and neg come from the vector ops.  working_field() is the one cached,
+fixed-seed extension that the drivers and the oracles lift to.
 """
 
 from __future__ import annotations
@@ -161,9 +166,16 @@ class FieldCtx:
         return out
 
     def dot_map(self, A):
-        """x -> vdot(A, x) for a fixed A, for applying one A to many x;
-        fields that can prepare A once do so here."""
-        return functools.partial(self.vdot, A)
+        """x -> A @ x over the field for a fixed A (..., K) and x of shape
+        (K,) or (K, c), for applying one A to many x; fields that can
+        prepare A once do so here (this one is vsum of vmul)."""
+        A = _as_codes(A)
+
+        def apply(x):
+            x = _as_codes(x)
+            return self.vsum(self.vmul(A[..., None, :], x.T)).reshape(A.shape[:-1] + x.shape[1:])
+
+        return apply
 
     def horner(self, C, z) -> np.ndarray:
         """sum_k C[k] z**k over the first axis of C, with z broadcast against
@@ -180,6 +192,7 @@ class PrimeField(FieldCtx):
         self.p = p
         self.k = 1
         self.q = p
+        self._int_gate = _backend.gate(p, _backend.INT64_EXACT)
 
     def __repr__(self):
         return f"F_{self.p}"
@@ -241,11 +254,15 @@ class PrimeField(FieldCtx):
         return _horner(C, z, lambda acc, z, c: (acc * z + c) % self.p)
 
     def vdot(self, A, x):
-        # exact int64 products (on 16-bit limbs of x near 2**31); past that
-        # gate, vsum of the reduced products
+        # numpy's int64 dot under the int64 gate: for a one-off product, as
+        # in a Berlekamp-Massey step, it beats converting both to float64
         A, x = _as_codes(A), _as_codes(x)
-        out = _backend.limb_mod(A.__matmul__, x, x.shape[-1], self.p)
-        return super().vdot(A, x) if out is None else out
+        return self._int_gate.limb_mod(A.__matmul__, x, x.shape[-1])
+
+    def dot_map(self, A):
+        # A converted to float64 (and split into limbs past the float gate)
+        # once; each call is one BLAS product
+        return _backend.matmul_map(A, self.p)
 
     # polynomial-coefficient convolution: exact on both paths
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -301,6 +318,7 @@ class ExtField(FieldCtx):
         self.q = base.q**k
         # reduction matrix: row i holds t^(k+i) mod m, i = 0..k-2
         self._red = np.array(_reduction_rows(base, modulus))
+        self._fold = base.dot_map(self._red.T)
         self._place = base.q ** np.arange(k, dtype=np.int64)
         self._digits = None
         self._exp = None
@@ -311,7 +329,7 @@ class ExtField(FieldCtx):
         else:
             # Frobenius x -> x^Q is base-linear: row i holds t^(Q i) mod m
             tq = self.pow_(int(self._place[1]), base.q)
-            self._frob = self.decode(np.array([self.pow_(tq, i) for i in range(k)]))
+            self._frob = base.dot_map(self.decode(np.array([self.pow_(tq, i) for i in range(k)])).T)
 
     def _build_log_tables(self):
         # g is the smallest primitive code: g^((q-1)/l) != 1 for every prime
@@ -401,15 +419,17 @@ class ExtField(FieldCtx):
             return np.bitwise_xor.reduce(_as_codes(a), axis=-1)
         return self.encode(self.base.vsum(np.swapaxes(self.decode(a), -1, -2)))
 
-    def _digit_map(self, D: np.ndarray, M: np.ndarray) -> np.ndarray:
-        """Digits D (last axis r) times a base-field matrix M (r, c): one
-        exact base product, broadcast over every row of D."""
-        return self.base.vsum(self.base.vmul(D[..., None, :], M.T))
+    @staticmethod
+    def _digit_map(D: np.ndarray, MT) -> np.ndarray:
+        """Digits D (last axis r) times a base-field matrix M (r, c), given
+        as MT = base.dot_map(M.T): one base product for every row of D."""
+        out = MT(D.reshape(-1, D.shape[-1]).T)
+        return out.T.reshape(D.shape[:-1] + out.shape[:1])
 
     def _reduce_planes(self, C: np.ndarray) -> np.ndarray:
         # C has 2k-1 coefficient planes on the last axis; fold the high ones.
         k = self.deg
-        return self.base.vadd(C[..., :k], self._digit_map(C[..., k:], self._red))
+        return self.base.vadd(C[..., :k], self._digit_map(C[..., k:], self._fold))
 
     def _sum_planes(self, P: np.ndarray) -> np.ndarray:
         """Digit-pair products P[..., i, j] summed into the 2k - 1 planes by
@@ -431,11 +451,21 @@ class ExtField(FieldCtx):
     def dot_map(self, A):
         # without log tables, vmul and vsum decode and re-encode A on every
         # call; here A's digit planes A_i are stacked once into one base map,
-        # applied once per digit x_j of x for every product A_i x_j
+        # and one base product of it with every digit x_j of x gives every
+        # A_i x_j
         if self._exp is not None:
             return super().dot_map(A)
+        A = _as_codes(A)
         planes = self.base.dot_map(np.ascontiguousarray(np.swapaxes(self.decode(A), -1, -2)))
-        return lambda x: self.encode(self._sum_planes(np.stack([planes(xj) for xj in self.decode(x).T], -1)))
+
+        def apply(x):
+            X = self.decode(x)  # x.shape + (k,)
+            P = planes(X.reshape(len(X), int(np.prod(X.shape[1:]))))
+            # P[..., i, (c,) j] = A_i x_j; the digit pair goes last
+            P = P.reshape(A.shape[:-1] + (self.deg,) + X.shape[1:])
+            return self.encode(self._sum_planes(np.moveaxis(P, A.ndim - 1, -2)))
+
+        return apply
 
     def vmul(self, a, b):
         if self._exp is None:

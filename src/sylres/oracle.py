@@ -143,7 +143,8 @@ def dense_minpoly_mult_x(basis: IdealBasis) -> UPoly:
     dim = M.shape[0]
     K = np.zeros((dim, dim + 1), dtype=np.int64)
     K[:, 0] = embed(basis, normal_form(basis, BiPoly.one(ctx)))
+    step = ctx.dot_map(M)
     for i in range(dim):
-        K[:, i + 1] = ctx.vdot(M, K[:, i])
+        K[:, i + 1] = step(K[:, i])
     R, t, _ = _reduce(ctx, K, dim + 1)
     return UPoly(ctx, np.append(ctx.vneg(R[:t, t]), 1))

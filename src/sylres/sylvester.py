@@ -307,15 +307,12 @@ class _BaseSolver:
 
 
 class _BaseSolverT:
-    """Dense inverse of S(0) (n^2 codes), applied transposed; the projection
-    window program needs it only when the column degrees differ."""
+    """Dense inverse of S(0) (n^2 codes), applied transposed by one
+    dot_map prepared once; the projection window program needs it only
+    when the column degrees differ."""
 
     def __init__(self, S: SylvMat):
-        self.ctx = S.ctx
-        self.MinvT = gauss_inverse(S.ctx, S.constant_matrix()).T
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return self.ctx.vdot(self.MinvT, r)
+        self.solve = S.ctx.dot_map(gauss_inverse(S.ctx, S.constant_matrix()).T)
 
 
 def _solver(S: SylvMat, kind: type):

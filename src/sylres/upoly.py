@@ -424,9 +424,15 @@ def berlekamp_massey(ctx: FieldCtx, seq) -> UPoly:
     """Monic minimal generating polynomial of the given sequence prefix.
 
     The connection polynomial C is an int64 array of length n + 2 (degree
-    <= L <= n), B the copy of C[: L + 1] saved at the last length change;
-    each step's discrepancy is one vdot against the reversed sequence and
-    each update one vsub over B's support, C[m : m + len(B)]."""
+    <= L <= n), B the copy of C[: L + 1] saved at the last length change
+    and binv the inverse of that change's discrepancy b: b changes only
+    there, so it is inverted once per length change.  Each step's
+    discrepancy is one ctx.vdot against the reversed sequence, which over
+    F_p is one int64 dot under the gate of _backend.Gate: its at most L
+    terms and every partial sum are integers in [0, L (p-1)**2], exact
+    while that is at most 2**63 - 1, else summed on limbs of the sequence
+    window that keep each limb sum below it.  Each update is one vsub over
+    B's support, C[m : m + len(B)]."""
     s = np.fromiter(seq, dtype=np.int64)
     n = len(s)
     s_rev = s[::-1]
@@ -434,20 +440,20 @@ def berlekamp_massey(ctx: FieldCtx, seq) -> UPoly:
     C = np.zeros(n + 2, dtype=np.int64)  # connection polynomial C(D), ascending
     C[0] = 1
     B = C[:1].copy()
-    L, m, b = 0, 1, 1
+    L, m, binv = 0, 1, 1
     for i in range(n):
         # d = s_i + sum_{j=1..L} C_j s_{i-j}
         d = ctx.add(s_list[i], int(ctx.vdot(C[1 : L + 1], s_rev[n - i : n - i + L])))
         if d == 0:
             m += 1
             continue
-        coef = np.int64(ctx.mul(d, ctx.inv(b)))
+        coef = np.int64(ctx.mul(d, binv))
         T = C[: L + 1].copy() if 2 * L <= i else None
         C[m : m + len(B)] = ctx.vsub(C[m : m + len(B)], ctx.vmul(coef, B))
         if T is None:
             m += 1
         else:
-            L, B, b, m = i + 1 - L, T, d, 1
+            L, B, binv, m = i + 1 - L, T, ctx.inv(d), 1
     # minimal polynomial: x^L * C(1/x), i.e. reversed connection coefficients
     return UPoly(ctx, C[L::-1])
 

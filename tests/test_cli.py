@@ -186,6 +186,23 @@ def test_bench_bad_sizes_exit1(capsys, sizes):
     assert len(err.strip().splitlines()) == 1 and "--sizes" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command, knob", [(c, "--trials") for c in ("invfact", "elimgen", "resultant", "bench")] + [("bench", "--seeds")]
+)
+def test_counts_below_one_exit1(files, capsys, command, knob, value):
+    # --trials -5 used to run one form and report "trials": -5; --seeds 0
+    # printed a bare CSV header and exited 0
+    if command == "bench":
+        argv = ["bench", "-p", "65537", "--sizes", "2", "--ops", "invfact"]
+    else:
+        argv = [command, "-p", "101", "--a", files("a.txt", EX2_A), "--b", files("b.txt", EX2_B), "--json"]
+    code, out, err = run(capsys, [*argv, knob, value])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and knob in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("sizes", ["2:0", "0:2", "0:0"])
 def test_bench_degenerate_sizes_rows(capsys, sizes):
     # a zero degree is a valid instance; compose_rem's bound 4de < 3 leaves

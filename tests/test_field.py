@@ -281,19 +281,22 @@ def test_vdot_and_dot_map_match_vsum_vmul(F):
         for got in (F.vdot(A, x), F.dot_map(A)(x)):
             assert got.shape == (5,)
             assert np.array_equal(got, want)
-        # one prepared map applied to several vectors
+        # one prepared map applied to several vectors, and to their columns
         apply = F.dot_map(A)
-        for _ in range(3):
-            y = F.rand_array(rng, K)
+        Y = F.rand_array(rng, 3 * K).reshape(K, 3)
+        for y in Y.T:
             assert np.array_equal(apply(y), F.vsum(F.vmul(A, y)))
+        got = apply(Y)
+        assert got.shape == (5, 3)
+        assert got.tolist() == [[_scalar_dot(F, row, y) for y in Y.T] for row in A]
     top = np.full(33, F.q - 1, dtype=np.int64)
     assert int(F.vdot(top, top)) == int(F.dot_map(top)(top)) == _scalar_dot(F, top, top)
 
 
 @pytest.mark.parametrize("K", [2**15, 2**16 + 1])
 def test_prime_vdot_exact_past_the_single_product_gate(K):
-    # K (p-1)^2 >= 2**63 here, so the product runs on 16-bit limbs of x, and
-    # at K > 2**16 even one limb product could overflow
+    # K (p-1)^2 > 2**63 - 1 here, so the product runs on limbs of x, the widest the
+    # int64 gate allows: 17 bits wide at K = 2**15, 16 at K = 2**16 + 1
     p = 2**31 - 1
     F = PrimeField(p)
     top = np.full(K, p - 1, dtype=np.int64)
@@ -305,6 +308,101 @@ def test_prime_vdot_exact_past_the_single_product_gate(K):
     for got in (F.vdot(A, x), F.dot_map(A)(x)):
         assert np.array_equal(got, F.vsum(F.vmul(A, x)))
         assert got.tolist() == want
+
+
+# -- the exactness gate of _backend: one call, or limbs of one operand ------
+
+_GATE_PRIMES = (2, 7, 65537, 2**31 - 1)
+_EXACT = {"float64": ("FLOAT_EXACT", 2**53), "int64": ("INT64_EXACT", 2**63 - 1)}
+
+
+def _reference_width(p, exact, K):
+    """The gate by its definition in Python integers: 0 when every K-term
+    sum of residue products is at most exact, else the widest limb width w
+    with K (p-1)(2**w - 1) <= exact; None when there is none."""
+    if K * (p - 1) ** 2 <= exact:
+        return 0
+    w = 0
+    while K * (p - 1) * (2 ** (w + 1) - 1) <= exact:
+        w += 1
+    return w or None
+
+
+def _width_boundaries(p, exact):
+    """Every K at which the gate's answer changes, and the K just past it."""
+    bits = (p - 1).bit_length()
+    last = [exact // (p - 1) ** 2] + [exact // ((p - 1) * (2**w - 1)) for w in range(1, bits + 1)]
+    return sorted({K + s for K in last for s in (0, 1) if K + s >= 1} | {1, 2, 3, 1000})
+
+
+@pytest.mark.parametrize("p", _GATE_PRIMES)
+@pytest.mark.parametrize("acc", list(_EXACT))
+def test_gate_matches_its_definition(p, acc):
+    name, exact = _EXACT[acc]
+    g = _backend.gate(p, getattr(_backend, name))
+    for K in _width_boundaries(p, exact):
+        want = _reference_width(p, exact, K)
+        if want is None:
+            with pytest.raises(ValueError):
+                g.width(K)
+        else:
+            assert g.width(K) == want, (p, acc, K)
+
+
+def _gate_cases(p, K, rng):
+    """(A, x) pairs for a K-term product: random residues, and every mix of
+    p - 1 and p - 2 (for odd p the odd p - 2 makes a too-wide sum odd, and
+    an odd integer past 2**53 is no float64, so it must round)."""
+    F = PrimeField(p)
+    cases = [(F.rand_array(rng, 2 * K).reshape(2, K), F.rand_array(rng, K))]
+    for u, v in itertools.product((p - 1, max(p - 2, 0)), repeat=2):
+        cases.append((np.full((1, K), u, dtype=np.int64), np.full(K, v, dtype=np.int64)))
+    return cases
+
+
+def _gate_Ks(p):
+    """K at and past the float gate's limb-width boundaries near each w,
+    made odd (so a too-wide limb sum of odd terms is odd), and small K."""
+    if p < 2**20:
+        return [1, 2, 3, 64, 1001]
+    Ks = {1, 2, 3, 64, 2**15 + 1, 2**16 + 1}
+    for w in (9, 13, 16):
+        K = 2**53 // ((p - 1) * (2**w - 1))
+        Ks |= {K | 1, K - 1 | 1, K + 1 | 1}
+    return sorted(Ks)
+
+
+@pytest.mark.parametrize("p", _GATE_PRIMES)
+def test_gated_products_match_integer_reference(p):
+    # vdot (int64 gate, limbs of x) and dot_map (float64 gate, limbs of A),
+    # at the widths either gate picks near its boundaries, on 1-D and 2-D x
+    F = PrimeField(p)
+    rng = random.Random(71)
+    for K in _gate_Ks(p):
+        for A, x in _gate_cases(p, K, rng):
+            X = np.stack([x, x[::-1]], axis=1)
+            want = [[sum(u * v for u, v in zip(row, y)) % p for y in X.T.tolist()] for row in A.tolist()]
+            assert F.vdot(A, x).tolist() == [w[0] for w in want], (p, K)
+            apply = F.dot_map(A)
+            assert apply(x).tolist() == [w[0] for w in want], (p, K)
+            assert apply(X).tolist() == want, (p, K)
+
+
+@pytest.mark.parametrize("K", [2**21, 2**21 + 1])
+def test_float_gate_at_its_largest_single_call(K):
+    # over F_65537, K (p-1)^2 <= 2**53 up to K = 2**21: one float64 product.
+    # At 2**21 + 1 the sum below is odd and past 2**53, so one product would
+    # round; the gate splits A into 16-bit limbs instead
+    p = 65537
+    F = PrimeField(p)
+    assert _backend.gate(p, _backend.FLOAT_EXACT).width(K) == (0 if K == 2**21 else 16)
+    a = np.full(K, p - 1, dtype=np.int64)
+    a[-1] = p - 2
+    total = (K - 1) * (p - 1) ** 2 + (p - 2) ** 2
+    assert (total > 2**53) == (K > 2**21) and total % 2 == 1
+    assert int(F.dot_map(a[None])(a)[0]) == total % p
+    x = F.rand_array(random.Random(72), K)
+    assert int(F.dot_map(x)(a)) == sum(u * v for u, v in zip(x.tolist(), a.tolist())) % p
 
 
 def test_random_irreducible_gives_up(monkeypatch):
@@ -530,16 +628,16 @@ def test_two_term_sums_match_integer_reference(p):
 
 
 def test_schoolbook_limb_split_past_the_single_product_gate():
-    # K (p-1)^2 >= 2**63 from K = 2: conv_mod splits the shorter operand into
-    # 16-bit limbs; past K (p-1) (2**16-1) >= 2**63 it refuses instead
+    # K (p-1)^2 > 2**63 - 1 from K = 3: conv_mod splits the shorter operand
+    # into the widest limbs the int64 gate allows; where even 1-bit limbs
+    # could wrap it refuses instead
     p = 2**31 - 1
     top = np.full(3000, p - 1)
     for k in (1, 2, 3, 64):
         assert np.array_equal(_backend.conv_mod(top[:k], top, p), _int_conv(top[:k], top, p))
         assert np.array_equal(_backend.conv_mod(top, top[:k], p), _int_conv(top[:k], top, p))
-    long = np.ones(2**17, dtype=np.int64)
     with pytest.raises(ValueError):
-        _backend.conv_mod(long, long, p)
+        _backend.gate(p, _backend.INT64_EXACT).width(2**33)
 
 
 # -- extension fields: Kronecker-packed conv and the Itoh-Tsujii inverse ----
