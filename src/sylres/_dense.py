@@ -43,7 +43,7 @@ def _reduce(ctx: FieldCtx, M: np.ndarray, ncols: int):
         A[rank] = ctx.vmul(A[rank], np.int64(ctx.inv(pivval)))
         f = A[:, col].copy()
         f[rank] = 0
-        A = ctx.vsub(A, ctx.vmul(f[:, None], A[rank][None, :]))
+        A = ctx.vsubmul(A, f[:, None], A[rank][None, :])
         rank += 1
     return A, rank, det
 

@@ -7,11 +7,12 @@ of size Q, the code sum(d_i * Q**i) stands for the coefficient vector
 therefore embeds as the codes below Q.
 
 Scalar operations take and return Python ints.  The v*-operations act
-elementwise on int64 numpy arrays; horner() evaluates along the first
-axis of a coefficient array at broadcast points, and power() is the one
-square-and-multiply, for any associative product.  The prime-field
-convolution kernels (schoolbook and float FFT) live in _backend.
-conv_sum() is the sum of K full polynomial-coefficient convolutions, and
+elementwise on int64 numpy arrays, vsubmul(a, c, b) = a - c b among them
+(one reduction over F_p, vsub of vmul elsewhere); horner() evaluates
+along the first axis of a coefficient array at broadcast points, and
+power() is the one square-and-multiply, for any associative product.
+The prime-field convolution kernels (schoolbook and float FFT) live in
+_backend.  conv_sum() is the sum of K full polynomial-coefficient convolutions, and
 conv(), used by upoly, its one-pair case; both are exact on both paths:
 schoolbook for each pair whose shorter operand has at most
 SCHOOLBOOK_CUTOFF coefficients, else one float FFT product of all the
@@ -150,6 +151,11 @@ class FieldCtx:
         """Sum over the last axis of A * x for a 1-D x, exact in every field."""
         return self.vsum(self.vmul(A, x))
 
+    def vsubmul(self, a, c, b) -> np.ndarray:
+        """a - c * b elementwise, c broadcast against b: one elimination
+        step (Berlekamp-Massey, Euclid, division, Horner, Gauss)."""
+        return self.vsub(a, self.vmul(c, b))
+
     def conv_sum(self, pairs, memo: dict | None = None, keys=None) -> np.ndarray:
         """sum_k conv(a_k, b_k) over the pairs (a_k, b_k), each product
         zero-extended to the longest; conv is the one-pair case.  keys name
@@ -239,6 +245,10 @@ class PrimeField(FieldCtx):
     def vmul(self, a, b):
         return (a * b) % self.p
 
+    def vsubmul(self, a, c, b):
+        # one reduction: a - c * b lies in [-(p-1)**2, p-1], inside int64
+        return (a - c * b) % self.p
+
     def vinv(self, a):
         a = _as_codes(a) % self.p
         if np.any(a == 0):
@@ -255,9 +265,13 @@ class PrimeField(FieldCtx):
 
     def vdot(self, A, x):
         # numpy's int64 dot under the int64 gate: for a one-off product, as
-        # in a Berlekamp-Massey step, it beats converting both to float64
+        # in a Berlekamp-Massey step, it beats converting both to float64;
+        # one dot and one reduction while the sum is exact, limbs past that
         A, x = _as_codes(A), _as_codes(x)
-        return self._int_gate.limb_mod(A.__matmul__, x, x.shape[-1])
+        K = x.shape[-1]
+        if K <= self._int_gate.single:
+            return A @ x % self.p
+        return self._int_gate.limb_mod(A.__matmul__, x, K)
 
     def dot_map(self, A):
         # A converted to float64 (and split into limbs past the float gate)

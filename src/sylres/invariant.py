@@ -60,6 +60,11 @@ class InvariantOptions:
     trials: int = 3
     max_attempts: int = 16
 
+    def __post_init__(self):
+        for name in ("trials", "max_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"InvariantOptions.{name} must be at least 1, got {getattr(self, name)}")
+
 
 @dataclass
 class InvariantReport:
@@ -139,8 +144,10 @@ def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> U
     Berlekamp-Massey run plus one annihilation check per further form
     (upoly.common_generator).  Always a divisor of the true minimal
     polynomial; equal with high probability."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     require_both_reduced(basis)
-    forms = [LinearForm.random(basis, rng) for _ in range(max(trials, 1))]
+    forms = [LinearForm.random(basis, rng) for _ in range(trials)]
     return common_generator(basis.ctx, _power_projections(basis, forms, 4 * basis.d * basis.e))
 
 

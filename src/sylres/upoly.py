@@ -10,7 +10,10 @@ many points is Horner across all points at once, and interpolation is the
 Lagrange form with every quotient by (x - point) formed at once
 (interpolate_rows, many value rows through the same points); both are
 O(n^2) array passes, which beat a subproduct tree at every size this
-package reaches.
+package reaches.  The Taylor shift (taylor_shift_rows) is array Horner on
+short blocks of every row, joined by one conv per doubling level.  The
+update steps of division, Euclid, Horner and Berlekamp-Massey are one
+ctx.vsubmul each, a single reduction over F_p.
 """
 
 from __future__ import annotations
@@ -188,7 +191,7 @@ class UPoly:
                 continue
             coef = ctx.mul(lead, ginv)
             q[i - dg] = coef
-            r[i - dg : i + 1] = ctx.vsub(r[i - dg : i + 1], ctx.vmul(gc, np.int64(coef)))
+            r[i - dg : i + 1] = ctx.vsubmul(r[i - dg : i + 1], coef, gc)
         return UPoly(ctx, q), UPoly(ctx, r[:dg])
 
     def rem(self, g):
@@ -215,11 +218,10 @@ class UPoly:
         return UPoly(self.ctx, self.ctx.vmul(self.c[1:], mult))
 
     def taylor_shift(self, alpha: int) -> "UPoly":
-        """f(x + alpha): array Horner, divide and conquer on halves above
-        _HORNER_MAX_DEG."""
+        """f(x + alpha): taylor_shift_rows on the one row f."""
         if alpha == 0 or self.deg < 1:
             return self
-        return _taylor_shift_rec(self, alpha)
+        return UPoly(self.ctx, taylor_shift_rows(self.ctx, self.c[None, :], alpha)[0])
 
     def eval_at(self, x0: int) -> int:
         """f(x0) by scalar Horner: the reference for multipoint_eval."""
@@ -229,37 +231,57 @@ class UPoly:
         return acc
 
 
+# Block length up to which taylor_shift_rows is array Horner alone; longer
+# rows are cut into blocks of at most this length.  Medians of 15
+# interleaved rounds in one process (2-vCPU host), blocks of 8 / 16 / 32 /
+# 64 against Horner alone: F_65537, n = 289: 0.61 / 0.54 / 0.63 / 0.81 vs
+# 3.3 ms; n = 1025: 1.71 / 1.51 / 1.59 / 1.79 vs 17.4 ms; p = 2**31 - 1,
+# n = 289: 1.02 / 0.92 / 0.98 / 1.08 vs 3.1 ms; F_{7^3}, n = 65:
+# 1.09 / 1.00 / 1.06 / 1.32 vs 1.49 ms, n = 33: 0.60 ms at 16 vs 0.64 ms.
+_SHIFT_BLOCK = 16
+
+
 def taylor_shift_rows(ctx: FieldCtx, G: np.ndarray, alpha: int) -> np.ndarray:
     """Every row of the code grid G, read as ascending coefficients in x,
-    shifted x -> x + alpha, by Horner on all rows at once:
-    acc <- acc * (x + alpha) + c_i is one vmul and one vadd per coefficient."""
+    shifted x -> x + alpha, by the divide-and-conquer Taylor shift (von zur
+    Gathen-Gerhard, "Fast algorithms for Taylor shifts and certain
+    difference equations", ISSAC 1997) on every row at once.
+
+    Each row of length n is zero-padded to b 2**k coefficients, k the fewest
+    halvings with b = ceil(n / 2**k) <= _SHIFT_BLOCK, and cut into 2**k
+    blocks.  Array Horner shifts every block of every row at once:
+    acc <- acc (x + alpha) + c_i is one vsubmul per coefficient.  Then k
+    doubling levels join neighbouring blocks, lo + (x + alpha)**s hi for
+    the block length s: the high blocks are laid at stride 2s, so their
+    products with (x + alpha)**s, of length 2s, do not overlap, and a level
+    is one conv and one vadd.  (x + alpha)**b comes from one power() and is
+    squared from level to level.  For n <= _SHIFT_BLOCK this is Horner
+    alone.  Horner on whole rows makes n vector steps of length n; here
+    there are b steps and k levels, each one product of length b 2**k."""
     G = np.asarray(G, dtype=np.int64)
-    acc = np.zeros_like(G)
-    alpha = np.int64(alpha)
-    for i in range(G.shape[1] - 1, -1, -1):
-        # acc has degree < n - 1 - i here, so its top coefficient is zero
+    rows, n = G.shape
+    k = max(-(-n // _SHIFT_BLOCK) - 1, 0).bit_length()
+    b = -(-n >> k)
+    blocks = np.zeros((rows << k, b), dtype=np.int64)
+    blocks.reshape(rows, b << k)[:, :n] = G
+    acc = np.zeros_like(blocks)
+    neg = ctx.neg(alpha)
+    for i in range(b - 1, -1, -1):
+        # acc has degree < b - 1 - i here, so its top coefficient is zero
         nxt = np.empty_like(acc)
-        nxt[:, 0] = G[:, i]
+        nxt[:, 0] = blocks[:, i]
         nxt[:, 1:] = acc[:, :-1]
-        acc = ctx.vadd(nxt, ctx.vmul(acc, alpha))
-    return acc
-
-
-# Array Horner costs O(n) vector ops of length n; halving pays off beyond
-# about this degree (F_65537 on a 2-vCPU host, Horner against halving down
-# to this degree: 18 / 16 ms at degree 1025, 50 / 30 ms at 2048, 185 / 84 ms
-# at 4096).
-_HORNER_MAX_DEG = 1024
-
-
-def _taylor_shift_rec(f: UPoly, alpha: int) -> UPoly:
-    if f.deg <= _HORNER_MAX_DEG:
-        return UPoly(f.ctx, taylor_shift_rows(f.ctx, f.c[None, :], alpha)[0])
-    m = (f.deg + 1) // 2
-    lo = UPoly(f.ctx, f.c[:m])
-    hi = UPoly(f.ctx, f.c[m:])
-    pw = power(UPoly(f.ctx, [alpha, 1]), m, UPoly.__mul__, UPoly.one(f.ctx))
-    return _taylor_shift_rec(lo, alpha) + pw * _taylor_shift_rec(hi, alpha)
+        acc = ctx.vsubmul(nxt, neg, acc)
+    for level in range(k):
+        s = b << level
+        # (x + alpha)**s: one power() on the first level, squared after that
+        pw = ctx.conv(pw, pw) if level else power(np.array([alpha, 1], dtype=np.int64), b, ctx.conv, None)
+        hi = np.zeros((len(acc) // 2, 2 * s), dtype=np.int64)
+        hi[:, :s] = acc[1::2]
+        out = ctx.conv(hi.ravel(), pw)[: hi.size].reshape(hi.shape)
+        out[:, :s] = ctx.vadd(out[:, :s], acc[0::2])
+        acc = out
+    return acc[:, :n]
 
 
 def inverse_series(f: UPoly, prec: int) -> UPoly:
@@ -322,7 +344,7 @@ def _euclid(f: UPoly, g: UPoly, rows: int):
     block, W = max(len f, len g): row 0 the remainder and, for rows = 3, the
     cofactors u, v (r = u f + v g) sharing each update (von zur Gathen-
     Gerhard, Modern Computer Algebra, 3.2).  A quotient term c x^s is one
-    vmul and one vsub, M0[:, s:] -= c M1[:, :W - s]; W columns suffice, as
+    vsubmul, M0[:, s:] -= c M1[:, :W - s]; W columns suffice, as
     deg u <= deg g and deg v <= deg f throughout.  Returns the block of the
     last nonzero remainder made monic by one vmul (zero if f = g = 0)."""
     ctx = f.ctx
@@ -338,8 +360,8 @@ def _euclid(f: UPoly, g: UPoly, rows: int):
         linv = ctx.inv(int(M1[0, d1]))
         while d0 >= d1:
             s = d0 - d1
-            c = np.int64(ctx.mul(int(M0[0, d0]), linv))
-            M0[:, s:] = ctx.vsub(M0[:, s:], ctx.vmul(M1[:, : W - s], c))
+            c = ctx.mul(int(M0[0, d0]), linv)
+            M0[:, s:] = ctx.vsubmul(M0[:, s:], c, M1[:, : W - s])
             d0 -= 1  # the top coefficient is cancelled; trim the rest
             while d0 >= 0 and M0[0, d0] == 0:
                 d0 -= 1
@@ -405,7 +427,7 @@ def interpolate_rows(ctx: FieldCtx, pts, V) -> np.ndarray:
     M[0] = 1
     for u in pts:
         # M <- M * (x - u); the top slot stays zero until the last point
-        M = ctx.vsub(np.concatenate(([0], M[:-1])), ctx.vmul(M, u))
+        M = ctx.vsubmul(np.concatenate(([0], M[:-1])), u, M)
     dM = UPoly(ctx, M).deriv()
     weights = ctx.dot_map(ctx.vmul(V, ctx.vinv(ctx.horner(dM.c, pts))))
     q = np.ones(n, dtype=np.int64)  # the monic top coefficient of M / (x - u)
@@ -427,29 +449,30 @@ def berlekamp_massey(ctx: FieldCtx, seq) -> UPoly:
     <= L <= n), B the copy of C[: L + 1] saved at the last length change
     and binv the inverse of that change's discrepancy b: b changes only
     there, so it is inverted once per length change.  Each step's
-    discrepancy is one ctx.vdot against the reversed sequence, which over
-    F_p is one int64 dot under the gate of _backend.Gate: its at most L
-    terms and every partial sum are integers in [0, L (p-1)**2], exact
-    while that is at most 2**63 - 1, else summed on limbs of the sequence
-    window that keep each limb sum below it.  Each update is one vsub over
-    B's support, C[m : m + len(B)]."""
+    discrepancy is one ctx.vdot of C[: L + 1] against the reversed sequence,
+    which over F_p is one int64 dot and one reduction under the gate of
+    _backend.Gate: its at most L + 1 terms and every partial sum are
+    integers in [0, (L + 1)(p-1)**2], exact while that is at most
+    2**63 - 1, else summed on limbs of the sequence window that keep each
+    limb sum below it.  Each update is one vsubmul over B's support,
+    C[m : m + len(B)] -= coef B, which over F_p is one reduction: the
+    difference lies in [-(p-1)**2, p-1]."""
     s = np.fromiter(seq, dtype=np.int64)
     n = len(s)
     s_rev = s[::-1]
-    s_list = s.tolist()
     C = np.zeros(n + 2, dtype=np.int64)  # connection polynomial C(D), ascending
     C[0] = 1
     B = C[:1].copy()
     L, m, binv = 0, 1, 1
     for i in range(n):
-        # d = s_i + sum_{j=1..L} C_j s_{i-j}
-        d = ctx.add(s_list[i], int(ctx.vdot(C[1 : L + 1], s_rev[n - i : n - i + L])))
+        # d = sum_{j=0..L} C_j s_{i-j}, C_0 = 1; s_rev[n - 1 - i + j] = s_{i-j}
+        d = int(ctx.vdot(C[: L + 1], s_rev[n - 1 - i : n - i + L]))
         if d == 0:
             m += 1
             continue
-        coef = np.int64(ctx.mul(d, binv))
+        coef = ctx.mul(d, binv)
         T = C[: L + 1].copy() if 2 * L <= i else None
-        C[m : m + len(B)] = ctx.vsub(C[m : m + len(B)], ctx.vmul(coef, B))
+        C[m : m + len(B)] = ctx.vsubmul(C[m : m + len(B)], coef, B)
         if T is None:
             m += 1
         else:

@@ -293,6 +293,30 @@ def test_vdot_and_dot_map_match_vsum_vmul(F):
     assert int(F.vdot(top, top)) == int(F.dot_map(top)(top)) == _scalar_dot(F, top, top)
 
 
+@pytest.mark.parametrize("F", list(_VDOT_FIELDS.values()), ids=list(_VDOT_FIELDS))
+def test_vsubmul_matches_scalar_ops(F):
+    """a - c b elementwise, for a scalar c (Python int or np.int64) and for
+    c broadcast as a column, against the scalar ops and, over F_p, against
+    Python integers; all operands q - 1 and a = 0 with c = b = q - 1 give
+    the largest and the most negative unreduced values over F_p."""
+    rng = random.Random(14)
+    n = 40
+    a, b, cs = F.rand_array(rng, n), F.rand_array(rng, n), F.rand_array(rng, 3)
+    top = np.full(n, F.q - 1, dtype=np.int64)
+    cases = [(a, int(c), b) for c in cs] + [(a, np.int64(cs[0]), b), (top, F.q - 1, top), (0 * top, F.q - 1, top)]
+    for x, c, y in cases:
+        got = F.vsubmul(x, c, y)
+        want = [F.sub(int(u), F.mul(int(c), int(v))) for u, v in zip(x, y)]
+        assert got.tolist() == want
+        if F.k == 1:
+            assert want == [(int(u) - int(c) * int(v)) % F.p for u, v in zip(x, y)]
+    # c a column against a row, as in one elimination step
+    M = F.rand_array(rng, 4 * n).reshape(4, n)
+    col = F.rand_array(rng, 4)
+    got = F.vsubmul(M, col[:, None], b[None, :])
+    assert got.tolist() == [[F.sub(int(u), F.mul(int(c), int(v))) for u, v in zip(row, b)] for row, c in zip(M, col)]
+
+
 @pytest.mark.parametrize("K", [2**15, 2**16 + 1])
 def test_prime_vdot_exact_past_the_single_product_gate(K):
     # K (p-1)^2 > 2**63 - 1 here, so the product runs on limbs of x, the widest the

@@ -78,6 +78,25 @@ def test_min_poly_divides_oracle():
         assert mu_oracle.rem(mu).is_zero
 
 
+@pytest.mark.parametrize("opts", [{"trials": 0}, {"trials": -4}, {"max_attempts": 0}, {"max_attempts": -1}])
+def test_invariant_options_below_one_rejected(opts):
+    # trials = -4 used to give a probable sigma with report.trials == -4, and
+    # max_attempts = 0 a failure after 0 attempts
+    with pytest.raises(ValueError, match=next(iter(opts))):
+        InvariantOptions(**opts)
+    assert InvariantOptions(trials=1, max_attempts=1).trials == 1
+
+
+@pytest.mark.parametrize("trials", [0, -4])
+def test_min_poly_trials_below_one_rejected(trials):
+    basis = IdealBasis(BiPoly.from_terms(F101, [(1, 0, 1), (100, 1, 0)]), BiPoly.y(F101))
+    rng = random.Random(61)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="trials"):
+        min_poly_mult_x(basis, rng, trials)
+    assert rng.getstate() == state  # raised before any draw
+
+
 def test_last_invariant_factor_example1():
     hits = 0
     for seed in range(20):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import sylres.upoly
+from sylres._backend import INT64_EXACT, gate
 from sylres.bipoly import BiPoly, IdealBasis
 from sylres.field import PrimeField, build_extension, extend_field
 from sylres.invariant import _power_projections
@@ -129,31 +130,64 @@ def _horner_shift_reference(f: UPoly, alpha: int) -> UPoly:
     return acc
 
 
-@pytest.mark.parametrize(
-    "F",
-    [
-        F2,
-        F65537,
-        PrimeField(2**31 - 1),
-        build_extension(7, 343, random.Random(3)),
-        extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
-    ],
-    ids=["F2", "F65537", "2^31-1", "F7^3", "F4^2 (tower)"],
-)
-def test_taylor_shift_rows_match_upoly_horner(F):
+SHIFT_FIELDS = {
+    "F2": F2,
+    "F65537": F65537,
+    "2^31-1": PrimeField(2**31 - 1),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
+}
+
+
+@pytest.mark.parametrize("name", list(SHIFT_FIELDS))
+def test_taylor_shift_rows_match_upoly_horner(name):
+    # widths on both sides of the block length and of its doublings, with
+    # several rows, one row and no columns
+    F = SHIFT_FIELDS[name]
+    block = sylres.upoly._SHIFT_BLOCK
     rng = random.Random(7)
-    for rows, width in ((1, 1), (1, 13), (6, 9), (3, 0)):
+    cases = [(1, 1), (1, 13), (6, 9), (3, 0), (0, 5), (3, block), (4, block + 1), (2, 2 * block + 1)]
+    cases += [(3, 32), (3, 33), (2, 65), (2, 289)]
+    for rows, width in cases:
         G = F.rand_array(rng, rows * width).reshape(rows, width)
+        if rows > 1:
+            G[1] = F.q - 1  # the largest code in every slot
         a = F.sample(rng)
         got = taylor_shift_rows(F, G, a)
         assert got.shape == G.shape
         for r in range(rows):
             want = _horner_shift_reference(UPoly(F, G[r]), a)
             assert UPoly(F, got[r]) == want == UPoly(F, G[r]).taylor_shift(a)
-    # above the Horner cutoff taylor_shift halves; check it by evaluation
     f = UPoly.random(F, 1100, rng)
     a, x0 = F.sample(rng), F.sample(rng)
     assert f.taylor_shift(a).eval_at(x0) == f.eval_at(F.add(x0, a))
+    assert f.taylor_shift(a).taylor_shift(F.neg(a)) == f
+
+
+@pytest.mark.parametrize("name", ["F65537", "F7^3"])
+def test_taylor_shift_makes_few_field_calls(name, monkeypatch):
+    """Past the block length a shift is Horner on blocks of at most
+    _SHIFT_BLOCK coefficients and one conv per doubling level: a degree-1100
+    shift makes at most _SHIFT_BLOCK + O(log n) conv/vmul/vsubmul calls
+    (array Horner on the whole row made about 1100); up to the block length
+    it is Horner alone, with no conv."""
+    F = SHIFT_FIELDS[name]
+    block = sylres.upoly._SHIFT_BLOCK
+    rng = random.Random(8)
+    calls = {"conv": 0, "vmul": 0, "vsubmul": 0}
+    for op in calls:
+
+        def counted(*args, _op=op, _f=getattr(F, op)):
+            calls[_op] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(F, op, counted)
+    f = UPoly.random(F, 1100, rng)
+    f.taylor_shift(F.sample(rng))
+    assert sum(calls.values()) <= block + 4 * len(f.c).bit_length(), calls
+    calls.update(dict.fromkeys(calls, 0))
+    UPoly.random(F, block - 1, rng).taylor_shift(F.sample(rng))
+    assert calls["conv"] == 0 and calls["vsubmul"] == block, calls
 
 
 def test_multipoint_and_interpolate():
@@ -345,6 +379,32 @@ def test_berlekamp_massey_matches_scalar_on_lfsr_outputs(name, order, n, lead_ze
     assert got == _berlekamp_massey_scalar(F, s)
     if n >= 2 * order:  # a long enough prefix pins a divisor of the recurrence
         assert UPoly(F, taps + [1]).rem(got).is_zero
+
+
+def _python_lfsr(p, order, n, rng):
+    """n terms of a random recurrence of the given order over F_p, in
+    Python integers: s_t = -sum_j taps_j s_{t-order+j}."""
+    taps = [rng.randrange(p) for _ in range(order)]
+    s = [rng.randrange(p) for _ in range(order)]
+    while len(s) < n:
+        s.append(-sum(t * v for t, v in zip(taps, s[-order:])) % p)
+    return taps, s[:n]
+
+
+@pytest.mark.parametrize("p, order, n", [(2**31 - 1, 40, 100), (2, 288, 576), (65537, 288, 576)])
+def test_berlekamp_massey_matches_scalar_on_long_sequences(p, order, n):
+    # at p = 2**31 - 1 one int64 call sums at most 2 products, so every
+    # discrepancy with L > 1 is summed on limbs of the sequence window;
+    # N = 576 is the driver's 4de at d = e = 12
+    F = PrimeField(p)
+    if p == 2**31 - 1:
+        assert gate(p, INT64_EXACT).single == 2
+    taps, s = _python_lfsr(p, order, n, random.Random(p + order))
+    got = berlekamp_massey(F, s)
+    assert got == _berlekamp_massey_scalar(F, s)
+    assert UPoly(F, taps + [1]).rem(got).is_zero
+    if p > 2:  # a random recurrence over a large field has its full order
+        assert got.deg == order
 
 
 def test_gcd_lcm():
