@@ -3,9 +3,9 @@ reduction, read as a rank, a determinant or an inverse.
 
 Matrices are int64 code arrays of shape (n, m).  Each pivot step clears
 its column in every other row with one outer-product update, so a
-reduction costs O(m) vector calls whatever the field.  Used for the
-dense inverse of S(0) in transposed base solves, for determinants of S_y
-at a point, and by the oracles.
+reduction costs O(m) vector calls whatever the field.  Used for
+determinants of S_y at a point and of its column-leading matrix, and by
+the oracles and tests (gauss_inverse is the tests' reference inverse).
 """
 
 from __future__ import annotations

@@ -20,8 +20,17 @@ S @ W is one bipoly.grid_mul of two pairs (one spectral product when FFT
 sized); its transpose is one grid_mul per generator.  A truncated solve
 transforms each generator grid once per (rows, FFT length) in a memo it
 owns and drops on return.
-The truncated solves halve the window down to solves against S(0): a
-Bezout solve on code arrays (forward) or a dense inverse (transposed).
+The truncated solves halve the window, each residual formed from the low
+half's last deg S columns only, down to leaves of at most
+LEAF_INNER_MAX // n columns.  A leaf is lifted column by column, u_c from
+v_c and the k previous columns, through one dense map
+[A | -A S_1 | ... | -A S_k] with A = S(0)^{-1} (S_j^T and S(0)^{-T} when
+transposed), prepared once per solve by ctx.dot_map; the solve owns the
+map and drops it on return, so nothing of it stays on S.  A width-1 solve
+is one base solve instead.  Every S(0)^{-1} comes from one Bezout route
+on code arrays (_BaseSolver): a forward solve, or, for the leaves and the
+width-1 transposed solve, the unit vectors' solves in one O(n^2)
+recurrence (_BaseSolver.inverse_T).
 The Bezout triple of a matrix's outer-constant slices is cached on it
 (const_xgcd); is_column_reduced(S) reads S.reversed_matrix()'s, whose
 constant slices are S's leading coefficients, and whose solver reuses it.
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._dense import SingularMatrixError, gauss_inverse
+from ._dense import SingularMatrixError
 from .bipoly import BiPoly, IdealBasis, fit, grid_mul, to_array, to_list, vec
 from .upoly import UPoly, inverse_series, xgcd
 
@@ -98,15 +107,23 @@ class SylvMat:
 
     def at(self, x0: int) -> np.ndarray:
         """S evaluated at outer = x0, as a scalar matrix: each generator is
-        evaluated in the outer variable (ctx.horner over its grid), and its
-        inner coefficients, highest first, fill the columns' bands."""
-        M = np.zeros((self.n, self.n), dtype=np.int64)
+        evaluated in the outer variable (ctx.horner over its grid)."""
+        return self._banded([self.ctx.horner(G, x0)[None] for G in self.grids()])[0]
+
+    def layers(self, k: int) -> np.ndarray:
+        """S_0, ..., S_k, the coefficients of outer^0, ..., outer^k, as a
+        (k + 1, n, n) array of scalar matrices."""
+        return self._banded([fit(G[: k + 1].T, k + 1).T for G in self.grids()])
+
+    def _banded(self, rows) -> np.ndarray:
+        """Scalar matrices, one per row of rows[0] (inner coefficients of g1,
+        ascending) and rows[1] (of g2): column j of a generator's block holds
+        its coefficients, highest first, from row j on."""
+        M = np.zeros((len(rows[0]), self.n, self.n), dtype=np.int64)
         col = 0
-        for gen, deg, count in ((self.g1, self.m1, self.m2), (self.g2, self.m2, self.m1)):
-            # row i of the grid: coefficient of outer^i
-            coeffs = self.ctx.horner(gen.g if self.wrt == "y" else gen.g.T, x0)
-            for j in range(count):
-                M[j : j + deg + 1, col + j] = coeffs[::-1]
+        for C, deg, count in zip(rows, (self.m1, self.m2), (self.m2, self.m1)):
+            j = np.arange(count)[:, None]
+            M[:, j + np.arange(deg + 1), col + j] = C[:, None, ::-1]
             col += count
         return M
 
@@ -254,6 +271,11 @@ def _transposed_product(S, L, grids, off1, off2, out_len, memo=None) -> np.ndarr
 # ---------------------------------------------------------------------------
 # truncated inverse application (x-adic Hensel solves against S(0))
 
+# Largest inner dimension n (k + 1) of a truncated solve's dense leaf map,
+# which fixes the leaf width at LEAF_INNER_MAX // n columns (measured; see
+# the leaf sweep in BENCH_19.json).
+LEAF_INNER_MAX = 512
+
 
 class _BaseSolver:
     """Solves S(0) z = r through the scalar Sylvester system: with p, q the
@@ -279,7 +301,7 @@ class _BaseSolver:
         if not self.route_a and p0.deg != S.m1:
             raise SingularMatrixError("constant coefficient matrix is singular")
         div, other, mult = (q0, p0, u0) if self.route_a else (p0, q0, v0)
-        self.ctx, self.dd, self.div = S.ctx, div.deg, div.c
+        self.ctx, self.n, self.dd, self.div = S.ctx, S.n, div.deg, div.c
         self.other = other.padded(S.n - self.dd + 1)
         # xgcd's degree bounds give deg(mult) < dd, which keeps every
         # quotient below precision n
@@ -292,6 +314,10 @@ class _BaseSolver:
         return self.ctx.conv(f[::-1][:k], self.inv[:k])[:k][::-1]
 
     def solve(self, r: np.ndarray) -> np.ndarray:
+        return self._join(*self._parts(r))
+
+    def _parts(self, r: np.ndarray):
+        """(X, Y) for r: X = (R mult) rem divisor, Y = (R - X other) / divisor."""
         ctx, dd = self.ctx, self.dd
         R = r[::-1]
         X = R[:0]  # (R mult) rem divisor, dd codes
@@ -301,18 +327,42 @@ class _BaseSolver:
             if len(Q):
                 X = ctx.vsub(X, ctx.conv(Q, self.div)[:dd])
             R = ctx.vsub(R, ctx.conv(X, self.other))
-        Y = self._quo(R)  # exact: R - X other is divisible
+        return X, self._quo(R)  # exact: R - X other is divisible
+
+    def _join(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # (A, B) in route order, each reversed, along the last axis
         A, B = (X, Y) if self.route_a else (Y, X)
-        return np.concatenate([A[::-1], B[::-1]])
+        return np.concatenate([A[..., ::-1], B[..., ::-1]], axis=-1)
+
+    def inverse_T(self) -> np.ndarray:
+        """S(0)^{-T}, whose row n - 1 - m solves R = t^m, in n steps of O(n)
+        codes: from the solve of R = 1, t^(m+1) continues t^m's (X, Y) as
+        t X - c divisor and t Y + c other, where c cancels t X's
+        coefficient at t^dd."""
+        ctx, n, dd = self.ctx, self.n, self.dd
+        # row m holds t^m's X and Y after one leading zero, so row m up to
+        # its last code is t X (or t Y) with the top coefficient dropped
+        X = np.zeros((n, dd + 1), dtype=np.int64)
+        Y = np.zeros((n, n - dd + 1), dtype=np.int64)
+        one = np.zeros(n, dtype=np.int64)
+        one[n - 1 :] = 1  # R = 1 (no row at all when n = 0)
+        X[:1, 1:], Y[:1, 1:] = self._parts(one)
+        lead = ctx.inv(int(self.div[dd]))
+        for m in range(n - 1):
+            c = ctx.mul(int(X[m, dd]), lead)
+            X[m + 1, 1:] = ctx.vsubmul(X[m, :dd], c, self.div[:dd])
+            Y[m + 1, 1:] = ctx.vsubmul(Y[m, :-1], ctx.neg(c), self.other[:-1])
+        return self._join(X[:, 1:], Y[:, 1:])[::-1]
 
 
 class _BaseSolverT:
-    """Dense inverse of S(0) (n^2 codes), applied transposed by one
-    dot_map prepared once; the projection window program needs it only
-    when the column degrees differ."""
+    """S(0)^{-T} (n^2 codes, from the Bezout route), applied by one dot_map
+    prepared once: the width-1 transposed solve and the transposed leaf."""
 
     def __init__(self, S: SylvMat):
-        self.solve = S.ctx.dot_map(gauss_inverse(S.ctx, S.constant_matrix()).T)
+        # a forward solver built for this only, not cached on S
+        self.inv_T = _BaseSolver(S).inverse_T()
+        self.solve = S.ctx.dot_map(self.inv_T)
 
 
 def _solver(S: SylvMat, kind: type):
@@ -320,6 +370,34 @@ def _solver(S: SylvMat, kind: type):
     if kind not in S._cache:
         S._cache[kind] = kind(S)
     return S._cache[kind]
+
+
+def _leaf_map(S: SylvMat, transposed: bool, k: int):
+    """x -> A [x_0 - S_1 x_1 - ... - S_k x_k] for x = [x_0; ...; x_k] of
+    n(k + 1) codes, A = S(0)^{-1}: the map [A | -A S_1 | ... | -A S_k],
+    filled in place and prepared by one ctx.dot_map.  Transposed, S_j^T and
+    A = S(0)^{-T} take their places.  The caller owns it for one solve."""
+    ctx, n = S.ctx, S.n
+    A = _solver(S, _BaseSolverT).inv_T if transposed else _solver(S, _BaseSolver).inverse_T().T
+    layers = S.layers(k)
+    M = np.empty((n, n * (k + 1)), dtype=np.int64)
+    M[:, :n] = A
+    apply_A = ctx.dot_map(A)
+    for j in range(1, k + 1):
+        M[:, n * j : n * (j + 1)] = ctx.vneg(apply_A(layers[j].T if transposed else layers[j]))
+    return ctx.dot_map(M)
+
+
+def _lift(leaf, k: int, V: np.ndarray) -> np.ndarray:
+    """U (n, w) with u_c = leaf([v_c; u_{c-1}; ...; u_{c-k}]), u_c = 0 for
+    c < 0: one leaf product per column (x-adic lifting).  Row w - 1 - c of
+    the buffer holds v_c, then u_c, so each argument is a contiguous slice."""
+    n, w = V.shape
+    T = np.zeros((w + k, n), dtype=np.int64)
+    T[:w] = V[:, ::-1].T
+    for r in range(w - 1, -1, -1):
+        T[r] = leaf(T[r : r + k + 1].reshape(-1))
+    return T[w - 1 :: -1].T
 
 
 def trunc_inv_apply(S: SylvMat, v: list[UPoly], l: int) -> list[UPoly]:
@@ -333,22 +411,45 @@ def trunc_inv_apply(S: SylvMat, v: list[UPoly], l: int) -> list[UPoly]:
 def solve_window(S: SylvMat, V: np.ndarray, l: int) -> np.ndarray:
     """U (n, l) with S U = V (mod outer^l), V of width l; requires S(0)
     nonsingular."""
-    return _solve_series(S, _solver(S, _BaseSolver).solve, matvec_window, V, l, {})
+    return _solve_series(S, False, V, l)
 
 
-def _solve_series(S, base_solve, mv, V, l, memo) -> np.ndarray:
-    """U (n, l) with mv-products S U = V (mod outer^l), V of width l; the
-    low half is solved first and the high half against its residual.  memo
-    holds the generators' spectra for every mv-product of this solve and is
-    dropped with it: never on S, which a caller may hold long after."""
-    if l == 1:
-        return base_solve(V[:, 0]).reshape(-1, 1)
-    h = l // 2
-    U_lo = _solve_series(S, base_solve, mv, V[:, :h], h, memo)
-    prod = mv(S, U_lo, l, memo)
-    R = S.ctx.vsub(V[:, h:l], prod[:, h:l])
-    U_hi = _solve_series(S, base_solve, mv, R, l - h, memo)
-    return np.concatenate([U_lo, U_hi], axis=1)
+def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int) -> np.ndarray:
+    """U (n, l) with S U = V (mod outer^l), V of width l, or, transposed,
+    with (sum_j S_j^T outer^j) U = V (mod outer^l).  The window is halved,
+    the low half solved first and the high half against the residual that
+    the low half's last deg S columns leave, down to leaves of width at most
+    b = LEAF_INNER_MAX // n, each lifted column by column through one dense
+    map of inner dimension n (k + 1), k = min(b - 1, deg S).  A width-1
+    solve, or b = 1, runs base solves instead.  The leaf map and the memo
+    of the generators' spectra for every product belong to this solve and
+    are dropped with it: never on S, which a caller may hold long after."""
+    mv = _matvec_semiT if transposed else matvec_window
+    b = min(l, LEAF_INNER_MAX // max(S.n, 1))
+    if b > 1:
+        k = min(b - 1, S.degree)
+        leaf_map = _leaf_map(S, transposed, k)
+        leaf = lambda R: _lift(leaf_map, k, R)
+    elif transposed:
+        b, leaf = 1, _solver(S, _BaseSolverT).solve
+    else:
+        b, leaf = 1, lambda R: _solver(S, _BaseSolver).solve(R[:, 0]).reshape(-1, 1)
+    return _halve(S, mv, leaf, b, {}, V, l)
+
+
+def _halve(S, mv, leaf, b, memo, V, l) -> np.ndarray:
+    # _solve_series's recursion, a module function so that no reference
+    # cycle keeps the leaf map or the memo alive after the solve
+    if l <= b:
+        return leaf(V)
+    d, h = S.degree, l // 2
+    U_lo = _halve(S, mv, leaf, b, memo, V[:, :h], h)
+    R = V[:, h:l]
+    if d:
+        s = max(h - d, 0)
+        prod = mv(S, U_lo[:, s:], min(l, h + d) - s, memo)
+        R = S.ctx.vsub(R, fit(prod[:, h - s :], l - h))
+    return np.concatenate([U_lo, _halve(S, mv, leaf, b, memo, R, l - h)], axis=1)
 
 
 def trunc_inv_apply_T(S: SylvMat, ell: list[UPoly], l: int) -> list[UPoly]:
@@ -360,5 +461,4 @@ def trunc_inv_apply_T(S: SylvMat, ell: list[UPoly], l: int) -> list[UPoly]:
 def solve_window_T(S: SylvMat, L: np.ndarray, l: int) -> np.ndarray:
     """Transpose of solve_window as a linear map on the coefficient window
     of width l: reverse, solve against the transposed layers, reverse back."""
-    U = _solve_series(S, _solver(S, _BaseSolverT).solve, _matvec_semiT, fit(L, l)[:, ::-1], l, {})
-    return U[:, ::-1]
+    return _solve_series(S, True, fit(L, l)[:, ::-1], l)[:, ::-1]

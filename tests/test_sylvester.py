@@ -1,3 +1,4 @@
+import gc
 import random
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import sylres._backend
 import sylres.sylvester
 import sylres.upoly
-from sylres._dense import SingularMatrixError, gauss_rank
+from sylres._dense import SingularMatrixError, gauss_inverse, gauss_rank
 from sylres.bipoly import BiPoly, IdealBasis, bimul, fit, grid_mul, to_array, to_list, vec_x, vec_y
 from sylres.field import PrimeField, build_extension, extend_field
 from sylres.normalform import normal_form
@@ -194,8 +195,6 @@ def test_matvec_T_is_transpose_of_matvec():
 
 def dense_series_solve(ctx, S, v, l):
     """Oracle: solve S u = v mod t^l by dense order-by-order elimination."""
-    from sylres._dense import gauss_inverse
-
     D = dense_form(S)
     n = S.n
     M0 = np.array([[D[i][j].coeff(0) for j in range(n)] for i in range(n)], dtype=np.int64)
@@ -345,7 +344,8 @@ def _solvable(ctx, wrt, shape, rng, deficient=False, tries=60):
 @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
 def test_base_solver_matches_upoly_bezout_route(name):
     ctx, rng = DIFF_FIELDS[name], random.Random(name)
-    cases = [(shape, False) for shape in SHAPES] + [((2, 2, 2, 2), True), ((1, 3, 2, 1), True)]
+    # (1, 0, 2, 2) deficient: route (b) with a constant divisor
+    cases = [(shape, False) for shape in SHAPES] + [((2, 2, 2, 2), True), ((1, 3, 2, 1), True), ((1, 0, 2, 2), True)]
     for wrt in "xy":
         for shape, deficient in cases:
             S, solver = _solvable(ctx, wrt, shape, rng, deficient)
@@ -356,6 +356,10 @@ def test_base_solver_matches_upoly_bezout_route(name):
                 z = solver.solve(r)
                 assert np.array_equal(z, _bezout_reference(S, r))
                 assert np.array_equal(ctx.vsum(ctx.vmul(M0, z)), r)
+            # the Bezout recurrence over the unit vectors is the dense inverse
+            Z = solver.inverse_T()
+            assert np.array_equal(Z, gauss_inverse(ctx, M0).T)
+            assert np.array_equal(Z, np.array([solver.solve(e) for e in np.eye(S.n, dtype=np.int64)]))
 
 
 def _dense_product(S, W, l):
@@ -512,14 +516,29 @@ def test_truncated_solves_transform_each_generator_once_per_length(monkeypatch):
             assert np.array_equal(U, _solve_window_T_reference(S, V, 64))
 
 
+def _halving_reference(S, transposed, V, l):
+    """The truncated solve as a halving recursion down to width 1, with no
+    dense leaf and no memo: each column solved by the dense inverse of S(0)
+    (gauss_inverse), each residual from the whole low half."""
+    ctx = S.ctx
+    A = gauss_inverse(ctx, S.constant_matrix())
+    base = ctx.dot_map(A.T if transposed else A)
+
+    def rec(V, l):
+        if l == 1:
+            return base(V)
+        h = l // 2
+        U_lo = rec(V[:, :h], h)
+        prod = _matvec_semiT(S, U_lo, l) if transposed else matvec_window(S, U_lo, l)
+        R = ctx.vsub(V[:, h:l], prod[:, h:l])
+        return np.concatenate([U_lo, rec(R, l - h)], axis=1)
+
+    return rec(V, l)
+
+
 def _solve_window_T_reference(S, L, l):
-    """solve_window_T without a memo: the transposed series solve with each
-    product made afresh."""
-    base = _solver(S, sylres.sylvester._BaseSolverT).solve
-    U = sylres.sylvester._solve_series(
-        S, base, lambda S, U, l, memo: _matvec_semiT(S, U, l), fit(L, l)[:, ::-1], l, None
-    )
-    return U[:, ::-1]
+    """solve_window_T through the halving reference."""
+    return _halving_reference(S, True, fit(L, l)[:, ::-1], l)[:, ::-1]
 
 
 def _holds_complex(obj, seen) -> bool:
@@ -602,3 +621,120 @@ def test_base_solver_fallback_matches_handed_down_triple():
             z = fallback.solve(r)
             assert np.array_equal(z, _solver(R, _BaseSolver).solve(r))
             assert np.array_equal(F65537.vsum(F65537.vmul(M0, z)), r)
+
+
+# ---------------------------------------------------------------------------
+# the dense leaf of the truncated solves, against the halving recursion
+
+# SHAPES, plus both generators constant in the outer variable (deg S = 0);
+# (1, 0, 2, 3) has inner degree 0 in g1, so its divisor degree is n
+LEAF_SHAPES = SHAPES + [(0, 2, 0, 1)]
+
+
+def _leaf_widths(b):
+    return sorted({l for l in (1, b - 1, b, b + 1, 3 * b) if l >= 1})
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+def test_leaf_solves_match_halving_reference(monkeypatch, name):
+    ctx, rng = DIFF_FIELDS[name], random.Random(name)
+    cases = [(shape, False) for shape in LEAF_SHAPES] + [((2, 2, 2, 2), True), ((1, 0, 2, 2), True)]
+    for wrt in "xy":
+        for shape, deficient in cases:
+            S = _solvable(ctx, wrt, shape, rng, deficient)[0]
+            # b = 1 is the recursion alone; b = 3 gives k = b - 1 below deg S
+            # for the degree-3 shapes, b = 5 gives k = deg S
+            for b in (1, 3, 5):
+                monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", b * S.n + S.n - 1)
+                for l in _leaf_widths(b):
+                    V = ctx.rand_array(rng, S.n * l).reshape(S.n, l)
+                    U = solve_window(S, V, l)
+                    assert np.array_equal(U, _halving_reference(S, False, V, l)), (wrt, shape, b, l)
+                    assert np.array_equal(matvec_window(S, U, l), V)
+                    UT = sylres.sylvester.solve_window_T(S, V, l)
+                    assert np.array_equal(UT, _solve_window_T_reference(S, V, l)), (wrt, shape, b, l)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1])
+def test_leaf_solves_at_module_width_match_halving_reference(p):
+    ctx, rng = PrimeField(p), random.Random(p)
+    basis = _fft_sized_matrix(random.Random(25))[0]
+    g1, g2 = (BiPoly(ctx, g.g) for g in (basis.a, basis.b))  # the F_65537 codes, read mod p
+    S = build_Sy(IdealBasis(g1, g2)).reversed_matrix()
+    b = sylres.sylvester.LEAF_INNER_MAX // S.n
+    assert 1 < b < 3 * b <= 64
+    for l in _leaf_widths(b):
+        V = ctx.rand_array(rng, S.n * l).reshape(S.n, l)
+        assert np.array_equal(solve_window(S, V, l), _halving_reference(S, False, V, l)), l
+        assert np.array_equal(sylres.sylvester.solve_window_T(S, V, l), _solve_window_T_reference(S, V, l)), l
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_solve_keeps_no_leaf_map_on_the_matrix(monkeypatch, transposed):
+    # the leaf map is built per solve and dropped with it: a long-lived
+    # matrix gains only the keys a solve without a leaf also sets, and the
+    # map's inner dimension stays within the module's cap
+    S = _fft_sized_matrix(random.Random(26))[1].reversed_matrix()
+    held = set(S._cache)
+    assert held == {"const_xgcd"}  # from the column-reducedness check
+    inner = []
+    build = sylres.sylvester._leaf_map
+
+    def recording(S, transposed, k):
+        inner.append(S.n * (k + 1))
+        return build(S, transposed, k)
+
+    monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
+    V = F65537.rand_array(random.Random(27), S.n * 64).reshape(S.n, 64)
+    (sylres.sylvester.solve_window_T if transposed else solve_window)(S, V, 64)
+    kind = sylres.sylvester._BaseSolverT if transposed else _BaseSolver
+    assert set(S._cache) <= held | {"grids", kind}
+    assert inner and max(inner) <= sylres.sylvester.LEAF_INNER_MAX
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_solve_frees_its_leaf_map_and_memo_on_return(transposed):
+    # no reference cycle keeps a solve's leaf map or spectra alive until the
+    # cycle collector runs: a caller that holds many results (as the
+    # benchmark's worker does) would otherwise hold them too
+    S = _fft_sized_matrix(random.Random(29))[1].reversed_matrix()
+    V = F65537.rand_array(random.Random(30), S.n * 64).reshape(S.n, 64)
+    solve = sylres.sylvester.solve_window_T if transposed else solve_window
+    solve(S, V, 64)  # per-matrix setup
+    gc.collect()
+    gc.disable()
+    try:
+        solve(S, V, 64)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("leaf", [1, 2, None])
+def test_long_solve_products_stay_within_twice_the_degree(monkeypatch, transposed, leaf):
+    # above the leaf, each residual comes from the low half's last deg S
+    # columns only, so no product is wider than 2 deg S + 1 however long
+    # the window
+    rng = random.Random(28)
+    S = _solvable(F65537, "y", (3, 2, 1, 3), rng)[0]
+    d, l = S.degree, 300
+    if leaf is not None:
+        monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", leaf * S.n)
+    widths = []
+    name = "_matvec_semiT" if transposed else "matvec_window"
+    product = getattr(sylres.sylvester, name)
+
+    def recording(*args):
+        out = product(*args)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(sylres.sylvester, name, recording)
+    V = F65537.rand_array(rng, S.n * l).reshape(S.n, l)
+    U = (sylres.sylvester.solve_window_T if transposed else solve_window)(S, V, l)
+    monkeypatch.undo()
+    assert widths and max(widths) <= 2 * d + 1
+    want = _solve_window_T_reference(S, V, l) if transposed else _halving_reference(S, False, V, l)
+    assert np.array_equal(U, want)
