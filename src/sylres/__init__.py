@@ -32,7 +32,7 @@ from .invariant import (
     projection_sequence,
     resultant_certified,
 )
-from .kucompose import FieldTooSmallError, KUParams, compose_rem, inv_kronecker, power_tower
+from .kucompose import FieldTooSmallError, KUParams, WorkBudgetError, compose_rem, inv_kronecker, power_tower
 from .normalform import (
     LinearForm,
     NormalFormProgram,
@@ -77,6 +77,7 @@ __all__ = [
     "SingularMatrixError",
     "SylvMat",
     "UPoly",
+    "WorkBudgetError",
     "berlekamp_massey",
     "bimul",
     "build_Sx",

@@ -7,7 +7,8 @@ c * x^i * y^j (j may be omitted for univariate files); `#` starts a
 comment and repeated monomials are summed.  Output mirrors the same term
 format.  Exit codes: 0 success, 1 usage or parse error, 2 computation
 failure (including --verify-oracle above the dense oracles' dimension
-gate), 3 oracle mismatch under --verify-oracle.
+gate and an --algo ku input over the composition work budget), 3 oracle
+mismatch under --verify-oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .invariant import (
     elimination_generator,
     resultant_certified,
 )
-from .kucompose import FieldTooSmallError, KUParams, compose_rem
+from .kucompose import FieldTooSmallError, KUParams, WorkBudgetError, compose_rem
 from .normalform import mul_mod, normal_form
 from .oracle import OracleGateError, dense_resultant, dense_smith
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, dense_form, is_column_reduced
@@ -167,7 +168,7 @@ def cmd_nf(args) -> int:
             nf = compose_rem(basis, fu, params)
         else:
             nf = normal_form(basis, f)
-    except (NotColumnReducedError, FieldTooSmallError) as exc:
+    except (NotColumnReducedError, FieldTooSmallError, WorkBudgetError) as exc:
         raise CliError(str(exc), 2)
     elapsed = time.perf_counter_ns() - t0
     if args.verify_oracle:
@@ -306,6 +307,8 @@ def _bench_one(basis, rng, op, trials):
             return time.perf_counter_ns() - t0, "ok"
         except FieldTooSmallError:
             return 0, "field-too-small"
+        except WorkBudgetError:
+            return 0, "over-budget"
     raise CliError(f"unknown bench op {op!r}", 1)
 
 

@@ -10,10 +10,12 @@ path upgrades to Las Vegas through the column-degree certificate.
 The minimal polynomial is read off power projections ell(phi(x^i)),
 i < 4de.  The `trials` random linear forms are drawn first; their sequences
 then come from one recurrence on the normal-form window, where
-multiplication by x is a shift plus a rank-n_y update: n_y + 1 normal forms
-and one transposed normal form per form set it up, and each power of x is
-one exact product of a fixed (n_y + trials, d n_y) matrix with the last d
-update vectors (see _power_projections).  upoly.common_generator then runs
+multiplication by x is a shift plus a rank-n_y update.  It is set up by the
+normal form of 1, one matrix division of x^d I by S_y for every
+phi(x^d y^j) at once (normalform.x_power_forms), and one transposed normal
+form per form; each power of x is then one exact product of a fixed
+(n_y + trials, d n_y) matrix with the last d update vectors (see
+_power_projections).  upoly.common_generator then runs
 Berlekamp-Massey on the first sequence only and certifies each other one
 with one annihilation product.  Every retry of last_invariant_factor is
 counted under a named reason in InvariantReport.rejections.
@@ -31,7 +33,7 @@ from ._dense import gauss_det
 from .bipoly import BiPoly, IdealBasis
 from .condition import ConditioningRecord, condition_for_both, recover_last_invariant
 from .field import working_field
-from .normalform import LinearForm, NormalFormProgram, normal_form
+from .normalform import LinearForm, NormalFormProgram, normal_form, x_power_forms
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced, require_both_reduced
 from .upoly import UPoly, common_generator, pgcd
 
@@ -105,24 +107,28 @@ def _power_projections(basis: IdealBasis, forms: list[LinearForm], N: int) -> np
     by phi when the column degrees differ) and A_m = ell' o T^m o C.  Each
     step is then one exact product of M = [C_0 .. C_{d-1}; A_{d-1} .. A_0]
     with the last d h's, read as a slice of one flat history buffer.
+    Setting it up takes one normal form (phi(1)), one matrix division for
+    all the phi(x^d y^j) (x_power_forms), and one product of the shifted
+    ell' with those n_y + 1 forms for every ell'(T^m ...).
     """
     ctx = basis.ctx
     d, ny, k = basis.d, basis.ny, len(forms)
     seqs = np.zeros((k, N), dtype=np.int64)
     if N == 0 or d == 0 or ny == 0:
         return seqs  # nothing asked for, or the window is {0}
-    # P[0] = phi(1), P[1 + j] = phi(x^d y^j); P[p, c] is column c of P[p]
-    polys = [BiPoly.one(ctx)] + [BiPoly.monomial(ctx, d, j) for j in range(ny)]
-    P = np.stack([normal_form(basis, f).padded(d, ny) for f in polys])
     prog = NormalFormProgram(basis, d - 1, ny - 1)
-    # L[t, c] is the row vector of ell'_t on column c
+    # L[t, c] is the row vector of ell'_t on column c; these transposed
+    # solves come first, so that the division below reads the S(0)^{-T}
+    # that their solver keeps on S_y's reversed matrix
     L = np.stack([prog.transpose(ell).reshape(ny, d).T for ell in forms])
-    # Z[t, m, p] = ell'_t(T^m P[p]) = sum_{c >= m} L[t, c] . P[p, c - m]
-    Z = np.empty((k, d, ny + 1), dtype=np.int64)
+    # P[0] = phi(1), P[1 + j] = phi(x^d y^j); P[p, c] is column c of P[p]
+    P = np.concatenate([normal_form(basis, BiPoly.one(ctx)).padded(d, ny)[None], x_power_forms(basis)])
+    # Z[t, m, p] = ell'_t(T^m P[p]) = sum_{c >= m} L[t, c] . P[p, c - m]:
+    # one product of the shifted forms Ls[t, m, c - m] = L[t, c] with every P[p]
+    Ls = np.zeros((k, d, d, ny), dtype=np.int64)
     for m in range(d):
-        proj = ctx.dot_map(P[:, : d - m].reshape(ny + 1, -1))
-        for t in range(k):
-            Z[t, m] = proj(L[t, m:].reshape(-1))
+        Ls[:, m, : d - m] = L[:, m:]
+    Z = ctx.dot_map(Ls.reshape(k * d, d * ny))(P.reshape(ny + 1, d * ny).T).reshape(k, d, ny + 1)
     # window block b multiplies h_{i-d+b}, that is m = d-1-b
     R = P[1:].transpose(2, 1, 0).reshape(ny, d * ny)  # block b is C_b
     A = Z[:, ::-1, 1:].reshape(k, d * ny)  # block b is A_{d-1-b}

@@ -25,9 +25,18 @@ from .upoly import UPoly, interpolate_rows
 # points of one chunk): 32 MB of int64
 _MV_CHUNK_ENTRIES = 1 << 22
 
+# largest work of the naive multipoint evaluation, grid size times points
+# (KUParams.work): d = e = 16 is about 5.6e8 and runs in seconds, d = e = 32
+# about 1.6e10 and took over two minutes
+_WORK_MAX = 1 << 31
+
 
 class FieldTooSmallError(ValueError):
     pass
+
+
+class WorkBudgetError(ValueError):
+    """The composition pipeline would exceed _WORK_MAX; refused up front."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,18 @@ class KUParams:
         dp = self.l * (self.d_eps - 1) * (basis.d - 1)
         ep = self.l * (self.d_eps - 1) * (basis.ny - 1)
         return dp, ep
+
+    def work(self, basis: IdealBasis) -> int:
+        """Grid entries times evaluation points of step 4."""
+        dp, ep = self.grid_sizes(basis)
+        return self.d_eps**self.l * (dp + 1) * (ep + 1)
+
+    def check_work(self, basis: IdealBasis) -> None:
+        work = self.work(basis)
+        if work > _WORK_MAX:
+            raise WorkBudgetError(
+                f"composition work {work} (grid entries times points) exceeds the budget {_WORK_MAX}"
+            )
 
     def check_cardinality(self, basis: IdealBasis) -> None:
         need = self.l * (self.d_eps - 1) * max(basis.d - 1, basis.ny - 1)
@@ -136,9 +157,11 @@ def _nested_horner(ctx, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def compose_rem(basis: IdealBasis, f: UPoly, params: KUParams) -> BiPoly:
     """phi(f(x)): the normal form of a univariate f of degree < params.delta,
-    computed by the composition pipeline.  Equals normal_form exactly."""
+    computed by the composition pipeline.  Equals normal_form exactly.
+    Raises FieldTooSmallError or WorkBudgetError before any work."""
     ctx = basis.ctx
     params.check_cardinality(basis)
+    params.check_work(basis)
     if f.is_zero:
         return BiPoly.zero(ctx)
 

@@ -9,7 +9,9 @@ power-series solve against a Sylvester matrix with invertible constant
 term.  Unequal column degrees are balanced by an implicit diag(t^delta, 1)
 scaling; only the quotient split changes.  _DivisionProgram derives this
 setup once for a divisor and an input degree; every division and its
-transpose run through it.
+transpose run through it.  x_power_forms divides x^d I by S_y in one pass,
+all columns at once, for the normal forms phi(x^d y^j) that the power
+projections start from.
 
 The normal form phi(f) reduces deg_y below n_y with a division against an
 enlarged x-Sylvester matrix, then reduces deg_x below d against S_y.  For
@@ -32,6 +34,7 @@ from .sylvester import (
     SylvMat,
     build_Sy,
     build_Tx,
+    inverse_window,
     matvec_window,
     matvec_window_T,
     require_both_reduced,
@@ -219,6 +222,30 @@ class _DivisionProgram:
         mu = solve_window_T(self.Srev, mu[:, ::-1], self.W)
         # transpose of the resize V -> W, then of the input reversal (window V)
         return self.S.ctx.vsub(fit(padded, self.V), fit(mu, self.V)[:, ::-1])
+
+
+def x_power_forms(basis: IdealBasis) -> np.ndarray:
+    """phi(x^d y^j) for j < n_y as an (n_y, d, n_y) stack of coefficient
+    grids padded to the window, from one matrix division of x^d I by S_y:
+    column n_y - 1 - j of x^d I is vec_y(x^d y^j), already y-reduced.  This
+    is _DivisionProgram(S_y, d).divide on all n_y columns at once.  Each
+    reversed column is a unit vector, so the quotient Q is inverse_window of
+    the reversed matrix, split at the high block, and the remainder is
+    -(S_y Q mod x^d), one product of S_y's layers below x^d with every
+    quotient layer.  Requires d >= 1 and both Sylvester matrices column
+    reduced, as normal_form does."""
+    require_both_reduced(basis)
+    S = build_Sy(basis)
+    prog = _DivisionProgram(S, basis.d)
+    ctx, n, d, W = S.ctx, S.n, basis.d, prog.W
+    Q = _shift_rows(inverse_window(prog.Srev, W)[:, ::-1], _high_block(S), -prog.delta)
+    # SQ[k, :, c] = S_k Q_c, which lands on x^(k + c)
+    SQ = ctx.dot_map(S.layers(d - 1).reshape(d * n, n))(Q.reshape(n, W * n)).reshape(d, n, W, n)
+    R = np.zeros((d, n, n), dtype=np.int64)
+    for c in range(min(W, d)):
+        R[c:] = ctx.vsub(R[c:], SQ[: d - c, :, c])
+    # R[c, n_y - 1 - i, n_y - 1 - j] is the x^c y^i coefficient of phi(x^d y^j)
+    return R[:, ::-1, ::-1].transpose(2, 0, 1)
 
 
 class NormalFormProgram:

@@ -27,10 +27,12 @@ v_c and the k previous columns, through one dense map
 [A | -A S_1 | ... | -A S_k] with A = S(0)^{-1} (S_j^T and S(0)^{-T} when
 transposed), prepared once per solve by ctx.dot_map; the solve owns the
 map and drops it on return, so nothing of it stays on S.  A width-1 solve
-is one base solve instead.  Every S(0)^{-1} comes from one Bezout route
-on code arrays (_BaseSolver): a forward solve, or, for the leaves and the
-width-1 transposed solve, the unit vectors' solves in one O(n^2)
-recurrence (_BaseSolver.inverse_T).
+is one base solve instead.  inverse_window lifts S^{-1} mod outer^l, every
+unit vector at once, through the same leaf map.  Every S(0)^{-1} comes
+from one Bezout route on code arrays (_BaseSolver): a forward solve, or,
+for the leaves and the width-1 transposed solve, the unit vectors' solves
+in one O(n^2) recurrence (_BaseSolver.inverse_T), which the transposed
+solver computes once on the cached forward solver and keeps there.
 The Bezout triple of a matrix's outer-constant slices is cached on it
 (const_xgcd); is_column_reduced(S) reads S.reversed_matrix()'s, whose
 constant slices are S's leading coefficients, and whose solver reuses it.
@@ -285,8 +287,9 @@ class _BaseSolver:
     degree m2, A = (R u) rem q and B = (R - A p) / q, where u p + v q = 1;
     (b) p has degree m1 and the roles swap.  It keeps O(n) codes: u (or v),
     of lower degree than the divisor, the slices, and the reversed divisor's
-    inverse series to precision n; each division is the reversal trick on
-    code arrays.  The Bezout triple of (p, q) is S.const_xgcd(), which
+    inverse series to precision n, plus S(0)^{-T} (n^2 codes) once the
+    transposed solver has asked for it; each division is the reversal trick
+    on code arrays.  The Bezout triple of (p, q) is S.const_xgcd(), which
     is_column_reduced() has already computed when S is a reversed matrix."""
 
     def __init__(self, S: SylvMat):
@@ -307,6 +310,7 @@ class _BaseSolver:
         # quotient below precision n
         self.mult = mult.padded(self.dd)
         self.inv = inverse_series(div.rev(), S.n).padded(S.n)
+        self._inv_T = None
 
     def _quo(self, f: np.ndarray) -> np.ndarray:
         """Quotient of f (formal degree len(f) - 1 >= dd - 1) by the divisor."""
@@ -334,11 +338,24 @@ class _BaseSolver:
         A, B = (X, Y) if self.route_a else (Y, X)
         return np.concatenate([A[..., ::-1], B[..., ::-1]], axis=-1)
 
-    def inverse_T(self) -> np.ndarray:
+    def inverse_T(self, keep: bool = False) -> np.ndarray:
         """S(0)^{-T}, whose row n - 1 - m solves R = t^m, in n steps of O(n)
         codes: from the solve of R = 1, t^(m+1) continues t^m's (X, Y) as
         t X - c divisor and t Y + c other, where c cancels t X's
-        coefficient at t^dd."""
+        coefficient at t^dd.  A kept copy is returned as it is; keep
+        computes it at most once and keeps it, read-only, for the transposed
+        solver, which holds it anyway.  A forward leaf keeps none: a normal
+        form solves once per matrix, and a matrix that a caller holds would
+        carry n^2 more codes for no reuse."""
+        if self._inv_T is not None:
+            return self._inv_T
+        inv_T = self._compute_inverse_T()
+        if keep:
+            inv_T.setflags(write=False)
+            self._inv_T = inv_T
+        return inv_T
+
+    def _compute_inverse_T(self) -> np.ndarray:
         ctx, n, dd = self.ctx, self.n, self.dd
         # row m holds t^m's X and Y after one leading zero, so row m up to
         # its last code is t X (or t Y) with the top coefficient dropped
@@ -360,8 +377,7 @@ class _BaseSolverT:
     prepared once: the width-1 transposed solve and the transposed leaf."""
 
     def __init__(self, S: SylvMat):
-        # a forward solver built for this only, not cached on S
-        self.inv_T = _BaseSolver(S).inverse_T()
+        self.inv_T = _solver(S, _BaseSolver).inverse_T(keep=True)
         self.solve = S.ctx.dot_map(self.inv_T)
 
 
@@ -389,15 +405,18 @@ def _leaf_map(S: SylvMat, transposed: bool, k: int):
 
 
 def _lift(leaf, k: int, V: np.ndarray) -> np.ndarray:
-    """U (n, w) with u_c = leaf([v_c; u_{c-1}; ...; u_{c-k}]), u_c = 0 for
-    c < 0: one leaf product per column (x-adic lifting).  Row w - 1 - c of
-    the buffer holds v_c, then u_c, so each argument is a contiguous slice."""
-    n, w = V.shape
-    T = np.zeros((w + k, n), dtype=np.int64)
-    T[:w] = V[:, ::-1].T
+    """U (n, w, ...) with u_c = leaf([v_c; u_{c-1}; ...; u_{c-k}]), u_c = 0
+    for c < 0: one leaf product per column (x-adic lifting), on every
+    right-hand side along V's trailing axis at once.  Row w - 1 - c of the
+    buffer holds v_c, then u_c, so each argument is a contiguous slice."""
+    n, w = V.shape[:2]
+    rhs = V.shape[2:]
+    T = np.zeros((w + k, n) + rhs, dtype=np.int64)
+    T[:w] = np.swapaxes(V[:, ::-1], 0, 1)
+    arg = (-1,) + rhs
     for r in range(w - 1, -1, -1):
-        T[r] = leaf(T[r : r + k + 1].reshape(-1))
-    return T[w - 1 :: -1].T
+        T[r] = leaf(T[r : r + k + 1].reshape(arg))
+    return np.swapaxes(T[w - 1 :: -1], 0, 1)
 
 
 def trunc_inv_apply(S: SylvMat, v: list[UPoly], l: int) -> list[UPoly]:
@@ -412,6 +431,18 @@ def solve_window(S: SylvMat, V: np.ndarray, l: int) -> np.ndarray:
     """U (n, l) with S U = V (mod outer^l), V of width l; requires S(0)
     nonsingular."""
     return _solve_series(S, False, V, l)
+
+
+def inverse_window(S: SylvMat, l: int) -> np.ndarray:
+    """X (n, l, n) with S X = I (mod outer^l): X[:, :, i] is solve_window
+    of the unit vector e_i.  Its layers are X_0 = S(0)^{-1} and
+    X_c = -X_0 (S_1 X_{c-1} + ... + S_c X_0), lifted on all n columns at
+    once, one product of the leaf map per layer; requires S(0) nonsingular."""
+    n = S.n
+    k = min(l - 1, S.degree)
+    V = np.zeros((n, l, n), dtype=np.int64)
+    V[:, 0] = np.eye(n, dtype=np.int64)
+    return _lift(_leaf_map(S, False, k), k, V)
 
 
 def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int) -> np.ndarray:

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from sylres.cli import BENCH_OPS, main, parse_poly_text
+from sylres.bipoly import BiPoly
+from sylres.cli import BENCH_OPS, format_terms, main, parse_poly_text
 from sylres.field import PrimeField
 
 EX1_A = "1 1 1\n1 0 1\n1 2 0\n"  # (x+1)y + x^2
@@ -215,6 +216,24 @@ def test_bench_degenerate_sizes_rows(capsys, sizes):
     assert list(status) == list(BENCH_OPS)
     assert status["normal_form"] == status["mul_mod"] == "ok"
     assert status["compose_rem"] == "bound-too-small"
+
+
+def test_nf_ku_over_budget_exit2(files, capsys):
+    # d = e = 32 with deg f = 4de - 1: the composition work is about 1.6e10
+    F, rng = PrimeField(65537), random.Random(7)
+    a, b = (files(name, format_terms(BiPoly.random(F, 32, 32, rng))) for name in ("a.txt", "b.txt"))
+    f = files("f.txt", f"1 {4 * 32 * 32 - 1}\n")
+    code, out, err = run(capsys, ["nf", "-p", "65537", "--a", a, "--b", b, "--f", f, "--algo", "ku"])
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "budget" in err and "Traceback" not in err
+
+
+def test_bench_compose_rem_over_budget_row(capsys):
+    code, out, err = run(capsys, ["bench", "-p", "65537", "--sizes", "32", "--seeds", "1", "--ops", "compose_rem"])
+    assert code == 0, err
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(row["op"], row["status"], row["wall_ns"]) for row in rows] == [("compose_rem", "over-budget", "0")]
 
 
 def test_usage_errors_exit1(files, capsys):

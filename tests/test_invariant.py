@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import sylres.invariant
 import sylres.upoly
 from sylres.bipoly import BiPoly, IdealBasis, bimul
 from sylres.field import PrimeField, build_extension, extend_field, working_field
@@ -24,7 +25,7 @@ from sylres.invariant import (
     projection_sequence,
     resultant_certified,
 )
-from sylres.normalform import LinearForm, embed, normal_form, reduce_ydeg, transposed_normal_form
+from sylres.normalform import LinearForm, embed, normal_form, reduce_ydeg, transposed_normal_form, x_power_forms
 from sylres.oracle import dense_minpoly_mult_x, dense_resultant, dense_smith
 from sylres.sylvester import NotColumnReducedError, build_Sx, build_Sy, build_Tx, dense_form, is_column_reduced
 from sylres.upoly import UPoly, berlekamp_massey, plcm
@@ -455,9 +456,46 @@ _RECURRENCE_FIELDS = {
     "F65537": F65537,
     "2^31-1": PrimeField(2**31 - 1),
 }
-# (d_a, e_a, d_b, e_b): equal and unequal column degrees, and generators of
-# x-degree 0 and of y-degree 0
-_RECURRENCE_SHAPES = [(2, 2, 2, 2), (3, 1, 1, 3), (1, 3, 3, 1), (0, 2, 2, 1), (2, 0, 1, 2)]
+# (d_a, e_a, d_b, e_b): equal and unequal column degrees (either block the
+# high one, up to delta = d), and generators of x-degree 0 and of y-degree 0
+_RECURRENCE_SHAPES = [
+    (2, 2, 2, 2),
+    (3, 1, 1, 3),
+    (1, 3, 3, 1),
+    (0, 2, 2, 1),
+    (2, 0, 1, 2),
+    (4, 3, 1, 2),
+    (1, 2, 4, 3),
+    (0, 1, 3, 2),
+    (3, 2, 0, 2),
+]
+
+
+@pytest.mark.parametrize("shape", _RECURRENCE_SHAPES, ids=str)
+@pytest.mark.parametrize("F", list(_RECURRENCE_FIELDS.values()), ids=list(_RECURRENCE_FIELDS))
+def test_x_power_forms_match_per_monomial_normal_forms(F, shape):
+    # the recurrence's set-up: one matrix division of x^d I by S_y against
+    # the normal form of each x^d y^j on its own
+    basis = _reduced_basis(F, shape, random.Random(f"division-{shape}"))
+    d, ny = basis.d, basis.ny
+    want = [normal_form(basis, BiPoly.monomial(F, d, j)).padded(d, ny) for j in range(ny)]
+    assert np.array_equal(x_power_forms(basis), np.stack(want))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 1, 1, 3), (2, 4, 5, 3), (6, 6, 6, 6)], ids=str)
+def test_power_projections_make_one_normal_form(shape, monkeypatch):
+    # phi(1) is the one normal form; the phi(x^d y^j) come from one division
+    basis = _reduced_basis(F65537, shape, random.Random(f"one-nf-{shape}"))
+    forms = [LinearForm.random(basis, random.Random(76)) for _ in range(2)]
+    calls = []
+
+    def counted(basis, f):
+        calls.append(f)
+        return normal_form(basis, f)
+
+    monkeypatch.setattr(sylres.invariant, "normal_form", counted)
+    _power_projections(basis, forms, 4 * basis.d * basis.e)
+    assert calls == [BiPoly.one(F65537)]
 
 
 @pytest.mark.parametrize("shape", _RECURRENCE_SHAPES, ids=str)

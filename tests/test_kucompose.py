@@ -1,14 +1,16 @@
 import random
+import time
 
 import numpy as np
 import pytest
 
 from sylres import kucompose
-from sylres.bipoly import BiPoly
+from sylres.bipoly import BiPoly, IdealBasis
 from sylres.field import PrimeField, build_extension
 from sylres.kucompose import (
     FieldTooSmallError,
     KUParams,
+    WorkBudgetError,
     compose_rem,
     grid_eval,
     grid_interp,
@@ -201,3 +203,35 @@ def test_compose_rem_field_too_small():
     with pytest.raises(FieldTooSmallError) as err:
         compose_rem(basis, f, KUParams.choose(100, d_eps=2))
     assert "need more than" in str(err.value)
+
+
+def test_compose_rem_over_budget_is_refused_up_front(monkeypatch):
+    # d = e = 32 used to run for over two minutes; the budget refuses it
+    # before the power tower
+    rng = random.Random(39)
+    basis = IdealBasis(BiPoly.random(F65537, 32, 32, rng), BiPoly.random(F65537, 32, 32, rng))
+    f = UPoly.random(F65537, 4 * 32 * 32 - 1, rng)
+    params = KUParams.choose(4 * 32 * 32)
+    monkeypatch.setattr(kucompose, "power_tower", lambda *args: pytest.fail("power tower ran"))
+    t0 = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="exceeds the budget"):
+        compose_rem(basis, f, params)
+    assert time.perf_counter() - t0 < 1.0
+    assert params.work(basis) > kucompose._WORK_MAX
+
+
+def test_compose_rem_budget_admits_sizes_up_to_sixteen():
+    # the bench instances' default parameters: d = e <= 16 stays within the
+    # budget (d = e = 16 is about 5.6e8), d = e = 32 does not
+    def work(de):
+        basis = IdealBasis(BiPoly.monomial(F65537, de, de), BiPoly.monomial(F65537, de, de))
+        return KUParams.choose(max(4 * de * de, 3)).work(basis)
+
+    assert all(work(de) <= kucompose._WORK_MAX for de in range(1, 17))
+    assert work(32) > kucompose._WORK_MAX
+    # the product of grid entries and points, as mv_multipoint_eval meets them
+    basis = random_basis(F65537, 3, 3, random.Random(40))
+    params = KUParams.choose(4 * basis.d * basis.e)
+    dp, ep = params.grid_sizes(basis)
+    f = UPoly.random(F65537, params.delta - 1, random.Random(41))
+    assert params.work(basis) == inv_kronecker(f, params).size * (dp + 1) * (ep + 1)

@@ -21,6 +21,7 @@ from sylres.sylvester import (
     build_Sy,
     build_Tx,
     dense_form,
+    inverse_window,
     is_column_reduced,
     matvec,
     matvec_T,
@@ -688,8 +689,9 @@ def test_solve_keeps_no_leaf_map_on_the_matrix(monkeypatch, transposed):
     monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
     V = F65537.rand_array(random.Random(27), S.n * 64).reshape(S.n, 64)
     (sylres.sylvester.solve_window_T if transposed else solve_window)(S, V, 64)
-    kind = sylres.sylvester._BaseSolverT if transposed else _BaseSolver
-    assert set(S._cache) <= held | {"grids", kind}
+    # the transposed solver reads S(0)^{-T} off the cached forward solver
+    kinds = {_BaseSolver, sylres.sylvester._BaseSolverT} if transposed else {_BaseSolver}
+    assert set(S._cache) <= held | {"grids"} | kinds
     assert inner and max(inner) <= sylres.sylvester.LEAF_INNER_MAX
 
 
@@ -709,6 +711,51 @@ def test_solve_frees_its_leaf_map_and_memo_on_return(transposed):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_inverse_is_kept_once_a_transposed_solver_needs_it(monkeypatch):
+    # the transposed solver keeps S(0)^{-T} on the cached forward solver;
+    # from then on the transposed and forward leaves, the width-1
+    # transposed solve and inverse_window all read that one copy
+    S = _fft_sized_matrix(random.Random(31))[1].reversed_matrix()
+    log = []
+    _count_calls(monkeypatch, _BaseSolver, "_compute_inverse_T", log)
+    V = F65537.rand_array(random.Random(32), S.n * 64).reshape(S.n, 64)
+    for l in (64, 64, 1):
+        sylres.sylvester.solve_window_T(S, V[:, :l], l)
+        solve_window(S, V[:, :l], l)
+    inverse_window(S, 3)
+    assert len(log) == 1
+    A = _solver(S, _BaseSolver).inverse_T()
+    assert A is _solver(S, _BaseSolver).inverse_T(keep=True) and not A.flags.writeable
+
+
+def test_forward_leaves_keep_no_inverse_on_the_matrix(monkeypatch):
+    # without a transposed solver each forward solve computes S(0)^{-1} for
+    # itself, so a matrix that a caller holds gains no n^2 codes
+    S = _fft_sized_matrix(random.Random(33))[1].reversed_matrix()
+    log = []
+    _count_calls(monkeypatch, _BaseSolver, "_compute_inverse_T", log)
+    V = F65537.rand_array(random.Random(34), S.n * 64).reshape(S.n, 64)
+    solve_window(S, V, 64)
+    inverse_window(S, 3)
+    assert len(log) == 2
+    assert _solver(S, _BaseSolver).inverse_T() is not _solver(S, _BaseSolver).inverse_T()
+
+
+@pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
+def test_inverse_window_matches_the_halving_reference(name):
+    # S X = I (mod outer^l), column by column against the reference solve
+    ctx, rng = DIFF_FIELDS[name], random.Random(f"inverse-window-{name}")
+    for wrt in "xy":
+        for shape in SHAPES + [(0, 2, 0, 1)]:
+            S = _solvable(ctx, wrt, shape, rng)[0]
+            for l in sorted({1, 2, S.degree + 1, 2 * S.degree + 3}):
+                X = inverse_window(S, l)
+                assert X.shape == (S.n, l, S.n)
+                for i, e in enumerate(np.eye(S.n, dtype=np.int64)):
+                    want = _halving_reference(S, False, fit(e[:, None], l), l)
+                    assert np.array_equal(X[:, :, i], want), (shape, l, i)
 
 
 @pytest.mark.parametrize("transposed", [False, True])
