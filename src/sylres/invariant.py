@@ -116,13 +116,11 @@ def _power_projections(basis: IdealBasis, forms: list[LinearForm], N: int) -> np
     seqs = np.zeros((k, N), dtype=np.int64)
     if N == 0 or d == 0 or ny == 0:
         return seqs  # nothing asked for, or the window is {0}
-    prog = NormalFormProgram(basis, d - 1, ny - 1)
-    # L[t, c] is the row vector of ell'_t on column c; these transposed
-    # solves come first, so that the division below reads the S(0)^{-T}
-    # that their solver keeps on S_y's reversed matrix
-    L = np.stack([prog.transpose(ell).reshape(ny, d).T for ell in forms])
     # P[0] = phi(1), P[1 + j] = phi(x^d y^j); P[p, c] is column c of P[p]
     P = np.concatenate([normal_form(basis, BiPoly.one(ctx)).padded(d, ny)[None], x_power_forms(basis)])
+    prog = NormalFormProgram(basis, d - 1, ny - 1)
+    # L[t, c] is the row vector of ell'_t on column c
+    L = np.stack([prog.transpose(ell).reshape(ny, d).T for ell in forms])
     # Z[t, m, p] = ell'_t(T^m P[p]) = sum_{c >= m} L[t, c] . P[p, c - m]:
     # one product of the shifted forms Ls[t, m, c - m] = L[t, c] with every P[p]
     Ls = np.zeros((k, d, d, ny), dtype=np.int64)

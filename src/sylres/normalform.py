@@ -231,19 +231,20 @@ def x_power_forms(basis: IdealBasis) -> np.ndarray:
     is _DivisionProgram(S_y, d).divide on all n_y columns at once.  Each
     reversed column is a unit vector, so the quotient Q is inverse_window of
     the reversed matrix, split at the high block, and the remainder is
-    -(S_y Q mod x^d), one product of S_y's layers below x^d with every
-    quotient layer.  Requires d >= 1 and both Sylvester matrices column
-    reduced, as normal_form does."""
+    -(S_y Q mod x^d), accumulated one quotient layer Q_c at a time from
+    S_y's layers below x^(d - c), so no product holds more than d n_y^2
+    codes.  Requires d >= 1 and both Sylvester matrices column reduced, as
+    normal_form does."""
     require_both_reduced(basis)
     S = build_Sy(basis)
     prog = _DivisionProgram(S, basis.d)
     ctx, n, d, W = S.ctx, S.n, basis.d, prog.W
     Q = _shift_rows(inverse_window(prog.Srev, W)[:, ::-1], _high_block(S), -prog.delta)
-    # SQ[k, :, c] = S_k Q_c, which lands on x^(k + c)
-    SQ = ctx.dot_map(S.layers(d - 1).reshape(d * n, n))(Q.reshape(n, W * n)).reshape(d, n, W, n)
     R = np.zeros((d, n, n), dtype=np.int64)
     for c in range(min(W, d)):
-        R[c:] = ctx.vsub(R[c:], SQ[: d - c, :, c])
+        # S_k Q_c lands on x^(k + c)
+        SQ = ctx.dot_map(S.layers(d - 1 - c).reshape((d - c) * n, n))(Q[:, c])
+        R[c:] = ctx.vsub(R[c:], SQ.reshape(d - c, n, n))
     # R[c, n_y - 1 - i, n_y - 1 - j] is the x^c y^i coefficient of phi(x^d y^j)
     return R[:, ::-1, ::-1].transpose(2, 0, 1)
 

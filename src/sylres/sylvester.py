@@ -27,12 +27,11 @@ v_c and the k previous columns, through one dense map
 [A | -A S_1 | ... | -A S_k] with A = S(0)^{-1} (S_j^T and S(0)^{-T} when
 transposed), prepared once per solve by ctx.dot_map; the solve owns the
 map and drops it on return, so nothing of it stays on S.  A width-1 solve
-is one base solve instead.  inverse_window lifts S^{-1} mod outer^l, every
-unit vector at once, through the same leaf map.  Every S(0)^{-1} comes
-from one Bezout route on code arrays (_BaseSolver): a forward solve, or,
-for the leaves and the width-1 transposed solve, the unit vectors' solves
-in one O(n^2) recurrence (_BaseSolver.inverse_T), which the transposed
-solver computes once on the cached forward solver and keeps there.
+is one base solve instead.  inverse_window solves for S^{-1} mod outer^l
+through the same leaf map, every unit vector at once within one leaf.
+Every S(0)^{-1} comes from one Bezout route on code arrays (_BaseSolver):
+a forward solve, or, for the leaves and the width-1 transposed solve, the
+unit vectors' solves in one O(n^2) recurrence (_BaseSolver.inverse_T).
 The Bezout triple of a matrix's outer-constant slices is cached on it
 (const_xgcd); is_column_reduced(S) reads S.reversed_matrix()'s, whose
 constant slices are S's leading coefficients, and whose solver reuses it.
@@ -287,9 +286,8 @@ class _BaseSolver:
     degree m2, A = (R u) rem q and B = (R - A p) / q, where u p + v q = 1;
     (b) p has degree m1 and the roles swap.  It keeps O(n) codes: u (or v),
     of lower degree than the divisor, the slices, and the reversed divisor's
-    inverse series to precision n, plus S(0)^{-T} (n^2 codes) once the
-    transposed solver has asked for it; each division is the reversal trick
-    on code arrays.  The Bezout triple of (p, q) is S.const_xgcd(), which
+    inverse series to precision n; each division is the reversal trick on
+    code arrays.  The Bezout triple of (p, q) is S.const_xgcd(), which
     is_column_reduced() has already computed when S is a reversed matrix."""
 
     def __init__(self, S: SylvMat):
@@ -310,7 +308,6 @@ class _BaseSolver:
         # quotient below precision n
         self.mult = mult.padded(self.dd)
         self.inv = inverse_series(div.rev(), S.n).padded(S.n)
-        self._inv_T = None
 
     def _quo(self, f: np.ndarray) -> np.ndarray:
         """Quotient of f (formal degree len(f) - 1 >= dd - 1) by the divisor."""
@@ -338,24 +335,11 @@ class _BaseSolver:
         A, B = (X, Y) if self.route_a else (Y, X)
         return np.concatenate([A[..., ::-1], B[..., ::-1]], axis=-1)
 
-    def inverse_T(self, keep: bool = False) -> np.ndarray:
+    def inverse_T(self) -> np.ndarray:
         """S(0)^{-T}, whose row n - 1 - m solves R = t^m, in n steps of O(n)
         codes: from the solve of R = 1, t^(m+1) continues t^m's (X, Y) as
         t X - c divisor and t Y + c other, where c cancels t X's
-        coefficient at t^dd.  A kept copy is returned as it is; keep
-        computes it at most once and keeps it, read-only, for the transposed
-        solver, which holds it anyway.  A forward leaf keeps none: a normal
-        form solves once per matrix, and a matrix that a caller holds would
-        carry n^2 more codes for no reuse."""
-        if self._inv_T is not None:
-            return self._inv_T
-        inv_T = self._compute_inverse_T()
-        if keep:
-            inv_T.setflags(write=False)
-            self._inv_T = inv_T
-        return inv_T
-
-    def _compute_inverse_T(self) -> np.ndarray:
+        coefficient at t^dd."""
         ctx, n, dd = self.ctx, self.n, self.dd
         # row m holds t^m's X and Y after one leading zero, so row m up to
         # its last code is t X (or t Y) with the top coefficient dropped
@@ -377,7 +361,8 @@ class _BaseSolverT:
     prepared once: the width-1 transposed solve and the transposed leaf."""
 
     def __init__(self, S: SylvMat):
-        self.inv_T = _solver(S, _BaseSolver).inverse_T(keep=True)
+        # a forward solver built for this only, not cached on S
+        self.inv_T = _BaseSolver(S).inverse_T()
         self.solve = S.ctx.dot_map(self.inv_T)
 
 
@@ -435,14 +420,27 @@ def solve_window(S: SylvMat, V: np.ndarray, l: int) -> np.ndarray:
 
 def inverse_window(S: SylvMat, l: int) -> np.ndarray:
     """X (n, l, n) with S X = I (mod outer^l): X[:, :, i] is solve_window
-    of the unit vector e_i.  Its layers are X_0 = S(0)^{-1} and
-    X_c = -X_0 (S_1 X_{c-1} + ... + S_c X_0), lifted on all n columns at
-    once, one product of the leaf map per layer; requires S(0) nonsingular."""
+    of the unit vector e_i.  Within one leaf (l <= b = LEAF_INNER_MAX // n)
+    the layers X_0 = S(0)^{-1} and X_c = -X_0 (S_1 X_{c-1} + ... + S_c X_0)
+    are lifted on all n columns at once, one product of the leaf map per
+    layer; a longer window is halved column by column as in _solve_series,
+    through one leaf map and one memo of spectra.  Requires S(0)
+    nonsingular."""
     n = S.n
-    k = min(l - 1, S.degree)
-    V = np.zeros((n, l, n), dtype=np.int64)
-    V[:, 0] = np.eye(n, dtype=np.int64)
-    return _lift(_leaf_map(S, False, k), k, V)
+    b = max(min(l, LEAF_INNER_MAX // max(n, 1)), 1)
+    k = min(b - 1, S.degree)
+    leaf_map = _leaf_map(S, False, k)
+    leaf = lambda R: _lift(leaf_map, k, R)
+    if l <= b:
+        V = np.zeros((n, l, n), dtype=np.int64)
+        V[:, 0] = np.eye(n, dtype=np.int64)
+        return leaf(V)
+    X, E, memo = np.empty((n, l, n), dtype=np.int64), np.zeros((n, l), dtype=np.int64), {}
+    for i in range(n):
+        E[i, 0] = 1
+        X[:, :, i] = _halve(S, matvec_window, leaf, b, memo, E, l)
+        E[i, 0] = 0
+    return X
 
 
 def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import sylres.invariant
+import sylres.sylvester
 import sylres.upoly
 from sylres.bipoly import BiPoly, IdealBasis, bimul
 from sylres.field import PrimeField, build_extension, extend_field, working_field
@@ -471,14 +472,18 @@ _RECURRENCE_SHAPES = [
 ]
 
 
+@pytest.mark.parametrize("leaf", [1, None])
 @pytest.mark.parametrize("shape", _RECURRENCE_SHAPES, ids=str)
 @pytest.mark.parametrize("F", list(_RECURRENCE_FIELDS.values()), ids=list(_RECURRENCE_FIELDS))
-def test_x_power_forms_match_per_monomial_normal_forms(F, shape):
+def test_x_power_forms_match_per_monomial_normal_forms(F, shape, leaf, monkeypatch):
     # the recurrence's set-up: one matrix division of x^d I by S_y against
-    # the normal form of each x^d y^j on its own
+    # the normal form of each x^d y^j on its own; leaf = 1 halves every
+    # quotient window longer than one layer
     basis = _reduced_basis(F, shape, random.Random(f"division-{shape}"))
     d, ny = basis.d, basis.ny
     want = [normal_form(basis, BiPoly.monomial(F, d, j)).padded(d, ny) for j in range(ny)]
+    if leaf is not None:
+        monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", leaf * ny)
     assert np.array_equal(x_power_forms(basis), np.stack(want))
 
 

@@ -689,9 +689,8 @@ def test_solve_keeps_no_leaf_map_on_the_matrix(monkeypatch, transposed):
     monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
     V = F65537.rand_array(random.Random(27), S.n * 64).reshape(S.n, 64)
     (sylres.sylvester.solve_window_T if transposed else solve_window)(S, V, 64)
-    # the transposed solver reads S(0)^{-T} off the cached forward solver
-    kinds = {_BaseSolver, sylres.sylvester._BaseSolverT} if transposed else {_BaseSolver}
-    assert set(S._cache) <= held | {"grids"} | kinds
+    kind = sylres.sylvester._BaseSolverT if transposed else _BaseSolver
+    assert set(S._cache) <= held | {"grids", kind}
     assert inner and max(inner) <= sylres.sylvester.LEAF_INNER_MAX
 
 
@@ -713,43 +712,25 @@ def test_solve_frees_its_leaf_map_and_memo_on_return(transposed):
         gc.enable()
 
 
-def test_inverse_is_kept_once_a_transposed_solver_needs_it(monkeypatch):
-    # the transposed solver keeps S(0)^{-T} on the cached forward solver;
-    # from then on the transposed and forward leaves, the width-1
-    # transposed solve and inverse_window all read that one copy
-    S = _fft_sized_matrix(random.Random(31))[1].reversed_matrix()
-    log = []
-    _count_calls(monkeypatch, _BaseSolver, "_compute_inverse_T", log)
-    V = F65537.rand_array(random.Random(32), S.n * 64).reshape(S.n, 64)
-    for l in (64, 64, 1):
-        sylres.sylvester.solve_window_T(S, V[:, :l], l)
-        solve_window(S, V[:, :l], l)
-    inverse_window(S, 3)
-    assert len(log) == 1
-    A = _solver(S, _BaseSolver).inverse_T()
-    assert A is _solver(S, _BaseSolver).inverse_T(keep=True) and not A.flags.writeable
-
-
-def test_forward_leaves_keep_no_inverse_on_the_matrix(monkeypatch):
-    # without a transposed solver each forward solve computes S(0)^{-1} for
-    # itself, so a matrix that a caller holds gains no n^2 codes
-    S = _fft_sized_matrix(random.Random(33))[1].reversed_matrix()
-    log = []
-    _count_calls(monkeypatch, _BaseSolver, "_compute_inverse_T", log)
-    V = F65537.rand_array(random.Random(34), S.n * 64).reshape(S.n, 64)
-    solve_window(S, V, 64)
-    inverse_window(S, 3)
-    assert len(log) == 2
-    assert _solver(S, _BaseSolver).inverse_T() is not _solver(S, _BaseSolver).inverse_T()
-
-
+@pytest.mark.parametrize("leaf", [1, 2, None])
 @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
-def test_inverse_window_matches_the_halving_reference(name):
-    # S X = I (mod outer^l), column by column against the reference solve
+def test_inverse_window_matches_the_halving_reference(monkeypatch, name, leaf):
+    # S X = I (mod outer^l), column by column against the reference solve,
+    # both when the window fits one leaf (all columns lifted at once) and
+    # when it is halved; the leaf map never exceeds the module's cap
     ctx, rng = DIFF_FIELDS[name], random.Random(f"inverse-window-{name}")
+    build = sylres.sylvester._leaf_map
+
+    def capped(S, transposed, k):
+        assert k == 0 or S.n * (k + 1) <= sylres.sylvester.LEAF_INNER_MAX
+        return build(S, transposed, k)
+
+    monkeypatch.setattr(sylres.sylvester, "_leaf_map", capped)
     for wrt in "xy":
         for shape in SHAPES + [(0, 2, 0, 1)]:
             S = _solvable(ctx, wrt, shape, rng)[0]
+            if leaf is not None:
+                monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", leaf * S.n)
             for l in sorted({1, 2, S.degree + 1, 2 * S.degree + 3}):
                 X = inverse_window(S, l)
                 assert X.shape == (S.n, l, S.n)
