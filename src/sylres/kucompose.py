@@ -7,19 +7,22 @@ The multivariate multipoint evaluation is the naive per-point scheme,
 in chunks of points that bound its working array; the asymptotically fast
 evaluation this pipeline was designed around is out of scope, so the
 pipeline here is a correctness vehicle: compose_rem(f) must equal
-normal_form(f) exactly.  Grid interpolation is two batched Lagrange passes
-(upoly.interpolate_rows), and the Kronecker maps are Fortran-order reshapes.
+normal_form(f) exactly.  Grid interpolation is two products with the
+Lagrange matrices of the nodes (upoly.lagrange_apply), each matrix built
+once per field and node set and kept read-only in one bounded cache; the
+Kronecker maps are Fortran-order reshapes.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bipoly import BiPoly, IdealBasis
 from .normalform import normal_form, pow_mod
-from .upoly import UPoly, interpolate_rows
+from .upoly import UPoly, lagrange_apply, lagrange_rows
 
 # entries of the working array of mv_multipoint_eval (grid size times the
 # points of one chunk): 32 MB of int64
@@ -122,12 +125,24 @@ def grid_eval(ctx, polys: list[BiPoly], K1: np.ndarray, K2: np.ndarray) -> np.nd
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _lagrange(ctx, nodes: bytes) -> np.ndarray:
+    """upoly.lagrange_rows of the int64 nodes packed in nodes, read-only:
+    compose_rem's grids are 0..dp and 0..ep for every call of one size, so
+    their matrices are built once per field and node set, and no caller can
+    write into a matrix a later call reads."""
+    L = lagrange_rows(ctx, np.frombuffer(nodes, dtype=np.int64))
+    L.flags.writeable = False
+    return L
+
+
 def grid_interp(ctx, values: np.ndarray, K1: np.ndarray, K2: np.ndarray) -> BiPoly:
     """Bivariate interpolation on the grid K1 x K2 (inverse of grid_eval for
     bidegree < (|K1|, |K2|)): along y for every x-node, then along x for
-    every y-coefficient."""
-    ycoeffs = interpolate_rows(ctx, K2, values)
-    return BiPoly(ctx, interpolate_rows(ctx, K1, ycoeffs.T).T)
+    every y-coefficient, each pass one product with the cached Lagrange
+    matrix of its nodes."""
+    L1, L2 = (_lagrange(ctx, np.asarray(K, dtype=np.int64).tobytes()) for K in (K1, K2))
+    return BiPoly(ctx, lagrange_apply(ctx, lagrange_apply(ctx, values, L2).T, L1).T)
 
 
 def mv_multipoint_eval(ctx, grid: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -175,6 +190,7 @@ def compose_rem(basis: IdealBasis, f: UPoly, params: KUParams) -> BiPoly:
 
     pts = mu.reshape(params.l, -1).T  # step 4
     vals = mv_multipoint_eval(ctx, grid, pts).reshape(len(K1), len(K2))
+    del mu, pts  # l grids of values, not needed past step 4
 
     composite = grid_interp(ctx, vals, K1, K2)  # step 5
     return normal_form(basis, composite)  # step 6

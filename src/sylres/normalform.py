@@ -9,9 +9,9 @@ power-series solve against a Sylvester matrix with invertible constant
 term.  Unequal column degrees are balanced by an implicit diag(t^delta, 1)
 scaling; only the quotient split changes.  _DivisionProgram derives this
 setup once for a divisor and an input degree; every division and its
-transpose run through it.  x_power_forms divides x^d I by S_y in one pass,
-all columns at once, for the normal forms phi(x^d y^j) that the power
-projections start from.
+transpose run through it and share the leaf maps of its series solves.
+x_power_forms divides x^d I by S_y in one pass, all columns at once, for
+the normal forms phi(x^d y^j) that the power projections start from.
 
 The normal form phi(f) reduces deg_y below n_y with a division against an
 enlarged x-Sylvester matrix, then reduces deg_x below d against S_y.  For
@@ -120,9 +120,21 @@ def mul_mod(basis: IdealBasis, f: BiPoly, g: BiPoly) -> BiPoly:
 
 
 def pow_mod(basis: IdealBasis, f: BiPoly, e: int) -> BiPoly:
-    """phi(f**e) for e >= 0, by field.power over mul_mod."""
+    """phi(f**e) for e >= 0, by field.power over the products phi(g h), each
+    product of one bidegree reduced by one NormalFormProgram (the one
+    normal_form would build for it), so the squarings of full window
+    elements share their leaf maps."""
+    programs = {}
+
+    def mul(g: BiPoly, h: BiPoly) -> BiPoly:
+        gh = bimul(g, h)
+        key = (gh.deg_x, gh.deg_y)
+        if key not in programs:
+            programs[key] = NormalFormProgram(basis, *key)
+        return programs[key].forward(gh)
+
     one = normal_form(basis, BiPoly.one(basis.ctx))
-    return power(normal_form(basis, f), e, lambda g, h: mul_mod(basis, g, h), one)
+    return power(normal_form(basis, f), e, mul, one)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +197,13 @@ class _DivisionProgram:
     the reversal trick: the quotient is a truncated series solve of width
     l - d + 1 against the reversed matrix, where l = lin + delta and the
     block of larger column degree carries the implicit t^delta.  Nothing
-    depends on lin beyond lin >= deg V."""
+    depends on lin beyond lin >= deg V.  Every solve of the program, forward
+    or transposed, reads its leaf map from the program's maps, so each map is
+    built once per program and dropped with it."""
 
     def __init__(self, S: SylvMat, lin: int):
         self.S = S
+        self.maps = {}
         self.V = lin + 1
         self.d = S.degree
         self.delta = abs(S.c1 - S.c2)
@@ -203,7 +218,7 @@ class _DivisionProgram:
         S = self.S
         if not self.active:
             return np.zeros((S.n, 1), dtype=np.int64), V
-        U = solve_window(self.Srev, fit(V, self.V)[:, ::-1][:, : self.W], self.W)
+        U = solve_window(self.Srev, fit(V, self.V)[:, ::-1][:, : self.W], self.W, self.maps)
         W = _shift_rows(U[:, ::-1], _high_block(S), -self.delta)
         # deg Vhat < d because S^{-1} Vhat is strictly proper, so S W is only
         # needed mod outer^d
@@ -219,7 +234,7 @@ class _DivisionProgram:
         # transpose of the quotient split: high block multiplied by t^delta
         mu = _shift_rows(mu, _high_block(self.S), self.delta)
         # transpose of the output reversal, then of the truncated solve (window W)
-        mu = solve_window_T(self.Srev, mu[:, ::-1], self.W)
+        mu = solve_window_T(self.Srev, mu[:, ::-1], self.W, self.maps)
         # transpose of the resize V -> W, then of the input reversal (window V)
         return self.S.ctx.vsub(fit(padded, self.V), fit(mu, self.V)[:, ::-1])
 

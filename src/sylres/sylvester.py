@@ -25,9 +25,11 @@ half's last deg S columns only, down to leaves of at most
 LEAF_INNER_MAX // n columns.  A leaf is lifted column by column, u_c from
 v_c and the k previous columns, through one dense map
 [A | -A S_1 | ... | -A S_k] with A = S(0)^{-1} (S_j^T and S(0)^{-T} when
-transposed), prepared once per solve by ctx.dot_map; the solve owns the
-map and drops it on return, so nothing of it stays on S.  A width-1 solve
-is one base solve instead.  inverse_window solves for S^{-1} mod outer^l
+transposed), prepared by ctx.dot_map once per solve, or once per dict of
+maps that a caller hands to its solves (a normalform division program
+hands its own to every solve it makes); the map is dropped with the solve
+or with the dict, so nothing of it stays on S.  A width-1 solve is one
+base solve instead.  inverse_window solves for S^{-1} mod outer^l
 through the same leaf map, every unit vector at once within one leaf.
 Every S(0)^{-1} comes from one Bezout route on code arrays (_BaseSolver):
 a forward solve, or, for the leaves and the width-1 transposed solve, the
@@ -412,10 +414,11 @@ def trunc_inv_apply(S: SylvMat, v: list[UPoly], l: int) -> list[UPoly]:
     return to_list(S.ctx, solve_window(S, fit(to_array(v), l), l))
 
 
-def solve_window(S: SylvMat, V: np.ndarray, l: int) -> np.ndarray:
+def solve_window(S: SylvMat, V: np.ndarray, l: int, maps: dict | None = None) -> np.ndarray:
     """U (n, l) with S U = V (mod outer^l), V of width l; requires S(0)
-    nonsingular."""
-    return _solve_series(S, False, V, l)
+    nonsingular.  maps, when given, keeps the leaf maps for the next solve
+    against S (see _solve_series)."""
+    return _solve_series(S, False, V, l, maps)
 
 
 def inverse_window(S: SylvMat, l: int) -> np.ndarray:
@@ -443,21 +446,27 @@ def inverse_window(S: SylvMat, l: int) -> np.ndarray:
     return X
 
 
-def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int) -> np.ndarray:
+def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int, maps: dict | None) -> np.ndarray:
     """U (n, l) with S U = V (mod outer^l), V of width l, or, transposed,
     with (sum_j S_j^T outer^j) U = V (mod outer^l).  The window is halved,
     the low half solved first and the high half against the residual that
     the low half's last deg S columns leave, down to leaves of width at most
     b = LEAF_INNER_MAX // n, each lifted column by column through one dense
     map of inner dimension n (k + 1), k = min(b - 1, deg S).  A width-1
-    solve, or b = 1, runs base solves instead.  The leaf map and the memo
-    of the generators' spectra for every product belong to this solve and
-    are dropped with it: never on S, which a caller may hold long after."""
+    solve, or b = 1, runs base solves instead.  The leaf map is read from
+    maps[(transposed, k)], or built and stored there: whoever passes maps
+    owns the maps in it and their lifetime (a _DivisionProgram, for every
+    solve it makes against S).  Without maps, the leaf map belongs to this
+    solve, as the memo of the generators' spectra always does; both are
+    dropped with it, never kept on S, which a caller may hold long after."""
     mv = _matvec_semiT if transposed else matvec_window
     b = min(l, LEAF_INNER_MAX // max(S.n, 1))
     if b > 1:
         k = min(b - 1, S.degree)
-        leaf_map = _leaf_map(S, transposed, k)
+        maps = {} if maps is None else maps
+        if (transposed, k) not in maps:
+            maps[transposed, k] = _leaf_map(S, transposed, k)
+        leaf_map = maps[transposed, k]
         leaf = lambda R: _lift(leaf_map, k, R)
     elif transposed:
         b, leaf = 1, _solver(S, _BaseSolverT).solve
@@ -487,7 +496,8 @@ def trunc_inv_apply_T(S: SylvMat, ell: list[UPoly], l: int) -> list[UPoly]:
     return to_list(S.ctx, solve_window_T(S, to_array(ell), l))
 
 
-def solve_window_T(S: SylvMat, L: np.ndarray, l: int) -> np.ndarray:
+def solve_window_T(S: SylvMat, L: np.ndarray, l: int, maps: dict | None = None) -> np.ndarray:
     """Transpose of solve_window as a linear map on the coefficient window
-    of width l: reverse, solve against the transposed layers, reverse back."""
-    return _solve_series(S, True, fit(L, l)[:, ::-1], l)[:, ::-1]
+    of width l: reverse, solve against the transposed layers, reverse back.
+    maps as for solve_window."""
+    return _solve_series(S, True, fit(L, l)[:, ::-1], l, maps)[:, ::-1]

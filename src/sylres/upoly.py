@@ -6,14 +6,16 @@ Multiplication is the field context's exact conv() (schoolbook for short
 operands, a limb-split float FFT for long ones).  xgcd and pgcd run one
 Euclid on stacked (remainder, cofactor) code rows, and inverse_series one
 Newton loop on code arrays; only results become UPolys.  Evaluation at
-many points is Horner across all points at once, and interpolation is the
-Lagrange form with every quotient by (x - point) formed at once
-(interpolate_rows, many value rows through the same points); both are
-O(n^2) array passes, which beat a subproduct tree at every size this
-package reaches.  The Taylor shift (taylor_shift_rows) is array Horner on
-short blocks of every row, joined by one conv per doubling level.  The
-update steps of division, Euclid, Horner and Berlekamp-Massey are one
-ctx.vsubmul each, a single reduction over F_p.
+many points is Horner across all points at once, and interpolation
+(interpolate_rows, many value rows through the same points) is one product
+of the value rows with the Lagrange matrix of the points (lagrange_rows,
+every quotient by (x - point) formed at once by synthetic division and
+scaled as it is formed); both are O(n^2) array passes, which beat a
+subproduct tree at every size this package reaches.  The Taylor shift
+(taylor_shift_rows) is array Horner on short blocks of every row, joined
+by one conv per doubling level.  The update steps of division, Euclid,
+Horner and Berlekamp-Massey are one ctx.vsubmul each, a single reduction
+over F_p.
 """
 
 from __future__ import annotations
@@ -407,34 +409,63 @@ def interpolate(ctx: FieldCtx, pts, vals) -> UPoly:
 
 def interpolate_rows(ctx: FieldCtx, pts, V) -> np.ndarray:
     """Row i of the (m, n) result holds the ascending coefficients of the
-    unique polynomial of degree < n through (pts[j], V[i, j]), in Lagrange
-    form sum_j V[i, j] / M'(pts[j]) * M / (x - pts[j]) with M the master
-    polynomial prod_j (x - pts[j]).  The quotients for all j are formed at
-    once, top coefficient first, by synthetic division q <- pts * q + M_k,
-    and each of their coefficient vectors meets the weights in one exact
-    product prepared by ctx.dot_map."""
+    unique polynomial of degree < n through (pts[j], V[i, j]): the one
+    product V L with the Lagrange matrix L = lagrange_rows(ctx, pts)."""
+    return lagrange_apply(ctx, V, lagrange_rows(ctx, pts))
+
+
+def lagrange_rows(ctx: FieldCtx, pts) -> np.ndarray:
+    """The (n, n) Lagrange matrix of n distinct points: row j holds the
+    ascending coefficients of M / ((x - pts[j]) M'(pts[j])), with M the
+    master polynomial prod_j (x - pts[j]) (von zur Gathen-Gerhard, Modern
+    Computer Algebra, 5.2).  The quotients for all j come at once, top
+    coefficient first, by synthetic division q <- pts * q + M_k, each row
+    already scaled by w_j = 1 / M'(pts[j]): w q <- pts * (w q) + w M_k.
+    Coefficient k of every row is written into row k of one C-ordered
+    buffer, and L is its transpose, a view: one n x n array, no copy."""
     pts = np.asarray(pts, dtype=np.int64)
-    V = np.asarray(V, dtype=np.int64)
     n = len(pts)
-    if V.ndim != 2 or V.shape[1] != n:
-        raise ValueError("points/values length mismatch")
     if len(np.unique(pts)) != n:
         raise ValueError("interpolation points must be pairwise distinct")
-    out = np.zeros(V.shape, dtype=np.int64)
+    T = np.empty((n, n), dtype=np.int64)
     if n == 0:
-        return out
+        return T.T
     M = np.zeros(n + 1, dtype=np.int64)
     M[0] = 1
     for u in pts:
         # M <- M * (x - u); the top slot stays zero until the last point
         M = ctx.vsubmul(np.concatenate(([0], M[:-1])), u, M)
-    dM = UPoly(ctx, M).deriv()
-    weights = ctx.dot_map(ctx.vmul(V, ctx.vinv(ctx.horner(dM.c, pts))))
-    q = np.ones(n, dtype=np.int64)  # the monic top coefficient of M / (x - u)
-    out[:, n - 1] = weights(q)
+    w = ctx.vinv(ctx.horner(UPoly(ctx, M).deriv().c, pts))
+    T[n - 1] = w  # w times the monic top coefficient of M / (x - u)
     for k in range(n - 1, 0, -1):
-        q = ctx.vadd(ctx.vmul(pts, q), M[k])
-        out[:, k - 1] = weights(q)
+        T[k - 1] = ctx.vadd(ctx.vmul(pts, T[k]), ctx.vmul(w, M[k]))
+    return T.T
+
+
+# multiply-adds of one lagrange_apply product (m rows times n terms times a
+# block of b columns), which bounds every field's working arrays for it: the
+# vsum-of-vmul fallback holds all of them at once.  At compose_rem's largest
+# grids (451 and 931 nodes, d = e = 16) blocks are 9 columns wide: its two
+# passes take about 55 ms over F_65537 on a 2-vCPU host, against 20 ms in one
+# block of all columns, which held copies of L and of the output planes.
+_LAGRANGE_BLOCK_WORK = 1 << 22
+
+
+def lagrange_apply(ctx: FieldCtx, V, L: np.ndarray) -> np.ndarray:
+    """V L for value rows V (m, n) and a Lagrange matrix L (n, n): V is
+    prepared once by ctx.dot_map and applied to blocks of L's columns, so
+    no product holds a second n x n array."""
+    V = np.asarray(V, dtype=np.int64)
+    if V.ndim != 2 or V.shape[1] != len(L):
+        raise ValueError("points/values length mismatch")
+    m, n = V.shape
+    out = np.empty((m, n), dtype=np.int64)
+    if m == 0 or n == 0:
+        return out
+    rows = ctx.dot_map(V)
+    b = max(1, _LAGRANGE_BLOCK_WORK // (m * n))
+    for s in range(0, n, b):
+        out[:, s : s + b] = rows(L[:, s : s + b])
     return out
 
 

@@ -503,6 +503,30 @@ def test_power_projections_make_one_normal_form(shape, monkeypatch):
     assert calls == [BiPoly.one(F65537)]
 
 
+def test_power_projection_forms_share_one_transposed_leaf_map(monkeypatch):
+    # at delta = 3 each window form ell o phi is a transposed solve of width
+    # 3 against S_y's reversed matrix: the three forms go through one
+    # NormalFormProgram, which builds that solve's leaf map once
+    shape = (4, 3, 1, 2)
+    assert shape in _RECURRENCE_SHAPES
+    rng = random.Random(77)
+    basis = _reduced_basis(F65537, shape, rng)
+    forms = [LinearForm.random(basis, rng) for _ in range(3)]
+    N = 4 * basis.d * basis.e
+    want = _reference_sequences(basis, forms, N)
+    built = []
+    build = sylres.sylvester._leaf_map
+
+    def recording(S, transposed, k):
+        built.append((id(S), transposed))
+        return build(S, transposed, k)
+
+    monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
+    assert np.array_equal(_power_projections(basis, forms, N), want)
+    transposed = [key for key in built if key[1]]
+    assert len(transposed) == 1, built
+
+
 @pytest.mark.parametrize("shape", _RECURRENCE_SHAPES, ids=str)
 @pytest.mark.parametrize("F", list(_RECURRENCE_FIELDS.values()), ids=list(_RECURRENCE_FIELDS))
 def test_power_projections_match_reference_loop(F, shape):

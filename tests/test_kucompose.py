@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import sylres.sylvester
 from sylres import kucompose
 from sylres.bipoly import BiPoly, IdealBasis
 from sylres.field import PrimeField, build_extension
@@ -20,8 +21,9 @@ from sylres.kucompose import (
     power_tower,
 )
 from sylres.normalform import mul_mod, normal_form
-from sylres.upoly import UPoly, multipoint_eval
+from sylres.upoly import UPoly, lagrange_rows, multipoint_eval
 
+from test_invariant import _reduced_basis
 from test_sylvester import example2_basis, random_basis
 
 F101 = PrimeField(101)
@@ -105,6 +107,60 @@ def test_grid_interp_on_unequal_scattered_grids():
         assert vals.shape == (n1, n2)
         assert int(vals[-1, 0]) == g.eval_xy(int(K1[-1]), int(K2[0]))
         assert grid_interp(F, vals, K1, K2) == g
+
+
+def test_lagrange_cache_keys_on_the_field_and_is_read_only():
+    # one bounded cache of read-only matrices: the same nodes over two
+    # fields give two entries, and no caller can write into an entry
+    assert kucompose._lagrange.cache_info().maxsize == 4
+    nodes = np.arange(5, dtype=np.int64)
+    F7, F11 = PrimeField(7), PrimeField(11)
+    L7, L11 = (kucompose._lagrange(F, nodes.tobytes()) for F in (F7, F11))
+    assert np.array_equal(L7, lagrange_rows(F7, nodes))
+    assert np.array_equal(L11, lagrange_rows(F11, nodes))
+    assert not np.array_equal(L7, L11)
+    assert kucompose._lagrange(F7, nodes.tobytes()) is L7
+    with pytest.raises(ValueError, match="read-only"):
+        L7[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        L11 += 1
+
+
+def test_compose_over_a_second_field_after_a_cache_hit():
+    # the grids 0..dp and 0..ep are the same over F_101 and F_103; the
+    # second compose over F_101 reads both matrices from the cache, and the
+    # one over F_103 must not
+    rng = random.Random(42)
+    kucompose._lagrange.cache_clear()
+    for F in (F101, F101, PrimeField(103)):
+        basis = _reduced_basis(F, (3, 3, 3, 3), rng)
+        params = KUParams.choose(4 * basis.d * basis.e)
+        f = UPoly.random(F, params.delta - 1, rng)
+        assert compose_rem(basis, f, params) == normal_form(basis, BiPoly.from_upoly(f, "x"))
+    info = kucompose._lagrange.cache_info()
+    assert (info.hits, info.misses) == (2, 4)
+
+
+def test_compose_bigprime_builds_four_leaf_maps(monkeypatch):
+    # the benchmark's compose-bigprime shape (d = e = 4 over 2^31 - 1): the
+    # power tower's two squarings of one bidegree share one normal-form
+    # program and its two leaf maps, and the final normal form builds two
+    F = PrimeField(2**31 - 1)
+    rng = random.Random(43)
+    basis = _reduced_basis(F, (4, 4, 4, 4), rng)
+    bound = 4 * basis.d * basis.e
+    f = UPoly.random(F, bound - 1, rng)
+    want = normal_form(basis, BiPoly.from_upoly(f, "x"))
+    built = []
+    build = sylres.sylvester._leaf_map
+
+    def recording(S, transposed, k):
+        built.append((S.wrt, transposed, k))
+        return build(S, transposed, k)
+
+    monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
+    assert compose_rem(basis, f, KUParams.choose(bound)) == want
+    assert len(built) == 4, built
 
 
 def _mv_eval_per_point(F, grid, pts):

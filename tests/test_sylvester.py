@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import sylres.upoly
 from sylres._dense import SingularMatrixError, gauss_inverse, gauss_rank
 from sylres.bipoly import BiPoly, IdealBasis, bimul, fit, grid_mul, to_array, to_list, vec_x, vec_y
 from sylres.field import PrimeField, build_extension, extend_field
-from sylres.normalform import normal_form
+from sylres.normalform import LinearForm, NormalFormProgram, normal_form
 from sylres.sylvester import (
     NotColumnReducedError,
     SylvMat,
@@ -707,6 +708,24 @@ def test_solve_frees_its_leaf_map_and_memo_on_return(transposed):
     gc.disable()
     try:
         solve(S, V, 64)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # a normal-form program owns the leaf maps of its divisions' solves:
+    # dropped, it frees them at once, through no cycle
+    basis, rng = _fft_sized_matrix(random.Random(29))[0], random.Random(31)
+    prog = NormalFormProgram(basis, 2 * (basis.d - 1), 2 * (basis.ny - 1))
+    if transposed:
+        prog.transpose(LinearForm.random(basis, rng))
+    else:
+        prog.forward(BiPoly.random(F65537, prog.delta, prog.eta, rng))
+    maps = [weakref.ref(m) for div in (prog.div1, prog.div2) for m in div.maps.values()]
+    assert len(maps) == 2
+    gc.collect()
+    gc.disable()
+    try:
+        del prog
+        assert [ref() for ref in maps] == [None, None]
         assert gc.collect() == 0
     finally:
         gc.enable()

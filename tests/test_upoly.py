@@ -21,6 +21,7 @@ from sylres.upoly import (
     interpolate,
     interpolate_rows,
     inverse_series,
+    lagrange_rows,
     multipoint_eval,
     pgcd,
     plcm,
@@ -238,6 +239,58 @@ def test_interpolate_rows_round_trip(name):
         for i in range(3):
             assert interpolate(F, pts, V[i]) == UPoly(F, C[i])
     assert interpolate_rows(F, [], np.zeros((0, 0), dtype=np.int64)).shape == (0, 0)
+
+
+def _interpolate_rows_reference(ctx, pts, V):
+    """interpolate_rows as a per-coefficient loop, the reference for the
+    one product with the Lagrange matrix: the quotients M / (x - pts[j]) for
+    all j at once, top coefficient first, by synthetic division
+    q <- pts * q + M_k, each coefficient vector met with the weights
+    V[i, j] / M'(pts[j]) in one exact product."""
+    pts = np.asarray(pts, dtype=np.int64)
+    n = len(pts)
+    out = np.zeros(V.shape, dtype=np.int64)
+    if n == 0:
+        return out
+    M = np.zeros(n + 1, dtype=np.int64)
+    M[0] = 1
+    for u in pts:
+        M = ctx.vsubmul(np.concatenate(([0], M[:-1])), u, M)
+    weights = ctx.dot_map(ctx.vmul(V, ctx.vinv(ctx.horner(UPoly(ctx, M).deriv().c, pts))))
+    q = np.ones(n, dtype=np.int64)
+    out[:, n - 1] = weights(q)
+    for k in range(n - 1, 0, -1):
+        q = ctx.vadd(ctx.vmul(pts, q), M[k])
+        out[:, k - 1] = weights(q)
+    return out
+
+
+LAGRANGE_FIELDS = {
+    "F65537": F65537,
+    "F(2^31-1)": PrimeField(2**31 - 1),
+    "F7^3": INTERP_FIELDS["F7^3"],
+    "F4^2 (tower)": INTERP_FIELDS["F4^2 (tower)"],
+    "F2^8": build_extension(2, 256, random.Random(5)),
+}
+
+
+@pytest.mark.parametrize("name", list(LAGRANGE_FIELDS))
+def test_lagrange_interpolation_matches_the_per_coefficient_reference(name, monkeypatch):
+    # consecutive and scattered nodes, n = 1 up to more nodes than the tower
+    # has elements (capped at q), m = 0, 1 and 3 value rows, in one block of
+    # columns and in blocks of 2 with a ragged last one
+    F, rng = LAGRANGE_FIELDS[name], random.Random(f"lagrange-{name}")
+    for n in sorted({min(n, F.q) for n in (1, 2, 5, 16, 41, 150)}):
+        for pts in (np.arange(n, dtype=np.int64), np.array(rng.sample(range(F.q), n), dtype=np.int64)):
+            L = lagrange_rows(F, pts)
+            assert np.array_equal(L, _interpolate_rows_reference(F, pts, np.eye(n, dtype=np.int64))), n
+            for m in (0, 1, 3):
+                V = F.rand_array(rng, m * n).reshape(m, n)
+                want = _interpolate_rows_reference(F, pts, V)
+                assert np.array_equal(interpolate_rows(F, pts, V), want), (n, m)
+                monkeypatch.setattr(sylres.upoly, "_LAGRANGE_BLOCK_WORK", 2 * m * n)
+                assert np.array_equal(interpolate_rows(F, pts, V), want), (n, m, "blocks of 2")
+                monkeypatch.undo()
 
 
 def test_interpolate_rows_rejects_bad_input():
