@@ -5,10 +5,11 @@ benchmark with CSV output.
 Polynomial files are UTF-8 text, one term per line `c i j` meaning
 c * x^i * y^j (j may be omitted for univariate files); `#` starts a
 comment and repeated monomials are summed.  Output mirrors the same term
-format.  Exit codes: 0 success, 1 usage or parse error, 2 computation
-failure (including --verify-oracle above the dense oracles' dimension
-gate and an --algo ku input over the composition work budget), 3 oracle
-mismatch under --verify-oracle.
+format; a file whose dense coefficient grid would exceed
+MAX_GRID_ENTRIES is a parse error.  Exit codes: 0 success, 1 usage or
+parse error, 2 computation failure (including --verify-oracle above the
+dense oracles' dimension gate and an --algo ku input over the composition
+work budget), 3 oracle mismatch under --verify-oracle.
 """
 
 from __future__ import annotations
@@ -53,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
 # polynomial file format
 
 
+# Largest dense coefficient grid, (max i + 1)(max j + 1) codes, that a
+# polynomial file may ask for (128 MiB of int64): the inputs the drivers can
+# reduce are orders of magnitude smaller, and a larger grid would fail in
+# allocation rather than as a parse error.
+MAX_GRID_ENTRIES = 1 << 24
+
+
 def parse_poly_text(text: str, ctx) -> BiPoly:
     terms = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -71,6 +79,14 @@ def parse_poly_text(text: str, ctx) -> BiPoly:
         if i < 0 or j < 0:
             raise CliError(f"line {lineno}: negative exponent in {raw!r}", 1)
         terms.append((c, i, j))
+    if terms:
+        nx, ny = (max(t[k] for t in terms) + 1 for k in (1, 2))
+        if nx * ny > MAX_GRID_ENTRIES:
+            raise CliError(
+                f"polynomial of degrees ({nx - 1}, {ny - 1}) needs a grid of {nx * ny} coefficients, "
+                f"above the limit of {MAX_GRID_ENTRIES}",
+                1,
+            )
     return BiPoly.from_terms(ctx, terms)
 
 

@@ -9,13 +9,10 @@ path upgrades to Las Vegas through the column-degree certificate.
 
 The minimal polynomial is read off power projections ell(phi(x^i)),
 i < 4de.  The `trials` random linear forms are drawn first; their sequences
-then come from one recurrence on the normal-form window, where
-multiplication by x is a shift plus a rank-n_y update.  It is set up by the
-normal form of 1, one matrix division of x^d I by S_y for every
-phi(x^d y^j) at once (normalform.x_power_forms), and one transposed normal
-form per form; each power of x is then one exact product of a fixed
-(n_y + trials, d n_y) matrix with the last d update vectors (see
-_power_projections).  upoly.common_generator then runs
+then come from normalform.power_projections: one x-adic series solve
+against S_y's reversed matrix gives the quotient side of every division of
+x^i by S_y at once, and two products with the forms turn it into all the
+sequences, with no normal form computed.  upoly.common_generator then runs
 Berlekamp-Massey on the first sequence only and certifies each other one
 with one annihilation product.  Every retry of last_invariant_factor is
 counted under a named reason in InvariantReport.rejections.
@@ -33,7 +30,7 @@ from ._dense import gauss_det
 from .bipoly import BiPoly, IdealBasis
 from .condition import ConditioningRecord, condition_for_both, recover_last_invariant
 from .field import working_field
-from .normalform import LinearForm, NormalFormProgram, normal_form, x_power_forms
+from .normalform import LinearForm, power_projections
 from .sylvester import NotColumnReducedError, build_Sx, build_Sy, is_column_reduced, require_both_reduced
 from .upoly import UPoly, common_generator, pgcd
 
@@ -86,60 +83,10 @@ class InvariantReport:
 
 def projection_sequence(basis: IdealBasis, ell: LinearForm, N: int) -> list[int]:
     """The power projections ell(phi(x^i)) for i = 0 .. N-1."""
+    if N < 0:
+        raise ValueError(f"N must be at least 0, got {N}")
     require_both_reduced(basis)  # even when no projection is asked for
-    return [int(s) for s in _power_projections(basis, [ell], N)[0]]
-
-
-def _power_projections(basis: IdealBasis, forms: list[LinearForm], N: int) -> np.ndarray:
-    """Row t holds forms[t](phi(x^i)) for i < N, by the shift-plus-rank-n_y
-    recurrence on the window W = K[x,y]_{<(d, n_y)}.
-
-    A window element g is held as d columns g_0 .. g_{d-1} (the coefficients
-    of x^c, vectors in y).  With h(g) = g_{d-1} and C_c the n_y x n_y matrix
-    whose column j is column c of phi(x^d y^j),
-        x g = T g + x^d h(g) = T g + C h(g)  (mod I),
-    where T shifts column c to c + 1 and drops column d - 1.  So from
-    g_0 = phi(1), the window representatives g_{i+1} = T g_i + C h_i of x^i
-    satisfy, with h_i = h(g_i) and h_i = 0 for i < 0,
-        h_i = [i < d] phi(1)_{d-1-i} + sum_{m<d} C_{d-1-m} h_{i-1-m},
-        s_i = ell'(T^i phi(1)) + sum_{m<d} A_m h_{i-1-m},
-    where ell' = ell o phi on W (one transposed normal form: W is not fixed
-    by phi when the column degrees differ) and A_m = ell' o T^m o C.  Each
-    step is then one exact product of M = [C_0 .. C_{d-1}; A_{d-1} .. A_0]
-    with the last d h's, read as a slice of one flat history buffer.
-    Setting it up takes one normal form (phi(1)), one matrix division for
-    all the phi(x^d y^j) (x_power_forms), and one product of the shifted
-    ell' with those n_y + 1 forms for every ell'(T^m ...).
-    """
-    ctx = basis.ctx
-    d, ny, k = basis.d, basis.ny, len(forms)
-    seqs = np.zeros((k, N), dtype=np.int64)
-    if N == 0 or d == 0 or ny == 0:
-        return seqs  # nothing asked for, or the window is {0}
-    # P[0] = phi(1), P[1 + j] = phi(x^d y^j); P[p, c] is column c of P[p]
-    P = np.concatenate([normal_form(basis, BiPoly.one(ctx)).padded(d, ny)[None], x_power_forms(basis)])
-    prog = NormalFormProgram(basis, d - 1, ny - 1)
-    # L[t, c] is the row vector of ell'_t on column c
-    L = np.stack([prog.transpose(ell).reshape(ny, d).T for ell in forms])
-    # Z[t, m, p] = ell'_t(T^m P[p]) = sum_{c >= m} L[t, c] . P[p, c - m]:
-    # one product of the shifted forms Ls[t, m, c - m] = L[t, c] with every P[p]
-    Ls = np.zeros((k, d, d, ny), dtype=np.int64)
-    for m in range(d):
-        Ls[:, m, : d - m] = L[:, m:]
-    Z = ctx.dot_map(Ls.reshape(k * d, d * ny))(P.reshape(ny + 1, d * ny).T).reshape(k, d, ny + 1)
-    # window block b multiplies h_{i-d+b}, that is m = d-1-b
-    R = P[1:].transpose(2, 1, 0).reshape(ny, d * ny)  # block b is C_b
-    A = Z[:, ::-1, 1:].reshape(k, d * ny)  # block b is A_{d-1-b}
-    step = ctx.dot_map(np.concatenate([R, A]))
-    H = np.zeros((N + d) * ny, dtype=np.int64)  # h_{-d} .. h_{N-1}
-    w = d * ny
-    for i in range(N):
-        out = step(H[i * ny : i * ny + w])
-        if i < d:
-            out = ctx.vadd(out, np.concatenate([P[0, d - 1 - i], Z[:, i, 0]]))
-        H[i * ny + w : (i + 1) * ny + w] = out[:ny]
-        seqs[:, i] = out[ny:]
-    return seqs
+    return [int(s) for s in power_projections(basis, [ell], N)[0]]
 
 
 def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> UPoly:
@@ -152,7 +99,7 @@ def min_poly_mult_x(basis: IdealBasis, rng: random.Random, trials: int = 3) -> U
         raise ValueError(f"trials must be at least 1, got {trials}")
     require_both_reduced(basis)
     forms = [LinearForm.random(basis, rng) for _ in range(trials)]
-    return common_generator(basis.ctx, _power_projections(basis, forms, 4 * basis.d * basis.e))
+    return common_generator(basis.ctx, power_projections(basis, forms, 4 * basis.d * basis.e))
 
 
 _EPSILON = 0.1  # the working field has at least (12 d e)^(1 + _EPSILON) elements

@@ -8,7 +8,7 @@ in chunks of points that bound its working array; the asymptotically fast
 evaluation this pipeline was designed around is out of scope, so the
 pipeline here is a correctness vehicle: compose_rem(f) must equal
 normal_form(f) exactly.  Grid interpolation is two products with the
-Lagrange matrices of the nodes (upoly.lagrange_apply), each matrix built
+Lagrange matrices of the nodes (upoly.block_dot), each matrix built
 once per field and node set and kept read-only in one bounded cache; the
 Kronecker maps are Fortran-order reshapes.
 """
@@ -22,7 +22,7 @@ import numpy as np
 
 from .bipoly import BiPoly, IdealBasis
 from .normalform import normal_form, pow_mod
-from .upoly import UPoly, lagrange_apply, lagrange_rows
+from .upoly import UPoly, block_dot, lagrange_rows
 
 # entries of the working array of mv_multipoint_eval (grid size times the
 # points of one chunk): 32 MB of int64
@@ -142,7 +142,7 @@ def grid_interp(ctx, values: np.ndarray, K1: np.ndarray, K2: np.ndarray) -> BiPo
     every y-coefficient, each pass one product with the cached Lagrange
     matrix of its nodes."""
     L1, L2 = (_lagrange(ctx, np.asarray(K, dtype=np.int64).tobytes()) for K in (K1, K2))
-    return BiPoly(ctx, lagrange_apply(ctx, lagrange_apply(ctx, values, L2).T, L1).T)
+    return BiPoly(ctx, block_dot(ctx, block_dot(ctx, values, L2).T, L1).T)
 
 
 def mv_multipoint_eval(ctx, grid: np.ndarray, points: np.ndarray) -> np.ndarray:

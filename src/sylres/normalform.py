@@ -10,8 +10,10 @@ term.  Unequal column degrees are balanced by an implicit diag(t^delta, 1)
 scaling; only the quotient split changes.  _DivisionProgram derives this
 setup once for a divisor and an input degree; every division and its
 transpose run through it and share the leaf maps of its series solves.
-x_power_forms divides x^d I by S_y in one pass, all columns at once, for
-the normal forms phi(x^d y^j) that the power projections start from.
+power_projections reads ell(phi(x^i)) for every i < N off one such
+quotient: the series solve of S_y's reversal against vec_y(1), of width
+N + delta, is the strictly proper part of S_y^{-1} x^i vec_y(1) for every
+i at once.
 
 The normal form phi(f) reduces deg_y below n_y with a division against an
 enlarged x-Sylvester matrix, then reduces deg_x below d against S_y.  For
@@ -34,7 +36,6 @@ from .sylvester import (
     SylvMat,
     build_Sy,
     build_Tx,
-    inverse_window,
     matvec_window,
     matvec_window_T,
     require_both_reduced,
@@ -42,7 +43,7 @@ from .sylvester import (
     solve_window,
     solve_window_T,
 )
-from .upoly import UPoly
+from .upoly import UPoly, block_dot
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +240,51 @@ class _DivisionProgram:
         return self.S.ctx.vsub(fit(padded, self.V), fit(mu, self.V)[:, ::-1])
 
 
-def x_power_forms(basis: IdealBasis) -> np.ndarray:
-    """phi(x^d y^j) for j < n_y as an (n_y, d, n_y) stack of coefficient
-    grids padded to the window, from one matrix division of x^d I by S_y:
-    column n_y - 1 - j of x^d I is vec_y(x^d y^j), already y-reduced.  This
-    is _DivisionProgram(S_y, d).divide on all n_y columns at once.  Each
-    reversed column is a unit vector, so the quotient Q is inverse_window of
-    the reversed matrix, split at the high block, and the remainder is
-    -(S_y Q mod x^d), accumulated one quotient layer Q_c at a time from
-    S_y's layers below x^(d - c), so no product holds more than d n_y^2
-    codes.  Requires d >= 1 and both Sylvester matrices column reduced, as
-    normal_form does."""
-    require_both_reduced(basis)
+def power_projections(basis: IdealBasis, forms: list[LinearForm], N: int) -> np.ndarray:
+    """Row t holds forms[t](phi(x^i)) for i < N, from one x-adic series
+    solve against S_y's reversed matrix, shared by every form (power
+    projections as in Shoup, J. Symb. Comp. 1994).  The callers gate on
+    sylvester.require_both_reduced.
+
+    S_rev(t) = S_y(1/t) diag(t^c_j) has S_rev(0) invertible, since S_y is
+    column reduced.  Let u_j be the coefficients of S_rev(t)^{-1} e, with
+    e = vec_y(1), and u~_j the vector whose rows in the block of larger
+    column degree (_high_block) are those of u_j and whose other rows are
+    those of u_{j + delta}, delta = |c1 - c2|; u~_j = 0 below j = -delta.
+    The x^{-m} coefficient of S_y^{-1} x^i e is u~_{i+m-d}, and phi(x^i) is
+    S_y times the strictly proper part of S_y^{-1} x^i e, so
+        s_i = ell(phi(x^i)) = sum_{m=1..d} lambda_m . u~_{i+m-d},
+        lambda_m = sum_{c <= d-m} ell_c S_{c+m},
+    with ell_c the form's row on the x^c column.  Each sum over m is one
+    product and d shifted vadds: the stacked forms times S_y's layers give
+    every ell_c S_p, and the stacked lambda_m times the solve's window give
+    every lambda_m . u~_p."""
+    ctx = basis.ctx
+    d, ny, k = basis.d, basis.ny, len(forms)
+    seqs = np.zeros((k, N), dtype=np.int64)
+    if N == 0 or d == 0 or ny == 0:
+        return seqs  # nothing asked for, or the window is {0}
     S = build_Sy(basis)
-    prog = _DivisionProgram(S, basis.d)
-    ctx, n, d, W = S.ctx, S.n, basis.d, prog.W
-    Q = _shift_rows(inverse_window(prog.Srev, W)[:, ::-1], _high_block(S), -prog.delta)
-    R = np.zeros((d, n, n), dtype=np.int64)
-    for c in range(min(W, d)):
-        # S_k Q_c lands on x^(k + c)
-        SQ = ctx.dot_map(S.layers(d - 1 - c).reshape((d - c) * n, n))(Q[:, c])
-        R[c:] = ctx.vsub(R[c:], SQ.reshape(d - c, n, n))
-    # R[c, n_y - 1 - i, n_y - 1 - j] is the x^c y^i coefficient of phi(x^d y^j)
-    return R[:, ::-1, ::-1].transpose(2, 0, 1)
+    delta = abs(S.c1 - S.c2)
+    l = N + delta
+    # the right-hand side is a temporary, freed once the solve returns
+    U = solve_window(S.reversed_matrix(), fit(vec(BiPoly.one(ctx), "y", ny), l), l)
+    U = _shift_rows(U, _high_block(S), delta)  # column p holds u~_{p - delta}
+    # P[t, c, p] = ell_{t,c} S_p, from the layers S_0 .. S_d side by side
+    ell = np.stack([f.coeffs.reshape(ny, d).T for f in forms]).reshape(k * d, ny)
+    layers = S.layers(d).transpose(1, 0, 2).reshape(ny, (d + 1) * ny)
+    P = block_dot(ctx, ell, layers).reshape(k, d, d + 1, ny)
+    lam = np.zeros((k, d, ny), dtype=np.int64)  # lam[:, m - 1] = lambda_m
+    for c in range(d):
+        lam[:, : d - c] = ctx.vadd(lam[:, : d - c], P[:, c, c + 1 :])
+    Q = block_dot(ctx, lam.reshape(k * d, ny), U).reshape(k, d, l)
+    for m in range(1, d + 1):
+        # s_i gains Q[:, m - 1, i + off]; columns before 0 are zero
+        off = m - d + delta
+        lo = max(-off, 0)
+        if lo < N:
+            seqs[:, lo:] = ctx.vadd(seqs[:, lo:], Q[:, m - 1, lo + off : N + off])
+    return seqs
 
 
 class NormalFormProgram:

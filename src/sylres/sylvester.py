@@ -29,8 +29,8 @@ transposed), prepared by ctx.dot_map once per solve, or once per dict of
 maps that a caller hands to its solves (a normalform division program
 hands its own to every solve it makes); the map is dropped with the solve
 or with the dict, so nothing of it stays on S.  A width-1 solve is one
-base solve instead.  inverse_window solves for S^{-1} mod outer^l
-through the same leaf map, every unit vector at once within one leaf.
+base solve instead.  A window of at least n (deg S + 1) columns whose leaf
+map holds at most ONE_LEAF_MAP_MAX codes is one leaf, with no halving.
 Every S(0)^{-1} comes from one Bezout route on code arrays (_BaseSolver):
 a forward solve, or, for the leaves and the width-1 transposed solve, the
 unit vectors' solves in one O(n^2) recurrence (_BaseSolver.inverse_T).
@@ -280,6 +280,22 @@ def _transposed_product(S, L, grids, off1, off2, out_len, memo=None) -> np.ndarr
 LEAF_INNER_MAX = 512
 
 
+# Largest leaf map, n^2 (deg S + 1) codes, for which a window of at least
+# n (deg S + 1) columns is solved as one leaf: below it the column-by-column
+# lift beats halving, above it halving down to LEAF_INNER_MAX wins (measured
+# on one-column solves at l = 4de; see the leaf-rule sweep in BENCH_22.json).
+ONE_LEAF_MAP_MAX = 1 << 18
+
+
+def _leaf_width(S: SylvMat, l: int) -> int:
+    """Leaf width of a truncated solve of width l against S: the whole
+    window when it is long against a small leaf map, else the cap."""
+    n, k = S.n, S.degree
+    if l >= n * (k + 1) and n * n * (k + 1) <= ONE_LEAF_MAP_MAX:
+        return l
+    return min(l, LEAF_INNER_MAX // max(n, 1))
+
+
 class _BaseSolver:
     """Solves S(0) z = r through the scalar Sylvester system: with p, q the
     outer-constant generator slices, z encodes (A, B) with A p + B q = R and
@@ -421,37 +437,12 @@ def solve_window(S: SylvMat, V: np.ndarray, l: int, maps: dict | None = None) ->
     return _solve_series(S, False, V, l, maps)
 
 
-def inverse_window(S: SylvMat, l: int) -> np.ndarray:
-    """X (n, l, n) with S X = I (mod outer^l): X[:, :, i] is solve_window
-    of the unit vector e_i.  Within one leaf (l <= b = LEAF_INNER_MAX // n)
-    the layers X_0 = S(0)^{-1} and X_c = -X_0 (S_1 X_{c-1} + ... + S_c X_0)
-    are lifted on all n columns at once, one product of the leaf map per
-    layer; a longer window is halved column by column as in _solve_series,
-    through one leaf map and one memo of spectra.  Requires S(0)
-    nonsingular."""
-    n = S.n
-    b = max(min(l, LEAF_INNER_MAX // max(n, 1)), 1)
-    k = min(b - 1, S.degree)
-    leaf_map = _leaf_map(S, False, k)
-    leaf = lambda R: _lift(leaf_map, k, R)
-    if l <= b:
-        V = np.zeros((n, l, n), dtype=np.int64)
-        V[:, 0] = np.eye(n, dtype=np.int64)
-        return leaf(V)
-    X, E, memo = np.empty((n, l, n), dtype=np.int64), np.zeros((n, l), dtype=np.int64), {}
-    for i in range(n):
-        E[i, 0] = 1
-        X[:, :, i] = _halve(S, matvec_window, leaf, b, memo, E, l)
-        E[i, 0] = 0
-    return X
-
-
 def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int, maps: dict | None) -> np.ndarray:
     """U (n, l) with S U = V (mod outer^l), V of width l, or, transposed,
     with (sum_j S_j^T outer^j) U = V (mod outer^l).  The window is halved,
     the low half solved first and the high half against the residual that
     the low half's last deg S columns leave, down to leaves of width at most
-    b = LEAF_INNER_MAX // n, each lifted column by column through one dense
+    b = _leaf_width(S, l), each lifted column by column through one dense
     map of inner dimension n (k + 1), k = min(b - 1, deg S).  A width-1
     solve, or b = 1, runs base solves instead.  The leaf map is read from
     maps[(transposed, k)], or built and stored there: whoever passes maps
@@ -460,7 +451,7 @@ def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int, maps: dic
     solve, as the memo of the generators' spectra always does; both are
     dropped with it, never kept on S, which a caller may hold long after."""
     mv = _matvec_semiT if transposed else matvec_window
-    b = min(l, LEAF_INNER_MAX // max(S.n, 1))
+    b = _leaf_width(S, l)
     if b > 1:
         k = min(b - 1, S.degree)
         maps = {} if maps is None else maps

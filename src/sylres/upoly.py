@@ -411,7 +411,7 @@ def interpolate_rows(ctx: FieldCtx, pts, V) -> np.ndarray:
     """Row i of the (m, n) result holds the ascending coefficients of the
     unique polynomial of degree < n through (pts[j], V[i, j]): the one
     product V L with the Lagrange matrix L = lagrange_rows(ctx, pts)."""
-    return lagrange_apply(ctx, V, lagrange_rows(ctx, pts))
+    return block_dot(ctx, V, lagrange_rows(ctx, pts))
 
 
 def lagrange_rows(ctx: FieldCtx, pts) -> np.ndarray:
@@ -442,30 +442,33 @@ def lagrange_rows(ctx: FieldCtx, pts) -> np.ndarray:
     return T.T
 
 
-# multiply-adds of one lagrange_apply product (m rows times n terms times a
-# block of b columns), which bounds every field's working arrays for it: the
+# multiply-adds of one block_dot block (m rows times K terms times a block of
+# b columns), which bounds every field's working arrays for it: the
 # vsum-of-vmul fallback holds all of them at once.  At compose_rem's largest
 # grids (451 and 931 nodes, d = e = 16) blocks are 9 columns wide: its two
-# passes take about 55 ms over F_65537 on a 2-vCPU host, against 20 ms in one
-# block of all columns, which held copies of L and of the output planes.
-_LAGRANGE_BLOCK_WORK = 1 << 22
+# interpolation passes take about 55 ms over F_65537 on a 2-vCPU host,
+# against 20 ms in one block of all columns, which held copies of L and of
+# the output planes.
+_BLOCK_WORK = 1 << 22
 
 
-def lagrange_apply(ctx: FieldCtx, V, L: np.ndarray) -> np.ndarray:
-    """V L for value rows V (m, n) and a Lagrange matrix L (n, n): V is
-    prepared once by ctx.dot_map and applied to blocks of L's columns, so
-    no product holds a second n x n array."""
-    V = np.asarray(V, dtype=np.int64)
-    if V.ndim != 2 or V.shape[1] != len(L):
-        raise ValueError("points/values length mismatch")
-    m, n = V.shape
-    out = np.empty((m, n), dtype=np.int64)
-    if m == 0 or n == 0:
+def block_dot(ctx: FieldCtx, A, X: np.ndarray) -> np.ndarray:
+    """A X for A (m, K) and X (K, c): A is prepared once by ctx.dot_map and
+    applied to blocks of X's columns, so no product holds a second copy of
+    X or more than _BLOCK_WORK multiply-adds (interpolate_rows, the power
+    projections)."""
+    A = np.asarray(A, dtype=np.int64)
+    if A.ndim != 2 or A.shape[1] != len(X):
+        raise ValueError(f"inner dimension mismatch: {A.shape} times {X.shape}")
+    m, K = A.shape
+    c = X.shape[1]
+    out = np.empty((m, c), dtype=np.int64)
+    if m == 0 or c == 0:
         return out
-    rows = ctx.dot_map(V)
-    b = max(1, _LAGRANGE_BLOCK_WORK // (m * n))
-    for s in range(0, n, b):
-        out[:, s : s + b] = rows(L[:, s : s + b])
+    rows = ctx.dot_map(A)
+    b = max(1, _BLOCK_WORK // max(m * K, 1))
+    for s in range(0, c, b):
+        out[:, s : s + b] = rows(X[:, s : s + b])
     return out
 
 

@@ -248,6 +248,21 @@ def test_usage_errors_exit1(files, capsys):
     assert "prime" in err
 
 
+@pytest.mark.parametrize("flag", ["--a", "--f"])
+def test_huge_exponent_file_exit1(files, capsys, flag):
+    # the dense grid (10^11 + 1 coefficients) is refused before allocation
+    huge = files("huge.txt", "1 100000000000 0\n")
+    a, b, f = files("a.txt", EX2_A), files("b.txt", EX2_B), files("f.txt", "1 3\n")
+    if flag == "--a":
+        argv = ["invfact", "-p", "101", "--a", huge, "--b", b]
+    else:
+        argv = ["nf", "-p", "101", "--a", a, "--b", b, "--f", huge]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    assert "100000000001 coefficients" in err
+
+
 def test_verify_oracle_mismatch_exit3(files, capsys, monkeypatch):
     import sylres.cli as climod
     from sylres.upoly import UPoly

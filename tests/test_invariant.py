@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import sylres.invariant
+import sylres.normalform
 import sylres.sylvester
 import sylres.upoly
 from sylres.bipoly import BiPoly, IdealBasis, bimul
@@ -19,14 +19,20 @@ from sylres.invariant import (
     STATUS_PROBABLE,
     InvariantOptions,
     RootsAtInfinityError,
-    _power_projections,
     elimination_generator,
     last_invariant_factor,
     min_poly_mult_x,
     projection_sequence,
     resultant_certified,
 )
-from sylres.normalform import LinearForm, embed, normal_form, reduce_ydeg, transposed_normal_form, x_power_forms
+from sylres.normalform import (
+    LinearForm,
+    embed,
+    normal_form,
+    power_projections,
+    reduce_ydeg,
+    transposed_normal_form,
+)
 from sylres.oracle import dense_minpoly_mult_x, dense_resultant, dense_smith
 from sylres.sylvester import NotColumnReducedError, build_Sx, build_Sy, build_Tx, dense_form, is_column_reduced
 from sylres.upoly import UPoly, berlekamp_massey, plcm
@@ -375,7 +381,7 @@ def test_min_poly_runs_berlekamp_massey_once(de, monkeypatch):
     basis = _reduced_basis(F65537, (de, de, de, de), random.Random(74))
     forms_rng = random.Random(75)
     forms = [LinearForm.random(basis, forms_rng) for _ in range(3)]
-    seqs = _power_projections(basis, forms, 4 * de * de)
+    seqs = power_projections(basis, forms, 4 * de * de)
     want = functools.reduce(plcm, (berlekamp_massey(F65537, s) for s in seqs), UPoly.one(F65537))
     calls = {"berlekamp_massey": 0, "plcm": 0}
 
@@ -476,72 +482,113 @@ _RECURRENCE_SHAPES = [
 @pytest.mark.parametrize("shape", _RECURRENCE_SHAPES, ids=str)
 @pytest.mark.parametrize("F", list(_RECURRENCE_FIELDS.values()), ids=list(_RECURRENCE_FIELDS))
 def test_x_power_forms_match_per_monomial_normal_forms(F, shape, leaf, monkeypatch):
-    # the recurrence's set-up: one matrix division of x^d I by S_y against
-    # the normal form of each x^d y^j on its own; leaf = 1 halves every
-    # quotient window longer than one layer
+    # the d n_y coordinate forms read every phi(x^i), i <= 2d, whole off the
+    # projections, against the normal form of each x^i on its own; leaf = 1
+    # halves the solve down to base solves, None keeps the module's rule
     basis = _reduced_basis(F, shape, random.Random(f"division-{shape}"))
     d, ny = basis.d, basis.ny
-    want = [normal_form(basis, BiPoly.monomial(F, d, j)).padded(d, ny) for j in range(ny)]
+    want = [embed(basis, normal_form(basis, BiPoly.monomial(F, i, 0))) for i in range(2 * d + 1)]
     if leaf is not None:
+        monkeypatch.setattr(sylres.sylvester, "ONE_LEAF_MAP_MAX", -1)
         monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", leaf * ny)
-    assert np.array_equal(x_power_forms(basis), np.stack(want))
+    forms = [LinearForm(basis, row) for row in np.eye(d * ny, dtype=np.int64)]
+    assert np.array_equal(power_projections(basis, forms, 2 * d + 1), np.stack(want, axis=1))
 
 
-@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 1, 1, 3), (2, 4, 5, 3), (6, 6, 6, 6)], ids=str)
-def test_power_projections_make_one_normal_form(shape, monkeypatch):
-    # phi(1) is the one normal form; the phi(x^d y^j) come from one division
-    basis = _reduced_basis(F65537, shape, random.Random(f"one-nf-{shape}"))
-    forms = [LinearForm.random(basis, random.Random(76)) for _ in range(2)]
-    calls = []
+@pytest.mark.parametrize(
+    "shape", [(1, 1, 1, 1), (3, 1, 1, 3), (2, 4, 5, 3), (6, 6, 6, 6), (4, 3, 1, 2), (0, 1, 3, 2)], ids=str
+)
+def test_power_projections_make_one_solve_and_no_normal_form(shape, monkeypatch):
+    # a projection run divides nothing and transposes nothing: its one leaf
+    # map is a forward one, on S_y's reversed matrix, for its one solve
+    basis = _reduced_basis(F65537, shape, random.Random(f"one-solve-{shape}"))
+    programs, built = [], []
+    for cls in (sylres.normalform.NormalFormProgram, sylres.normalform._DivisionProgram):
+        init = cls.__init__
 
-    def counted(basis, f):
-        calls.append(f)
-        return normal_form(basis, f)
+        def recording(self, *args, init=init):
+            programs.append(type(self).__name__)
+            init(self, *args)
 
-    monkeypatch.setattr(sylres.invariant, "normal_form", counted)
-    _power_projections(basis, forms, 4 * basis.d * basis.e)
-    assert calls == [BiPoly.one(F65537)]
-
-
-def test_power_projection_forms_share_one_transposed_leaf_map(monkeypatch):
-    # at delta = 3 each window form ell o phi is a transposed solve of width
-    # 3 against S_y's reversed matrix: the three forms go through one
-    # NormalFormProgram, which builds that solve's leaf map once
-    shape = (4, 3, 1, 2)
-    assert shape in _RECURRENCE_SHAPES
-    rng = random.Random(77)
-    basis = _reduced_basis(F65537, shape, rng)
-    forms = [LinearForm.random(basis, rng) for _ in range(3)]
-    N = 4 * basis.d * basis.e
-    want = _reference_sequences(basis, forms, N)
-    built = []
+        monkeypatch.setattr(cls, "__init__", recording)
     build = sylres.sylvester._leaf_map
 
-    def recording(S, transposed, k):
-        built.append((id(S), transposed))
+    def record_map(S, transposed, k):
+        built.append((S, transposed))
         return build(S, transposed, k)
 
-    monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
-    assert np.array_equal(_power_projections(basis, forms, N), want)
-    transposed = [key for key in built if key[1]]
-    assert len(transposed) == 1, built
+    monkeypatch.setattr(sylres.sylvester, "_leaf_map", record_map)
+    forms = [LinearForm.random(basis, random.Random(76)) for _ in range(3)]
+    power_projections(basis, forms, 4 * basis.d * basis.e)
+    assert programs == []
+    assert built == [(build_Sy(basis).reversed_matrix(), False)]
 
 
 @pytest.mark.parametrize("shape", _RECURRENCE_SHAPES, ids=str)
 @pytest.mark.parametrize("F", list(_RECURRENCE_FIELDS.values()), ids=list(_RECURRENCE_FIELDS))
-def test_power_projections_match_reference_loop(F, shape):
+def test_power_projections_match_reference_loop(F, shape, monkeypatch):
+    # the solve's leaf width in three regimes: halved down to 2 columns,
+    # the LEAF_INNER_MAX // n cap alone, and the whole window as one leaf
     rng = random.Random(f"recurrence-{shape}")
     basis = _reduced_basis(F, shape, rng)
     forms = [LinearForm.random(basis, rng) for _ in range(2)]
-    for N in sorted({0, 1, basis.d - 1, 4 * basis.d * basis.e}):
-        want = _reference_sequences(basis, forms, N)
-        for ell, row in zip(forms, want):
-            assert projection_sequence(basis, ell, N) == row.tolist()
-    new_rng, ref_rng = random.Random(5), random.Random(5)
-    mu = min_poly_mult_x(basis, new_rng)
-    assert mu == _reference_min_poly(basis, ref_rng, 3)
-    assert new_rng.getstate() == ref_rng.getstate()
-    assert mu == dense_minpoly_mult_x(basis)
+    lengths = sorted({0, 1, basis.d - 1, 4 * basis.d * basis.e})
+    want = {N: _reference_sequences(basis, forms, N) for N in lengths}
+    ref_rng = random.Random(5)
+    want_mu = _reference_min_poly(basis, ref_rng, 3)
+    assert want_mu == dense_minpoly_mult_x(basis)
+    for one_leaf_max, inner_max in ((-1, 2 * basis.ny), (-1, None), (None, 1 << 40)):
+        monkeypatch.undo()
+        if inner_max == 2 * basis.ny:  # and both products one column at a time
+            monkeypatch.setattr(sylres.upoly, "_BLOCK_WORK", 1)
+        if one_leaf_max is not None:
+            monkeypatch.setattr(sylres.sylvester, "ONE_LEAF_MAP_MAX", one_leaf_max)
+        if inner_max is not None:
+            monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", inner_max)
+        for N in lengths:
+            for ell, row in zip(forms, want[N]):
+                assert projection_sequence(basis, ell, N) == row.tolist(), (inner_max, N)
+        new_rng = random.Random(5)
+        assert min_poly_mult_x(basis, new_rng) == want_mu
+        assert new_rng.getstate() == ref_rng.getstate()
+
+
+def test_power_projection_products_apply_in_column_blocks(monkeypatch):
+    # over a log-table field dot_map is vsum of vmul, which holds rows x
+    # columns x K codes at once: both products go through upoly.block_dot,
+    # so no call of either exceeds _BLOCK_WORK multiply-adds
+    F = build_extension(2, 2**13, random.Random(6))
+    assert F.q == 2**13 and F._exp is not None
+    rng = random.Random(80)
+    basis = _reduced_basis(F, (3, 3, 3, 3), rng)
+    forms = [LinearForm.random(basis, rng) for _ in range(3)]
+    N = 4 * basis.d * basis.e
+    want = _reference_sequences(basis, forms, N)
+    rows, work = len(forms) * basis.d, []
+    dot_map = F.dot_map
+
+    def recording(A):
+        apply = dot_map(A)
+
+        def counted(x):
+            if len(A) == rows:
+                work.append(A.size * (x.shape[1] if x.ndim == 2 else 1))
+            return apply(x)
+
+        return counted
+
+    monkeypatch.setattr(F, "dot_map", recording)
+    monkeypatch.setattr(sylres.upoly, "_BLOCK_WORK", 4 * rows * basis.ny)
+    assert np.array_equal(power_projections(basis, forms, N), want)
+    assert len(work) > 2 and max(work) <= sylres.upoly._BLOCK_WORK
+
+
+def test_projection_sequence_rejects_a_negative_length():
+    basis = _reduced_basis(F65537, (2, 2, 2, 2), random.Random(78))
+    ell = LinearForm.random(basis, random.Random(79))
+    assert projection_sequence(basis, ell, 0) == []
+    with pytest.raises(ValueError, match="N must be at least 0, got -1"):
+        projection_sequence(basis, ell, -1)
 
 
 def test_window_form_differs_from_ell_only_for_unequal_column_degrees():

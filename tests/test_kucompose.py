@@ -163,6 +163,37 @@ def test_compose_bigprime_builds_four_leaf_maps(monkeypatch):
     assert len(built) == 4, built
 
 
+@pytest.mark.parametrize("workload", ["nf-ntt", "compose-bigprime"])
+def test_benchmark_normal_form_solves_keep_the_cap_leaf_width(workload, monkeypatch):
+    # the one-leaf rule is for long windows against small maps, as in the
+    # power projections; the benchmark's normal-form shapes (d = e = 32 over
+    # F_65537, and compose_rem at d = e = 4 over 2^31 - 1) keep every solve
+    # at LEAF_INNER_MAX // n
+    rng = random.Random(f"leaf-width-{workload}")
+    widths = []
+    choose = sylres.sylvester._leaf_width
+
+    def recording(S, l):
+        widths.append((S.n, l, choose(S, l)))
+        return widths[-1][2]
+
+    if workload == "nf-ntt":
+        basis = _reduced_basis(F65537, (32, 32, 32, 32), rng)
+        f = BiPoly.random(F65537, 2 * (basis.d - 1), 2 * (basis.ny - 1), rng)
+        monkeypatch.setattr(sylres.sylvester, "_leaf_width", recording)
+        normal_form(basis, f)
+    else:
+        F = PrimeField(2**31 - 1)
+        basis = _reduced_basis(F, (4, 4, 4, 4), rng)
+        bound = 4 * basis.d * basis.e
+        f = UPoly.random(F, bound - 1, rng)
+        monkeypatch.setattr(sylres.sylvester, "_leaf_width", recording)
+        compose_rem(basis, f, KUParams.choose(bound))
+    assert widths
+    for n, l, b in widths:
+        assert b == min(l, sylres.sylvester.LEAF_INNER_MAX // n), (n, l, b)
+
+
 def _mv_eval_per_point(F, grid, pts):
     out = []
     for r in range(len(pts)):

@@ -22,7 +22,6 @@ from sylres.sylvester import (
     build_Sy,
     build_Tx,
     dense_form,
-    inverse_window,
     is_column_reduced,
     matvec,
     matvec_T,
@@ -734,28 +733,32 @@ def test_solve_frees_its_leaf_map_and_memo_on_return(transposed):
 @pytest.mark.parametrize("leaf", [1, 2, None])
 @pytest.mark.parametrize("name", sorted(DIFF_FIELDS))
 def test_inverse_window_matches_the_halving_reference(monkeypatch, name, leaf):
-    # S X = I (mod outer^l), column by column against the reference solve,
-    # both when the window fits one leaf (all columns lifted at once) and
-    # when it is halved; the leaf map never exceeds the module's cap
+    # S X = I (mod outer^l) column by column, each unit vector one solve as
+    # the power projections make it, against the reference solve: halved
+    # down to leaves of 1 or 2 columns, and at the module's rule, which takes
+    # a window of at least n (deg S + 1) columns as one leaf; no leaf map
+    # exceeds the cap of its rule
     ctx, rng = DIFF_FIELDS[name], random.Random(f"inverse-window-{name}")
     build = sylres.sylvester._leaf_map
 
     def capped(S, transposed, k):
-        assert k == 0 or S.n * (k + 1) <= sylres.sylvester.LEAF_INNER_MAX
+        inner = S.n * (k + 1)
+        one_leaf = S.n * inner <= sylres.sylvester.ONE_LEAF_MAP_MAX
+        assert k == 0 or inner <= sylres.sylvester.LEAF_INNER_MAX or one_leaf
         return build(S, transposed, k)
 
     monkeypatch.setattr(sylres.sylvester, "_leaf_map", capped)
+    if leaf is not None:
+        monkeypatch.setattr(sylres.sylvester, "ONE_LEAF_MAP_MAX", -1)
     for wrt in "xy":
         for shape in SHAPES + [(0, 2, 0, 1)]:
             S = _solvable(ctx, wrt, shape, rng)[0]
             if leaf is not None:
                 monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", leaf * S.n)
-            for l in sorted({1, 2, S.degree + 1, 2 * S.degree + 3}):
-                X = inverse_window(S, l)
-                assert X.shape == (S.n, l, S.n)
+            for l in sorted({1, 2, S.degree + 1, 2 * S.degree + 3, S.n * (S.degree + 1) + 1}):
                 for i, e in enumerate(np.eye(S.n, dtype=np.int64)):
-                    want = _halving_reference(S, False, fit(e[:, None], l), l)
-                    assert np.array_equal(X[:, :, i], want), (shape, l, i)
+                    E = fit(e[:, None], l)
+                    assert np.array_equal(solve_window(S, E, l), _halving_reference(S, False, E, l)), (shape, l, i)
 
 
 @pytest.mark.parametrize("transposed", [False, True])
@@ -763,10 +766,12 @@ def test_inverse_window_matches_the_halving_reference(monkeypatch, name, leaf):
 def test_long_solve_products_stay_within_twice_the_degree(monkeypatch, transposed, leaf):
     # above the leaf, each residual comes from the low half's last deg S
     # columns only, so no product is wider than 2 deg S + 1 however long
-    # the window
+    # the window (a window this long against so small a map would otherwise
+    # be one leaf, which makes no products)
     rng = random.Random(28)
     S = _solvable(F65537, "y", (3, 2, 1, 3), rng)[0]
     d, l = S.degree, 300
+    monkeypatch.setattr(sylres.sylvester, "ONE_LEAF_MAP_MAX", -1)
     if leaf is not None:
         monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", leaf * S.n)
     widths = []

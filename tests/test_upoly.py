@@ -11,7 +11,7 @@ import sylres.upoly
 from sylres._backend import INT64_EXACT, gate
 from sylres.bipoly import BiPoly, IdealBasis
 from sylres.field import PrimeField, build_extension, extend_field
-from sylres.invariant import _power_projections
+from sylres.normalform import power_projections
 from sylres.normalform import LinearForm
 from sylres.sylvester import build_Sx, build_Sy, is_column_reduced
 from sylres.upoly import (
@@ -288,7 +288,7 @@ def test_lagrange_interpolation_matches_the_per_coefficient_reference(name, monk
                 V = F.rand_array(rng, m * n).reshape(m, n)
                 want = _interpolate_rows_reference(F, pts, V)
                 assert np.array_equal(interpolate_rows(F, pts, V), want), (n, m)
-                monkeypatch.setattr(sylres.upoly, "_LAGRANGE_BLOCK_WORK", 2 * m * n)
+                monkeypatch.setattr(sylres.upoly, "_BLOCK_WORK", 2 * m * n)
                 assert np.array_equal(interpolate_rows(F, pts, V), want), (n, m, "blocks of 2")
                 monkeypatch.undo()
 
@@ -650,7 +650,7 @@ def test_common_generator_matches_lcm_on_power_projections(name, monkeypatch):
         forms = [LinearForm.random(basis, rng) for _ in range(3)]
         full = 4 * d * e
         for N in (full, full - 1, d * e, 3):
-            seqs = _power_projections(basis, forms, N)
+            seqs = power_projections(basis, forms, N)
             got, runs = _counted_common_generator(monkeypatch, F, seqs)
             assert got == _lcm_of_generators(F, seqs), (d, e, N)
             assert 1 <= runs <= 3
