@@ -6,10 +6,12 @@ Polynomial files are UTF-8 text, one term per line `c i j` meaning
 c * x^i * y^j (j may be omitted for univariate files); `#` starts a
 comment and repeated monomials are summed.  Output mirrors the same term
 format; a file whose dense coefficient grid would exceed
-MAX_GRID_ENTRIES is a parse error.  Exit codes: 0 success, 1 usage or
-parse error, 2 computation failure (including --verify-oracle above the
-dense oracles' dimension gate and an --algo ku input over the composition
-work budget), 3 oracle mismatch under --verify-oracle.
+MAX_GRID_ENTRIES is a parse error.  Only nf takes --algo (baseline or
+ku); the other commands reject it as a usage error.  Exit codes: 0
+success, 1 usage or parse error, 2 computation failure (including
+--verify-oracle above the dense oracles' dimension gate and an nf --algo
+ku input over the composition work budget), 3 oracle mismatch under
+--verify-oracle.
 """
 
 from __future__ import annotations
@@ -203,8 +205,6 @@ def cmd_nf(args) -> int:
 
 
 def _invariant_command(args, runner, verify) -> int:
-    if args.algo != "baseline":
-        raise CliError("the invariant drivers only implement the baseline projection strategy", 1)
     ctx = _field(args)
     basis = _basis(args, ctx)
     rng = random.Random(args.seed)
@@ -353,8 +353,6 @@ BENCH_OPS = ("normal_form", "mul_mod", "invfact", "resultant", "compose_rem")
 
 
 def cmd_bench(args) -> int:
-    if args.algo != "baseline":
-        raise CliError("bench only times the baseline algorithm", 1)
     ctx = _field(args)
     ops = [o.strip() for o in args.ops.split(",") if o.strip()]
     for o in ops:
@@ -371,7 +369,7 @@ def cmd_bench(args) -> int:
                 basis, rng = _bench_instance(ctx, d, e, inst_seed)
                 for op in ops:
                     wall, status = _bench_one(basis, rng, op, args.trials)
-                    writer.writerow([d, e, ctx.q, args.algo, inst_seed, op, wall, status])
+                    writer.writerow([d, e, ctx.q, "baseline", inst_seed, op, wall, status])
     finally:
         if args.out:
             out.close()
@@ -392,8 +390,8 @@ def _add_common(p, with_f=False, solver=True):
     p.add_argument("--json", action="store_true", help="JSON output")
     if solver:  # smith-oracle runs one deterministic algorithm and reads none of these
         p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")
-        if with_f:  # nf's --algo ku is the only reader of the composition radix
+        if with_f:  # --algo ku is nf's only, and the only reader of the composition radix
+            p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")
             p.add_argument("--d-eps", type=int, default=0, help="composition radix (0 = auto)")
         else:  # only the invariant drivers read the projection trials
             p.add_argument("--trials", type=positive, default=3, help="projection trials")
@@ -431,7 +429,6 @@ def build_parser() -> _Parser:
     p.add_argument("--sizes", type=sizes, default="", help="comma list of d (or d:e) instance sizes")
     p.add_argument("--seeds", type=positive, default=3, help="instances per size")
     p.add_argument("--ops", default="normal_form,invfact", help=f"subset of {','.join(BENCH_OPS)}")
-    p.add_argument("--algo", choices=("baseline", "ku"), default="baseline")
     p.add_argument("--trials", type=positive, default=3)
     p.add_argument("--out", default="", help="CSV output file (default stdout)")
     p.set_defaults(fn=cmd_bench)

@@ -28,12 +28,13 @@ v_c and the k previous columns, through one dense map
 transposed), prepared by ctx.dot_map once per solve, or once per dict of
 maps that a caller hands to its solves (a normalform division program
 hands its own to every solve it makes); the map is dropped with the solve
-or with the dict, so nothing of it stays on S.  A width-1 solve is one
-base solve instead.  A window of at least n (deg S + 1) columns whose leaf
-map holds at most ONE_LEAF_MAP_MAX codes is one leaf, with no halving.
-Every S(0)^{-1} comes from one Bezout route on code arrays (_BaseSolver):
-a forward solve, or, for the leaves and the width-1 transposed solve, the
-unit vectors' solves in one O(n^2) recurrence (_BaseSolver.inverse_T).
+or with the dict, so nothing of it stays on S.  A leaf of width 1 (a
+width-1 solve, or n above LEAF_INNER_MAX / 2) is the k = 0 map [A].  A
+window of at least n (deg S + 1) columns whose leaf map holds at most
+ONE_LEAF_MAP_MAX codes is one leaf, with no halving.  Every S(0)^{-1}, in
+either direction, comes from one Bezout route on code arrays
+(_BaseSolver, cached on S): the unit vectors' solves in one O(n^2)
+recurrence (_BaseSolver.inverse_T), read into the leaf map and dropped.
 The Bezout triple of a matrix's outer-constant slices is cached on it
 (const_xgcd); is_column_reduced(S) reads S.reversed_matrix()'s, whose
 constant slices are S's leading coefficients, and whose solver reuses it.
@@ -46,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._dense import SingularMatrixError
-from .bipoly import BiPoly, IdealBasis, fit, grid_mul, to_array, to_list, vec
+from .bipoly import BiPoly, IdealBasis, fit, grid_mul, to_array, to_list
 from .upoly import UPoly, inverse_series, xgcd
 
 
@@ -141,13 +142,6 @@ class SylvMat:
         return self._cache["grids"]
 
 
-def _columns(S: SylvMat):
-    """The columns of S in order, each an (n, width) polynomial vector."""
-    for gen, count in ((S.g1, S.m2), (S.g2, S.m1)):
-        for s in range(count - 1, -1, -1):
-            yield vec(gen.mul_monomial(s, 0) if S.wrt == "x" else gen.mul_monomial(0, s), S.wrt, S.n)
-
-
 def build_Sy(basis: IdealBasis) -> SylvMat:
     if "Sy" not in basis._cache:
         basis._cache["Sy"] = SylvMat("y", basis.a, basis.b)
@@ -206,9 +200,10 @@ def require_both_reduced(basis: IdealBasis) -> None:
 
 
 def dense_form(S: SylvMat) -> list[list[UPoly]]:
-    """Explicit n x n materialisation (testing/oracle bridge)."""
-    cols = [to_list(S.ctx, col) for col in _columns(S)]
-    return [[col[i] for col in cols] for i in range(S.n)]
+    """Explicit n x n materialisation (testing/oracle bridge), read from
+    the layers: entry (i, j) has outer coefficients S_0[i, j], ..., S_k[i, j]."""
+    L = S.layers(S.degree)
+    return [[UPoly(S.ctx, L[:, i, j]) for j in range(S.n)] for i in range(S.n)]
 
 
 def _check_len(S: SylvMat, v) -> None:
@@ -276,7 +271,8 @@ def _transposed_product(S, L, grids, off1, off2, out_len, memo=None) -> np.ndarr
 
 # Largest inner dimension n (k + 1) of a truncated solve's dense leaf map,
 # which fixes the leaf width at LEAF_INNER_MAX // n columns (measured; see
-# the leaf sweep in BENCH_19.json).
+# the leaf sweep in BENCH_19.json); past n = LEAF_INNER_MAX the leaf is the
+# k = 0 map, of inner dimension n.
 LEAF_INNER_MAX = 512
 
 
@@ -289,23 +285,24 @@ ONE_LEAF_MAP_MAX = 1 << 18
 
 def _leaf_width(S: SylvMat, l: int) -> int:
     """Leaf width of a truncated solve of width l against S: the whole
-    window when it is long against a small leaf map, else the cap."""
+    window when it is long against a small leaf map, else the cap (at
+    least one column)."""
     n, k = S.n, S.degree
     if l >= n * (k + 1) and n * n * (k + 1) <= ONE_LEAF_MAP_MAX:
         return l
-    return min(l, LEAF_INNER_MAX // max(n, 1))
+    return min(l, max(LEAF_INNER_MAX // max(n, 1), 1))
 
 
 class _BaseSolver:
-    """Solves S(0) z = r through the scalar Sylvester system: with p, q the
-    outer-constant generator slices, z encodes (A, B) with A p + B q = R and
-    deg A < m2, deg B < m1.  Nonsingularity of S(0) forces gcd(p, q) = 1 and
-    full formal degree for p or q, so one Bezout route is total: (a) q has
-    degree m2, A = (R u) rem q and B = (R - A p) / q, where u p + v q = 1;
-    (b) p has degree m1 and the roles swap.  It keeps O(n) codes: u (or v),
-    of lower degree than the divisor, the slices, and the reversed divisor's
-    inverse series to precision n; each division is the reversal trick on
-    code arrays.  The Bezout triple of (p, q) is S.const_xgcd(), which
+    """S(0)^{-1} through the scalar Sylvester system: with p, q the
+    outer-constant generator slices, S(0) z = r when z encodes (A, B) with
+    A p + B q = R and deg A < m2, deg B < m1.  Nonsingularity of S(0)
+    forces gcd(p, q) = 1 and full formal degree for p or q, so one Bezout
+    route is total: (a) q has degree m2, A = (R u) rem q and
+    B = (R - A p) / q, where u p + v q = 1; (b) p has degree m1 and the
+    roles swap.  It keeps O(n) codes: u (or v), of lower degree than the
+    divisor, the slices, and the reversed divisor's inverse series to
+    precision n; each division is the reversal trick on code arrays.  The Bezout triple of (p, q) is S.const_xgcd(), which
     is_column_reduced() has already computed when S is a reversed matrix."""
 
     def __init__(self, S: SylvMat):
@@ -331,9 +328,6 @@ class _BaseSolver:
         """Quotient of f (formal degree len(f) - 1 >= dd - 1) by the divisor."""
         k = len(f) - self.dd
         return self.ctx.conv(f[::-1][:k], self.inv[:k])[:k][::-1]
-
-    def solve(self, r: np.ndarray) -> np.ndarray:
-        return self._join(*self._parts(r))
 
     def _parts(self, r: np.ndarray):
         """(X, Y) for r: X = (R mult) rem divisor, Y = (R - X other) / divisor."""
@@ -374,21 +368,11 @@ class _BaseSolver:
         return self._join(X[:, 1:], Y[:, 1:])[::-1]
 
 
-class _BaseSolverT:
-    """S(0)^{-T} (n^2 codes, from the Bezout route), applied by one dot_map
-    prepared once: the width-1 transposed solve and the transposed leaf."""
-
-    def __init__(self, S: SylvMat):
-        # a forward solver built for this only, not cached on S
-        self.inv_T = _BaseSolver(S).inverse_T()
-        self.solve = S.ctx.dot_map(self.inv_T)
-
-
-def _solver(S: SylvMat, kind: type):
-    """The base solver of the given kind for S(0), built once per S."""
-    if kind not in S._cache:
-        S._cache[kind] = kind(S)
-    return S._cache[kind]
+def _solver(S: SylvMat) -> _BaseSolver:
+    """The base solver for S(0), built once per S."""
+    if _BaseSolver not in S._cache:
+        S._cache[_BaseSolver] = _BaseSolver(S)
+    return S._cache[_BaseSolver]
 
 
 def _leaf_map(S: SylvMat, transposed: bool, k: int):
@@ -397,7 +381,8 @@ def _leaf_map(S: SylvMat, transposed: bool, k: int):
     filled in place and prepared by one ctx.dot_map.  Transposed, S_j^T and
     A = S(0)^{-T} take their places.  The caller owns it for one solve."""
     ctx, n = S.ctx, S.n
-    A = _solver(S, _BaseSolverT).inv_T if transposed else _solver(S, _BaseSolver).inverse_T().T
+    A = _solver(S).inverse_T()
+    A = A if transposed else A.T
     layers = S.layers(k)
     M = np.empty((n, n * (k + 1)), dtype=np.int64)
     M[:, :n] = A
@@ -422,11 +407,15 @@ def _lift(leaf, k: int, V: np.ndarray) -> np.ndarray:
     return np.swapaxes(T[w - 1 :: -1], 0, 1)
 
 
+def _check_order(l: int) -> None:
+    if l <= 0:
+        raise ValueError("truncation order must be positive")
+
+
 def trunc_inv_apply(S: SylvMat, v: list[UPoly], l: int) -> list[UPoly]:
     """u with S u = v (mod outer^l) (list adapter of solve_window)."""
     _check_len(S, v)
-    if l <= 0:
-        raise ValueError("truncation order must be positive")
+    _check_order(l)
     return to_list(S.ctx, solve_window(S, fit(to_array(v), l), l))
 
 
@@ -443,27 +432,25 @@ def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int, maps: dic
     the low half solved first and the high half against the residual that
     the low half's last deg S columns leave, down to leaves of width at most
     b = _leaf_width(S, l), each lifted column by column through one dense
-    map of inner dimension n (k + 1), k = min(b - 1, deg S).  A width-1
-    solve, or b = 1, runs base solves instead.  The leaf map is read from
-    maps[(transposed, k)], or built and stored there: whoever passes maps
-    owns the maps in it and their lifetime (a _DivisionProgram, for every
-    solve it makes against S).  Without maps, the leaf map belongs to this
-    solve, as the memo of the generators' spectra always does; both are
-    dropped with it, never kept on S, which a caller may hold long after."""
+    map of inner dimension n (k + 1), k = min(b - 1, deg S); at b = 1 that
+    is the k = 0 map [A], one application of S(0)^{-1} per column.  The leaf
+    map is read from maps[(transposed, k)], or built and stored there:
+    whoever passes maps owns the maps in it and their lifetime (a
+    _DivisionProgram, for every solve it makes against S).  Without maps,
+    the leaf map belongs to this solve, as the memo of the generators'
+    spectra always does; both are dropped with it, never kept on S, which a
+    caller may hold long after.  An empty window (l = 0) solves to an empty
+    window, with no leaf map."""
+    if l == 0:
+        return np.zeros((S.n, 0), dtype=np.int64)
     mv = _matvec_semiT if transposed else matvec_window
     b = _leaf_width(S, l)
-    if b > 1:
-        k = min(b - 1, S.degree)
-        maps = {} if maps is None else maps
-        if (transposed, k) not in maps:
-            maps[transposed, k] = _leaf_map(S, transposed, k)
-        leaf_map = maps[transposed, k]
-        leaf = lambda R: _lift(leaf_map, k, R)
-    elif transposed:
-        b, leaf = 1, _solver(S, _BaseSolverT).solve
-    else:
-        b, leaf = 1, lambda R: _solver(S, _BaseSolver).solve(R[:, 0]).reshape(-1, 1)
-    return _halve(S, mv, leaf, b, {}, V, l)
+    k = min(b - 1, S.degree)
+    maps = {} if maps is None else maps
+    if (transposed, k) not in maps:
+        maps[transposed, k] = _leaf_map(S, transposed, k)
+    leaf_map = maps[transposed, k]
+    return _halve(S, mv, lambda R: _lift(leaf_map, k, R), b, {}, V, l)
 
 
 def _halve(S, mv, leaf, b, memo, V, l) -> np.ndarray:
@@ -484,6 +471,7 @@ def _halve(S, mv, leaf, b, memo, V, l) -> np.ndarray:
 def trunc_inv_apply_T(S: SylvMat, ell: list[UPoly], l: int) -> list[UPoly]:
     """Transpose of trunc_inv_apply (list adapter of solve_window_T)."""
     _check_len(S, ell)
+    _check_order(l)
     return to_list(S.ctx, solve_window_T(S, to_array(ell), l))
 
 

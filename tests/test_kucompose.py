@@ -141,10 +141,12 @@ def test_compose_over_a_second_field_after_a_cache_hit():
     assert (info.hits, info.misses) == (2, 4)
 
 
-def test_compose_bigprime_builds_four_leaf_maps(monkeypatch):
+def test_compose_bigprime_builds_five_leaf_maps(monkeypatch):
     # the benchmark's compose-bigprime shape (d = e = 4 over 2^31 - 1): the
     # power tower's two squarings of one bidegree share one normal-form
-    # program and its two leaf maps, and the final normal form builds two
+    # program and its two leaf maps, the final normal form builds two, and
+    # phi(x^4) in the power tower is a width-1 solve, whose leaf is the
+    # k = 0 map
     F = PrimeField(2**31 - 1)
     rng = random.Random(43)
     basis = _reduced_basis(F, (4, 4, 4, 4), rng)
@@ -160,7 +162,7 @@ def test_compose_bigprime_builds_four_leaf_maps(monkeypatch):
 
     monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
     assert compose_rem(basis, f, KUParams.choose(bound)) == want
-    assert len(built) == 4, built
+    assert len(built) == 5, built
 
 
 @pytest.mark.parametrize("workload", ["nf-ntt", "compose-bigprime"])

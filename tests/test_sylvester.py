@@ -329,6 +329,11 @@ def _bezout_reference(S, r):
     return np.concatenate([A.padded(S.m2)[::-1], B.padded(S.m1)[::-1]])
 
 
+def _apply(ctx, M, r):
+    """M @ r over the field."""
+    return ctx.vsum(ctx.vmul(M, r))
+
+
 def _solvable(ctx, wrt, shape, rng, deficient=False, tries=60):
     c1, m1, c2, m2 = shape
     for _ in range(tries):
@@ -352,15 +357,15 @@ def test_base_solver_matches_upoly_bezout_route(name):
             S, solver = _solvable(ctx, wrt, shape, rng, deficient)
             assert solver.route_a == (not deficient)
             M0 = S.constant_matrix()
+            Z = solver.inverse_T()
             for _ in range(3):
                 r = ctx.rand_array(rng, S.n)
-                z = solver.solve(r)
+                z = _apply(ctx, Z.T, r)
                 assert np.array_equal(z, _bezout_reference(S, r))
-                assert np.array_equal(ctx.vsum(ctx.vmul(M0, z)), r)
+                assert np.array_equal(_apply(ctx, M0, z), r)
             # the Bezout recurrence over the unit vectors is the dense inverse
-            Z = solver.inverse_T()
             assert np.array_equal(Z, gauss_inverse(ctx, M0).T)
-            assert np.array_equal(Z, np.array([solver.solve(e) for e in np.eye(S.n, dtype=np.int64)]))
+            assert np.array_equal(Z, np.array([_bezout_reference(S, e) for e in np.eye(S.n, dtype=np.int64)]))
 
 
 def _dense_product(S, W, l):
@@ -437,7 +442,7 @@ def test_solve_window_builds_no_polynomial_objects(monkeypatch):
     else:
         raise AssertionError("no column-reduced basis of bidegree (8, 8) over F_65537")
     S = build_Sy(basis).reversed_matrix()
-    _solver(S, _BaseSolver)  # per-matrix setup
+    _solver(S)  # per-matrix setup
     V = F65537.rand_array(rng, S.n * 32).reshape(S.n, 32)
     built = {"UPoly": 0, "BiPoly": 0}
     for cls in (UPoly, BiPoly):
@@ -542,19 +547,20 @@ def _solve_window_T_reference(S, L, l):
     return _halving_reference(S, True, fit(L, l)[:, ::-1], l)[:, ::-1]
 
 
-def _holds_complex(obj, seen) -> bool:
+def _holds_array(obj, pred, seen) -> bool:
+    """Whether obj, or anything it reaches, is an array satisfying pred."""
     if id(obj) in seen:
         return False
     seen.add(id(obj))
     if isinstance(obj, np.ndarray):
-        return np.iscomplexobj(obj)
+        return pred(obj)
     if isinstance(obj, dict):
-        return any(_holds_complex(v, seen) for v in obj.values())
+        return any(_holds_array(v, pred, seen) for v in obj.values())
     if isinstance(obj, (tuple, list)):
-        return any(_holds_complex(v, seen) for v in obj)
+        return any(_holds_array(v, pred, seen) for v in obj)
     if isinstance(obj, SylvMat):
-        return _holds_complex(obj._cache, seen)
-    return hasattr(obj, "__dict__") and _holds_complex(vars(obj), seen)
+        return _holds_array(obj._cache, pred, seen)
+    return hasattr(obj, "__dict__") and _holds_array(vars(obj), pred, seen)
 
 
 def test_no_spectrum_outlives_its_solve(monkeypatch):
@@ -567,7 +573,7 @@ def test_no_spectrum_outlives_its_solve(monkeypatch):
     normal_form(basis, f)
     monkeypatch.undo()
     assert any(memo is not None for _, _, memo, _ in products)  # memoised FFT products ran
-    assert basis._cache and not _holds_complex(basis._cache, set())
+    assert basis._cache and not _holds_array(basis._cache, np.iscomplexobj, set())
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +621,14 @@ def test_base_solver_fallback_matches_handed_down_triple():
         assert "const_xgcd" in R._cache
         direct = SylvMat(R.wrt, R.g1, R.g2)  # same matrix, no triple handed down
         assert "const_xgcd" not in direct._cache
-        fallback = _BaseSolver(direct)
+        fallback = _BaseSolver(direct).inverse_T().T
+        handed_down = _solver(R).inverse_T().T
         M0 = R.constant_matrix()
         for _ in range(3):
             r = F65537.rand_array(rng, R.n)
-            z = fallback.solve(r)
-            assert np.array_equal(z, _solver(R, _BaseSolver).solve(r))
-            assert np.array_equal(F65537.vsum(F65537.vmul(M0, z)), r)
+            z = _apply(F65537, fallback, r)
+            assert np.array_equal(z, _apply(F65537, handed_down, r))
+            assert np.array_equal(_apply(F65537, M0, z), r)
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +681,8 @@ def test_leaf_solves_at_module_width_match_halving_reference(p):
 @pytest.mark.parametrize("transposed", [False, True])
 def test_solve_keeps_no_leaf_map_on_the_matrix(monkeypatch, transposed):
     # the leaf map is built per solve and dropped with it: a long-lived
-    # matrix gains only the keys a solve without a leaf also sets, and the
-    # map's inner dimension stays within the module's cap
+    # matrix gains only its grids and its O(n)-code base solver, in either
+    # direction, and the map's inner dimension stays within the module's cap
     S = _fft_sized_matrix(random.Random(26))[1].reversed_matrix()
     held = set(S._cache)
     assert held == {"const_xgcd"}  # from the column-reducedness check
@@ -689,9 +696,36 @@ def test_solve_keeps_no_leaf_map_on_the_matrix(monkeypatch, transposed):
     monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
     V = F65537.rand_array(random.Random(27), S.n * 64).reshape(S.n, 64)
     (sylres.sylvester.solve_window_T if transposed else solve_window)(S, V, 64)
-    kind = sylres.sylvester._BaseSolverT if transposed else _BaseSolver
-    assert set(S._cache) <= held | {"grids", kind}
+    assert set(S._cache) <= held | {"grids", _BaseSolver}
     assert inner and max(inner) <= sylres.sylvester.LEAF_INNER_MAX
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_solve_keeps_no_inverse_on_the_matrix(transposed):
+    # S(0)^{-1} (or its transpose) is read into the leaf map and dropped
+    # with it: after a solve in either direction, nothing of n^2 codes
+    # stays on the matrix (its grids are (13, 13) here)
+    S = _fft_sized_matrix(random.Random(26))[1].reversed_matrix()
+    V = F65537.rand_array(random.Random(28), S.n * 64).reshape(S.n, 64)
+    (sylres.sylvester.solve_window_T if transposed else solve_window)(S, V, 64)
+    assert not _holds_array(S._cache, lambda A: A.shape == (S.n, S.n), set())
+
+
+@pytest.mark.parametrize("l", [0, -1, -3])
+def test_list_solves_reject_bad_truncation_orders(l):
+    S = _fft_sized_matrix(random.Random(26))[1]
+    v = [UPoly(F65537, [1, 2])] * S.n
+    for solve in (trunc_inv_apply, trunc_inv_apply_T):
+        with pytest.raises(ValueError, match="truncation order must be positive"):
+            solve(S, v, l)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_empty_window_solves_to_empty_window(transposed):
+    S = _fft_sized_matrix(random.Random(26))[1].reversed_matrix()
+    V = np.zeros((S.n, 0), dtype=np.int64)
+    U = (sylres.sylvester.solve_window_T if transposed else solve_window)(S, V, 0)
+    assert U.shape == (S.n, 0) and U.dtype == np.int64
 
 
 @pytest.mark.parametrize("transposed", [False, True])
