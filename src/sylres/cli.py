@@ -23,6 +23,7 @@ import random
 import sys
 import time
 
+from ._dense import SingularMatrixError
 from .bipoly import BiPoly, IdealBasis
 from .field import ExtField, FieldError, PrimeField, random_irreducible
 from .invariant import (
@@ -231,8 +232,9 @@ def _invariant_command(args, runner, verify) -> int:
 
 def _verify_last_factor(basis, report):
     facs = dense_smith(dense_form(build_Sy(basis)))
-    if report.sigma != facs[-1]:
-        return f"sigma != oracle last invariant factor {facs[-1]!r}"
+    last = facs[-1] if facs else UPoly.one(basis.ctx)  # S_y is 0 x 0 at n_y = 0
+    if report.sigma != last:
+        return f"sigma != oracle last invariant factor {last!r}"
     return None
 
 
@@ -263,7 +265,7 @@ def cmd_smith_oracle(args) -> int:
     basis = _basis(args, ctx)
     try:
         facs = dense_smith(dense_form(build_Sy(basis)))
-    except Exception as exc:
+    except (OracleGateError, SingularMatrixError) as exc:
         raise CliError(str(exc), 2)
     if args.json:
         print(json.dumps({"status": "ok", "factors": [poly_terms(f) for f in facs]}, sort_keys=True))

@@ -34,6 +34,7 @@ from .bipoly import BiPoly, IdealBasis, bimul, fit, to_array, to_list, unvec, ve
 from .field import power
 from .sylvester import (
     SylvMat,
+    _check_len,
     build_Sy,
     build_Tx,
     matvec_window,
@@ -82,8 +83,7 @@ def matrix_divrem(S: SylvMat, v: list[UPoly]):
     deg vhat < max column degree of S; re-dividing vhat gives a zero
     quotient.  Requires S column reduced.
     """
-    if len(v) != S.n:
-        raise ValueError(f"vector length {len(v)} does not match dimension {S.n}")
+    _check_len(S, v)
     require_reduced(S, "divisor matrix")
     V = to_array(v)
     W, Vhat = _DivisionProgram(S, _degree(V)).divide(V)

@@ -32,12 +32,12 @@ def _check_gate(n: int) -> None:
 
 def dense_smith(M: list[list[UPoly]]) -> list[UPoly]:
     """Monic invariant factors s_1 | s_2 | ... | s_n of a nonsingular
-    polynomial matrix, by elementary row/column reduction over K[x]."""
+    polynomial matrix, by elementary row/column reduction over K[x]; none
+    for a 0 x 0 matrix."""
     n = len(M)
     _check_gate(n)
     if any(len(row) != n for row in M):
         raise ValueError("matrix must be square")
-    ctx = M[0][0].ctx
     A = [[M[i][j] for j in range(n)] for i in range(n)]
 
     def swap_rows(i, j):

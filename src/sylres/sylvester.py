@@ -33,11 +33,11 @@ width-1 solve, or n above LEAF_INNER_MAX / 2) is the k = 0 map [A].  A
 window of at least n (deg S + 1) columns whose leaf map holds at most
 ONE_LEAF_MAP_MAX codes is one leaf, with no halving.  Every S(0)^{-1}, in
 either direction, comes from one Bezout route on code arrays
-(_BaseSolver, cached on S): the unit vectors' solves in one O(n^2)
-recurrence (_BaseSolver.inverse_T), read into the leaf map and dropped.
-The Bezout triple of a matrix's outer-constant slices is cached on it
-(const_xgcd); is_column_reduced(S) reads S.reversed_matrix()'s, whose
-constant slices are S's leading coefficients, and whose solver reuses it.
+(_inverse_T): the unit vectors' solves in one O(n^2) recurrence seeded by
+the Bezout triple of S's outer-constant slices, read into the leaf map and
+dropped.  That triple is cached on S (const_xgcd); is_column_reduced(S)
+reads S.reversed_matrix()'s, whose constant slices are S's leading
+coefficients, so solves against the reversed matrix run no xgcd of their own.
 require_reduced and require_both_reduced are the package's one gate on
 column reducedness.
 """
@@ -48,7 +48,7 @@ import numpy as np
 
 from ._dense import SingularMatrixError
 from .bipoly import BiPoly, IdealBasis, fit, grid_mul, to_array, to_list
-from .upoly import UPoly, inverse_series, xgcd
+from .upoly import UPoly, xgcd
 
 
 class NotColumnReducedError(ValueError):
@@ -103,7 +103,8 @@ class SylvMat:
 
     def const_xgcd(self):
         """The Bezout triple (g, u, v) of the generators' outer-constant
-        slices p, q (u p + v q = g), computed once."""
+        slices p, q (u p + v q = g), computed once; with g = 1 it is the
+        solve of R = 1 that seeds _inverse_T."""
         if "const_xgcd" not in self._cache:
             p0, q0 = (gen.upoly_coeff(self.outer, 0) for gen in (self.g1, self.g2))
             self._cache["const_xgcd"] = xgcd(p0, q0)
@@ -180,7 +181,7 @@ def is_column_reduced(S: SylvMat) -> bool:
     """Leading-coefficient criterion: the outer-variable leading coefficients
     of the generators are coprime and at least one has full inner degree.
     They are the outer-constant slices of S.reversed_matrix(), so their
-    Bezout triple is that matrix's const_xgcd(), which its base solver reuses."""
+    Bezout triple is that matrix's const_xgcd(), which seeds its S(0)^{-1}."""
     if "reduced" not in S._cache:
         full = S.g1.lead_coeff(S.outer).deg == S.m1 or S.g2.lead_coeff(S.outer).deg == S.m2
         S._cache["reduced"] = full and S.reversed_matrix().const_xgcd()[0].deg == 0
@@ -293,86 +294,48 @@ def _leaf_width(S: SylvMat, l: int) -> int:
     return min(l, max(LEAF_INNER_MAX // max(n, 1), 1))
 
 
-class _BaseSolver:
-    """S(0)^{-1} through the scalar Sylvester system: with p, q the
+def _inverse_T(S: SylvMat) -> np.ndarray:
+    """S(0)^{-T} through the scalar Sylvester system: with p, q the
     outer-constant generator slices, S(0) z = r when z encodes (A, B) with
     A p + B q = R and deg A < m2, deg B < m1.  Nonsingularity of S(0)
     forces gcd(p, q) = 1 and full formal degree for p or q, so one Bezout
     route is total: (a) q has degree m2, A = (R u) rem q and
     B = (R - A p) / q, where u p + v q = 1; (b) p has degree m1 and the
-    roles swap.  It keeps O(n) codes: u (or v), of lower degree than the
-    divisor, the slices, and the reversed divisor's inverse series to
-    precision n; each division is the reversal trick on code arrays.  The Bezout triple of (p, q) is S.const_xgcd(), which
-    is_column_reduced() has already computed when S is a reversed matrix."""
-
-    def __init__(self, S: SylvMat):
-        p0 = S.g1.upoly_coeff(S.outer, 0)
-        q0 = S.g2.upoly_coeff(S.outer, 0)
-        if p0.is_zero and q0.is_zero:
-            raise SingularMatrixError("constant coefficient matrix is singular")
-        g, u0, v0 = S.const_xgcd()
-        if g.deg != 0:
-            raise SingularMatrixError("constant coefficient matrix is singular")
-        self.route_a = q0.deg == S.m2
-        if not self.route_a and p0.deg != S.m1:
-            raise SingularMatrixError("constant coefficient matrix is singular")
-        div, other, mult = (q0, p0, u0) if self.route_a else (p0, q0, v0)
-        self.ctx, self.n, self.dd, self.div = S.ctx, S.n, div.deg, div.c
-        self.other = other.padded(S.n - self.dd + 1)
-        # xgcd's degree bounds give deg(mult) < dd, which keeps every
-        # quotient below precision n
-        self.mult = mult.padded(self.dd)
-        self.inv = inverse_series(div.rev(), S.n).padded(S.n)
-
-    def _quo(self, f: np.ndarray) -> np.ndarray:
-        """Quotient of f (formal degree len(f) - 1 >= dd - 1) by the divisor."""
-        k = len(f) - self.dd
-        return self.ctx.conv(f[::-1][:k], self.inv[:k])[:k][::-1]
-
-    def _parts(self, r: np.ndarray):
-        """(X, Y) for r: X = (R mult) rem divisor, Y = (R - X other) / divisor."""
-        ctx, dd = self.ctx, self.dd
-        R = r[::-1]
-        X = R[:0]  # (R mult) rem divisor, dd codes
-        if dd:
-            t = ctx.conv(R, self.mult)
-            Q, X = self._quo(t), t[:dd]
-            if len(Q):
-                X = ctx.vsub(X, ctx.conv(Q, self.div)[:dd])
-            R = ctx.vsub(R, ctx.conv(X, self.other))
-        return X, self._quo(R)  # exact: R - X other is divisible
-
-    def _join(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        # (A, B) in route order, each reversed, along the last axis
-        A, B = (X, Y) if self.route_a else (Y, X)
-        return np.concatenate([A[..., ::-1], B[..., ::-1]], axis=-1)
-
-    def inverse_T(self) -> np.ndarray:
-        """S(0)^{-T}, whose row n - 1 - m solves R = t^m, in n steps of O(n)
-        codes: from the solve of R = 1, t^(m+1) continues t^m's (X, Y) as
-        t X - c divisor and t Y + c other, where c cancels t X's
-        coefficient at t^dd."""
-        ctx, n, dd = self.ctx, self.n, self.dd
-        # row m holds t^m's X and Y after one leading zero, so row m up to
-        # its last code is t X (or t Y) with the top coefficient dropped
-        X = np.zeros((n, dd + 1), dtype=np.int64)
-        Y = np.zeros((n, n - dd + 1), dtype=np.int64)
-        one = np.zeros(n, dtype=np.int64)
-        one[n - 1 :] = 1  # R = 1 (no row at all when n = 0)
-        X[:1, 1:], Y[:1, 1:] = self._parts(one)
-        lead = ctx.inv(int(self.div[dd]))
-        for m in range(n - 1):
-            c = ctx.mul(int(X[m, dd]), lead)
-            X[m + 1, 1:] = ctx.vsubmul(X[m, :dd], c, self.div[:dd])
-            Y[m + 1, 1:] = ctx.vsubmul(Y[m, :-1], ctx.neg(c), self.other[:-1])
-        return self._join(X[:, 1:], Y[:, 1:])[::-1]
-
-
-def _solver(S: SylvMat) -> _BaseSolver:
-    """The base solver for S(0), built once per S."""
-    if _BaseSolver not in S._cache:
-        S._cache[_BaseSolver] = _BaseSolver(S)
-    return S._cache[_BaseSolver]
+    roles swap.  (X, Y) is (A, B) on route (a) and (B, A) on route (b).
+    Row n - 1 - m of the result solves R = t^m.  R = 1 has (X, Y) = (u, v)
+    on route (a) and (v, u) on route (b), read from S.const_xgcd() (which
+    is_column_reduced() has already computed when S is a reversed matrix);
+    t^(m+1) continues t^m's (X, Y) as t X - c divisor and t Y + c other,
+    where c cancels t X's coefficient at t^dd, dd = deg divisor: n steps
+    of O(n) codes, with no division."""
+    ctx, n = S.ctx, S.n
+    p0, q0 = (G[0] for G in S.grids())
+    if not (p0.any() or q0.any()):
+        raise SingularMatrixError("constant coefficient matrix is singular")
+    g, u, v = S.const_xgcd()
+    route_a = q0[-1] != 0
+    div, other, X0, Y0 = (q0, p0, u, v) if route_a else (p0, q0, v, u)
+    if g.deg != 0 or div[-1] == 0:
+        raise SingularMatrixError("constant coefficient matrix is singular")
+    dd = len(div) - 1
+    # row m holds t^m's X and Y after one leading zero, so row m up to
+    # its last code is t X (or t Y) with the top coefficient dropped; xgcd's
+    # degree bounds give deg X0 < dd and deg Y0 < n - dd, and a constant
+    # divisor has X0 empty and Y0 = 1 / div
+    X = np.zeros((n, dd + 1), dtype=np.int64)
+    Y = np.zeros((n, n - dd + 1), dtype=np.int64)
+    lead = ctx.inv(int(div[dd]))
+    if dd:
+        X[:1, 1:], Y[:1, 1:] = X0.padded(dd), Y0.padded(n - dd)
+    else:  # xgcd gives u = 0 for two constants
+        Y[:1, 1:2] = lead
+    for m in range(n - 1):
+        c = ctx.mul(int(X[m, dd]), lead)
+        X[m + 1, 1:] = ctx.vsubmul(X[m, :dd], c, div[:dd])
+        Y[m + 1, 1:] = ctx.vsubmul(Y[m, :-1], ctx.neg(c), other[:-1])
+    # (A, B) in route order, each reversed
+    A, B = (X, Y) if route_a else (Y, X)
+    return np.concatenate([A[:, :0:-1], B[:, :0:-1]], axis=1)[::-1]
 
 
 def _leaf_map(S: SylvMat, transposed: bool, k: int):
@@ -381,7 +344,7 @@ def _leaf_map(S: SylvMat, transposed: bool, k: int):
     filled in place and prepared by one ctx.dot_map.  Transposed, S_j^T and
     A = S(0)^{-T} take their places.  The caller owns it for one solve."""
     ctx, n = S.ctx, S.n
-    A = _solver(S).inverse_T()
+    A = _inverse_T(S)
     A = A if transposed else A.T
     layers = S.layers(k)
     M = np.empty((n, n * (k + 1)), dtype=np.int64)

@@ -359,3 +359,39 @@ def test_verify_oracle_above_dimension_gate_exit2(files, capsys):
         assert code == 2, err
         assert out == "" and "oracle gated to dimension 64" in err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
+
+def test_y_free_inputs_pass_the_smith_oracle(files, capsys):
+    # n_y = 0: S_y is 0 x 0, its Smith form is empty and its last
+    # invariant factor is 1, which the driver returns
+    a = files("a.txt", "1 1 0\n1 0 0\n")  # x + 1
+    b = files("b.txt", "1 2 0\n3 0 0\n")  # x^2 + 3
+    for cmd in ("invfact", "elimgen"):
+        code, out, err = run(capsys, [cmd, "-p", "7", "--a", a, "--b", b, "--verify-oracle", "--json"])
+        assert code == 0, err
+        assert json.loads(out)["sigma_terms"] == [[1, 0]]
+    code, out, err = run(capsys, ["smith-oracle", "-p", "7", "--a", a, "--b", b, "--json"])
+    assert code == 0, err
+    assert json.loads(out)["factors"] == []
+
+
+@pytest.mark.parametrize(
+    "a_text, b_text, message",
+    [
+        # (x + 1)(y + 1) and (x + y)(y + 1): a shared factor makes S_y singular
+        ("1 1 1\n1 1 0\n1 0 1\n1 0 0\n", "1 0 2\n1 1 1\n1 0 1\n1 1 0\n", "singular"),
+        # d = 1, e = 33: n_y = 66 is above the dense oracles' gate of 64
+        (
+            "\n".join(f"{1 + i + 2 * j} {i} {j}" for i in range(2) for j in range(34)),
+            "\n".join(f"{3 + 5 * i + j} {i} {j}" for i in range(2) for j in range(34)),
+            "gated to dimension 64",
+        ),
+    ],
+)
+def test_smith_oracle_named_failures_exit2(files, capsys, a_text, b_text, message):
+    a = files("a.txt", a_text)
+    b = files("b.txt", b_text)
+    code, out, err = run(capsys, ["smith-oracle", "-p", "65537", "--a", a, "--b", b])
+    assert code == 2, err
+    assert out == "" and message in err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1

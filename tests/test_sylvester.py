@@ -15,9 +15,8 @@ from sylres.normalform import LinearForm, NormalFormProgram, normal_form
 from sylres.sylvester import (
     NotColumnReducedError,
     SylvMat,
-    _BaseSolver,
+    _inverse_T,
     _matvec_semiT,
-    _solver,
     build_Sx,
     build_Sy,
     build_Tx,
@@ -283,7 +282,7 @@ def test_singular_constant_matrix_raises():
 
 
 # ---------------------------------------------------------------------------
-# the array base solver and the grid products, differential
+# S(0)^{-1} from the Bezout triple and the grid products, differential
 
 
 _F4 = build_extension(2, 4, random.Random(1))
@@ -341,7 +340,7 @@ def _solvable(ctx, wrt, shape, rng, deficient=False, tries=60):
         g2 = _generator(ctx, wrt, c2, m2, rng, deficient)
         S = SylvMat(wrt, g1, g2)
         try:
-            return S, _BaseSolver(S)
+            return S, _inverse_T(S)
         except SingularMatrixError:
             continue
     raise AssertionError("no nonsingular S(0) drawn")
@@ -354,10 +353,9 @@ def test_base_solver_matches_upoly_bezout_route(name):
     cases = [(shape, False) for shape in SHAPES] + [((2, 2, 2, 2), True), ((1, 3, 2, 1), True), ((1, 0, 2, 2), True)]
     for wrt in "xy":
         for shape, deficient in cases:
-            S, solver = _solvable(ctx, wrt, shape, rng, deficient)
-            assert solver.route_a == (not deficient)
+            S, Z = _solvable(ctx, wrt, shape, rng, deficient)
+            assert (S.g2.upoly_coeff(S.outer, 0).deg == S.m2) == (not deficient)
             M0 = S.constant_matrix()
-            Z = solver.inverse_T()
             for _ in range(3):
                 r = ctx.rand_array(rng, S.n)
                 z = _apply(ctx, Z.T, r)
@@ -366,6 +364,14 @@ def test_base_solver_matches_upoly_bezout_route(name):
             # the Bezout recurrence over the unit vectors is the dense inverse
             assert np.array_equal(Z, gauss_inverse(ctx, M0).T)
             assert np.array_equal(Z, np.array([_bezout_reference(S, e) for e in np.eye(S.n, dtype=np.int64)]))
+    # route (b) on two nonzero constant slices, m1 = 0 < m2: g1 = 1 + x and
+    # g2 = x y^2 + 2 (the code 1 for 2 in F_2).  xgcd gives u = 0 for two
+    # constants, so the constant divisor's 1 / p is not the triple's u
+    G1, G2 = np.array([[1], [1]]), np.array([[min(2, ctx.q - 1), 0, 0], [0, 0, 1]])
+    for wrt in "xy":
+        S = SylvMat(wrt, *(BiPoly(ctx, G if wrt == "y" else G.T) for G in (G1, G2)))
+        assert (S.m1, S.m2) == (0, 2)
+        assert np.array_equal(_inverse_T(S), gauss_inverse(ctx, S.constant_matrix()).T)
 
 
 def _dense_product(S, W, l):
@@ -442,7 +448,6 @@ def test_solve_window_builds_no_polynomial_objects(monkeypatch):
     else:
         raise AssertionError("no column-reduced basis of bidegree (8, 8) over F_65537")
     S = build_Sy(basis).reversed_matrix()
-    _solver(S)  # per-matrix setup
     V = F65537.rand_array(rng, S.n * 32).reshape(S.n, 32)
     built = {"UPoly": 0, "BiPoly": 0}
     for cls in (UPoly, BiPoly):
@@ -591,7 +596,7 @@ def _full_degree_basis(rng, d):
 
 
 def test_normal_form_runs_one_xgcd_per_sylvester_matrix(monkeypatch):
-    """is_column_reduced(S) hands its Bezout triple to the base solver of
+    """is_column_reduced(S) hands its Bezout triple to the S(0)^{-1} of
     S.reversed_matrix(), so a normal form on a fresh ideal runs xgcd once
     for S_y and once for S_x (which is T_x at this input degree)."""
     rng = random.Random(18)
@@ -621,8 +626,8 @@ def test_base_solver_fallback_matches_handed_down_triple():
         assert "const_xgcd" in R._cache
         direct = SylvMat(R.wrt, R.g1, R.g2)  # same matrix, no triple handed down
         assert "const_xgcd" not in direct._cache
-        fallback = _BaseSolver(direct).inverse_T().T
-        handed_down = _solver(R).inverse_T().T
+        fallback = _inverse_T(direct).T
+        handed_down = _inverse_T(R).T
         M0 = R.constant_matrix()
         for _ in range(3):
             r = F65537.rand_array(rng, R.n)
@@ -681,8 +686,8 @@ def test_leaf_solves_at_module_width_match_halving_reference(p):
 @pytest.mark.parametrize("transposed", [False, True])
 def test_solve_keeps_no_leaf_map_on_the_matrix(monkeypatch, transposed):
     # the leaf map is built per solve and dropped with it: a long-lived
-    # matrix gains only its grids and its O(n)-code base solver, in either
-    # direction, and the map's inner dimension stays within the module's cap
+    # matrix gains only its grids, in either direction, and the map's inner
+    # dimension stays within the module's cap
     S = _fft_sized_matrix(random.Random(26))[1].reversed_matrix()
     held = set(S._cache)
     assert held == {"const_xgcd"}  # from the column-reducedness check
@@ -696,7 +701,7 @@ def test_solve_keeps_no_leaf_map_on_the_matrix(monkeypatch, transposed):
     monkeypatch.setattr(sylres.sylvester, "_leaf_map", recording)
     V = F65537.rand_array(random.Random(27), S.n * 64).reshape(S.n, 64)
     (sylres.sylvester.solve_window_T if transposed else solve_window)(S, V, 64)
-    assert set(S._cache) <= held | {"grids", _BaseSolver}
+    assert set(S._cache) <= held | {"grids"}
     assert inner and max(inner) <= sylres.sylvester.LEAF_INNER_MAX
 
 
