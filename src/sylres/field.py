@@ -24,10 +24,12 @@ products are exact while K (p-1)**2 is at most the accumulator's exact
 range, else computed on limbs that keep each limb sum inside it).  An
 extension field sums its conv()s, packs the digits of each into one
 base-field convolution (Kronecker substitution), and inverts without log
-tables by the Itoh-Tsujii norm.  One plane product (_sum_planes) serves
-vmul without tables, that inverse, dot_map and the log tables, which start
-from the smallest primitive code (by the order test); its high planes fold
-back through one prepared base dot_map of the reduction matrix.  vsum is
+tables by the Itoh-Tsujii norm.  One plane product (_sum_planes: one base
+product of the k^2 digit pairs with the prepared pair-fold map, whose column
+i k + j holds t^(i+j) mod m) serves vmul without tables, that inverse,
+dot_map and the log tables, which start from the smallest primitive code (by
+the order test).  dot_map takes digit planes in every extension field but
+characteristic 2 with log tables, which keeps vsum of vmul.  vsum is
 one base vsum of the digit planes (xor in characteristic 2); scalar add,
 sub and neg come from the vector ops.  working_field() is the one cached,
 fixed-seed extension that the drivers and the oracles lift to.
@@ -36,6 +38,7 @@ fixed-seed extension that the drivers and the oracles lift to.
 from __future__ import annotations
 
 import functools
+import math
 import random
 
 import numpy as np
@@ -333,6 +336,9 @@ class ExtField(FieldCtx):
         # reduction matrix: row i holds t^(k+i) mod m, i = 0..k-2
         self._red = np.array(_reduction_rows(base, modulus))
         self._fold = base.dot_map(self._red.T)
+        # pair-fold map: column i k + j holds the digits of t^(i+j) mod m
+        powers = np.concatenate([np.eye(k, dtype=np.int64), self._red])
+        self._pair_fold = base.dot_map(powers[np.add.outer(np.arange(k), np.arange(k)).ravel()].T)
         self._place = base.q ** np.arange(k, dtype=np.int64)
         self._digits = None
         self._exp = None
@@ -340,10 +346,9 @@ class ExtField(FieldCtx):
         if self.q <= _LOG_TABLE_LIMIT:
             self._digits = self.decode(np.arange(self.q, dtype=np.int64))
             self._build_log_tables()
-        else:
-            # Frobenius x -> x^Q is base-linear: row i holds t^(Q i) mod m
-            tq = self.pow_(int(self._place[1]), base.q)
-            self._frob = base.dot_map(self.decode(np.array([self.pow_(tq, i) for i in range(k)])).T)
+        # Frobenius x -> x^Q is base-linear: row i holds t^(Q i) mod m
+        tq = self.pow_(int(self._place[1]), base.q)
+        self._frob = base.dot_map(self.decode(np.array([self.pow_(tq, i) for i in range(k)])).T)
 
     def _build_log_tables(self):
         # g is the smallest primitive code: g^((q-1)/l) != 1 for every prime
@@ -446,15 +451,10 @@ class ExtField(FieldCtx):
         return self.base.vadd(C[..., :k], self._digit_map(C[..., k:], self._fold))
 
     def _sum_planes(self, P: np.ndarray) -> np.ndarray:
-        """Digit-pair products P[..., i, j] summed into the 2k - 1 planes by
-        i + j, high planes folded: row i of one skewed copy is P[..., i, :]
-        shifted by i, and one base vsum adds the rows, kept outermost in
-        memory (numpy reduces a short innermost axis an order slower)."""
-        k = self.deg
-        skew = np.zeros((k,) + P.shape[:-2] + (2 * k - 1,), dtype=np.int64)
-        for i in range(k):
-            skew[i, ..., i : i + k] = P[..., i, :]
-        return self._reduce_planes(self.base.vsum(np.moveaxis(skew, 0, -1)))
+        """Digit-pair products P[..., i, j] summed into the k digits of
+        sum_ij P_ij t^(i+j) mod m: one base product of the k^2 pairs with the
+        prepared pair-fold map, which sums and folds at once."""
+        return self._digit_map(P.reshape(P.shape[:-2] + (self.deg**2,)), self._pair_fold)
 
     def _mul_digits(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return self._sum_planes(self.base.vmul(A[..., :, None], B[..., None, :]))
@@ -463,21 +463,21 @@ class ExtField(FieldCtx):
         return self.encode(self._mul_digits(self.decode(a), self.decode(b)))
 
     def dot_map(self, A):
-        # without log tables, vmul and vsum decode and re-encode A on every
-        # call; here A's digit planes A_i are stacked once into one base map,
-        # and one base product of it with every digit x_j of x gives every
-        # A_i x_j
-        if self._exp is not None:
+        # A's digit planes A_i are stacked once into one base map; each call
+        # is one base product of it with every digit x_j of x, giving every
+        # A_i x_j, and one pair-fold product.  Characteristic 2 with log
+        # tables keeps FieldCtx's gathers and xor, which measure faster there
+        if self.p == 2 and self._exp is not None:
             return super().dot_map(A)
         A = _as_codes(A)
         planes = self.base.dot_map(np.ascontiguousarray(np.swapaxes(self.decode(A), -1, -2)))
 
         def apply(x):
             X = self.decode(x)  # x.shape + (k,)
-            P = planes(X.reshape(len(X), int(np.prod(X.shape[1:]))))
+            P = planes(X.reshape(len(X), math.prod(X.shape[1:])))
             # P[..., i, (c,) j] = A_i x_j; the digit pair goes last
             P = P.reshape(A.shape[:-1] + (self.deg,) + X.shape[1:])
-            return self.encode(self._sum_planes(np.moveaxis(P, A.ndim - 1, -2)))
+            return self.encode(self._sum_planes(np.swapaxes(P, A.ndim - 1, -2)))
 
         return apply
 

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import random
@@ -252,7 +253,10 @@ _VDOT_FIELDS = {
     "2^31-1": PrimeField(2**31 - 1),
     "F7^3": build_extension(7, 343, random.Random(3)),
     "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
-    # above the log-table limit: dot_map works on digit planes
+    # odd characteristic, with log tables or without: dot_map works on digit planes
+    "F3^6": build_extension(3, 3**6, random.Random(12)),
+    "F5^4": build_extension(5, 5**4, random.Random(13)),
+    "F7^4": build_extension(7, 7**4, random.Random(14)),
     "F101^2": build_extension(101, 101**2, random.Random(4)),
     "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
     "F101^2^2 (tower)": extend_field(
@@ -841,6 +845,82 @@ def test_plane_product_matches_integer_reference(F):
         rows = A.reshape(int(np.prod(shape[:-1], dtype=int)), shape[-1]).tolist()
         want = [_int_dot(F, row, x.tolist()) for row in rows]
         assert np.ravel(got).tolist() == want, (F, shape)
+
+
+def _reference_sum_planes(F, P):
+    """The plane sum as it was before the pair-fold map: row i of one skewed
+    copy is P[..., i, :] shifted by i, one base vsum adds the rows, and the
+    high planes fold back by the k x k loop of base multiplies."""
+    k = F.deg
+    skew = np.zeros((k,) + P.shape[:-2] + (2 * k - 1,), dtype=np.int64)
+    for i in range(k):
+        skew[i, ..., i : i + k] = P[..., i, :]
+    return _reference_reduce_planes(F, F.base.vsum(np.moveaxis(skew, 0, -1)))
+
+
+_PAIR_FOLD_FIELDS = {
+    "F101^2": build_extension(101, 101**2, random.Random(4)),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F5^4": build_extension(5, 5**4, random.Random(13)),
+    "F3^5": build_extension(3, 3**5, random.Random(15)),
+    "F3^6": build_extension(3, 3**6, random.Random(12)),
+    "F2^8": build_extension(2, 256, random.Random(6)),
+    "F101^3": build_extension(101, 101**3, random.Random(7)),
+    "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+    "F7^2^2 (tower)": extend_field(build_extension(7, 49, random.Random(16)), 7**4, random.Random(17)),
+    "F101^2^2 (tower)": extend_field(build_extension(101, 101**2, random.Random(4)), 101**4, random.Random(5)),
+}
+
+
+@pytest.mark.parametrize("F", list(_PAIR_FOLD_FIELDS.values()), ids=list(_PAIR_FOLD_FIELDS))
+def test_sum_planes_matches_the_skew_loop_reference(F):
+    # random digit-pair arrays, and every pair at Q - 1, where the sums peak
+    rng = random.Random(46)
+    k, Q = F.deg, F.base.q
+    for lead in ((), (5,), (3, 4), (0,), (2, 0)):
+        shape = lead + (k, k)
+        n = int(np.prod(shape, dtype=int))
+        for P in (F.base.rand_array(rng, n).reshape(shape), np.full(shape, Q - 1, dtype=np.int64)):
+            got = F._sum_planes(P)
+            assert got.shape == lead + (k,)
+            assert np.array_equal(got, _reference_sum_planes(F, P)), (F, shape)
+
+
+@pytest.mark.parametrize("F", [_PAIR_FOLD_FIELDS["F7^3"], _PAIR_FOLD_FIELDS["F3^6"]], ids=["F7^3", "F3^6"])
+def test_table_free_copy_matches_the_log_tables(F):
+    # the same field without its log tables takes the plane product and the
+    # Itoh-Tsujii inverse: both must agree with the table gathers
+    bare = copy.copy(F)
+    bare._exp = bare._log = None
+    rng = random.Random(47)
+    a, b = F.rand_array(rng, 300).reshape(12, 25), F.rand_array(rng, 300).reshape(12, 25)
+    a[0, :3], b[0, :3] = [F.q - 1, 1, 0], [F.q - 1, F.q - 1, 5]
+    assert np.array_equal(bare.vmul(a, b), F.vmul(a, b))
+    nz = np.where(a == 0, 1, a)
+    assert np.array_equal(bare.vinv(nz), F.vinv(nz))
+    x, Y = F.rand_array(rng, 25), b[:3].T
+    for A in (a, a[0], a[:, :0]):
+        for v in (x, Y, x[: A.shape[-1]]):
+            if len(v) == A.shape[-1]:
+                assert np.array_equal(bare.dot_map(A)(v), F.dot_map(A)(v))
+    assert np.array_equal(F.dot_map(a)(x), F.vsum(F.vmul(a, x)))
+
+
+def test_char_two_log_table_dot_map_prepares_no_base_map(monkeypatch):
+    # characteristic 2 with log tables keeps the gathers and xor of
+    # FieldCtx.dot_map; every other extension field prepares one base map
+    F = build_extension(2, 2**9, random.Random(6))
+    assert F._exp is not None
+    calls = []
+    monkeypatch.setattr(F.base, "dot_map", lambda A: calls.append(A) or PrimeField.dot_map(F.base, A))
+    rng = random.Random(48)
+    A, x = F.rand_array(rng, 8 * 40).reshape(8, 40), F.rand_array(rng, 40)
+    assert np.array_equal(F.dot_map(A)(x), F.vsum(F.vmul(A, x)))
+    assert calls == []
+    G = _PAIR_FOLD_FIELDS["F7^3"]
+    monkeypatch.setattr(G.base, "dot_map", lambda A: calls.append(A) or PrimeField.dot_map(G.base, A))
+    G.dot_map(A % G.q)
+    assert len(calls) == 1
 
 
 _VSUM_FIELDS = {

@@ -553,12 +553,9 @@ def test_power_projections_match_reference_loop(F, shape, monkeypatch):
         assert new_rng.getstate() == ref_rng.getstate()
 
 
-def test_power_projection_products_apply_in_column_blocks(monkeypatch):
-    # over a log-table field dot_map is vsum of vmul, which holds rows x
-    # columns x K codes at once: both products go through upoly.block_dot,
-    # so no call of either exceeds _BLOCK_WORK multiply-adds
-    F = build_extension(2, 2**13, random.Random(6))
-    assert F.q == 2**13 and F._exp is not None
+def _check_projection_blocks(F, monkeypatch):
+    # both products go through upoly.block_dot, so no call of either
+    # exceeds _BLOCK_WORK multiply-adds
     rng = random.Random(80)
     basis = _reduced_basis(F, (3, 3, 3, 3), rng)
     forms = [LinearForm.random(basis, rng) for _ in range(3)]
@@ -581,6 +578,22 @@ def test_power_projection_products_apply_in_column_blocks(monkeypatch):
     monkeypatch.setattr(sylres.upoly, "_BLOCK_WORK", 4 * rows * basis.ny)
     assert np.array_equal(power_projections(basis, forms, N), want)
     assert len(work) > 2 and max(work) <= sylres.upoly._BLOCK_WORK
+
+
+def test_power_projection_products_apply_in_column_blocks(monkeypatch):
+    # over a characteristic-2 log-table field dot_map is vsum of vmul, which
+    # holds rows x columns x K codes at once
+    F = build_extension(2, 2**13, random.Random(6))
+    assert F.q == 2**13 and F._exp is not None
+    _check_projection_blocks(F, monkeypatch)
+
+
+def test_power_projection_products_apply_in_column_blocks_on_digit_planes(monkeypatch):
+    # over an odd-characteristic log-table field dot_map holds k float64
+    # digit planes of A and k^2 digit-pair products per output
+    F = build_extension(7, 7**4, random.Random(6))
+    assert F.q == 7**4 and F._exp is not None
+    _check_projection_blocks(F, monkeypatch)
 
 
 def test_projection_sequence_rejects_a_negative_length():
