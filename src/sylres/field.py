@@ -27,9 +27,12 @@ base-field convolution (Kronecker substitution), and inverts without log
 tables by the Itoh-Tsujii norm.  One plane product (_sum_planes: one base
 product of the k^2 digit pairs with the prepared pair-fold map, whose column
 i k + j holds t^(i+j) mod m) serves vmul without tables, that inverse,
-dot_map and the log tables, which start from the smallest primitive code (by
-the order test).  dot_map takes digit planes in every extension field but
-characteristic 2 with log tables, which keeps vsum of vmul.  vsum is
+digit_map and the log tables, which start from the smallest primitive code
+(by the order test).  dot_map is digit_map between to_digits and
+from_digits: a digit vector holds decode's k digits per code, or the code
+(width 1) over F_p and in characteristic 2 with log tables (vsum of vmul).
+Elsewhere digit_map is one base map, R(A) (the restriction of scalars) up
+to DIGIT_MAP_MAX codes, else A's digit planes and the pair fold.  vsum is
 one base vsum of the digit planes (xor in characteristic 2); scalar add,
 sub and neg come from the vector ops.  working_field() is the one cached,
 fixed-seed extension that the drivers and the oracles lift to.
@@ -122,6 +125,7 @@ class FieldCtx:
     p: int
     k: int
     q: int
+    width = 1  # base codes per code in a digit vector (see digit_map)
 
     def sample(self, rng: random.Random) -> int:
         return rng.randrange(self.q)
@@ -175,16 +179,29 @@ class FieldCtx:
         return out
 
     def dot_map(self, A):
-        """x -> A @ x over the field for a fixed A (..., K) and x of shape
-        (K,) or (K, c), for applying one A to many x; fields that can
-        prepare A once do so here (this one is vsum of vmul)."""
+        """x -> A @ x over the field for a fixed A (..., K) and x (K,) or
+        (K, c): digit_map of A's rows between to_digits and from_digits."""
         A = _as_codes(A)
+        apply = self.digit_map(A.reshape(math.prod(A.shape[:-1]), A.shape[-1]))
+        return lambda x: self.from_digits(apply(self.to_digits(x))).reshape(A.shape[:-1] + x.shape[1:])
 
-        def apply(x):
-            x = _as_codes(x)
-            return self.vsum(self.vmul(A[..., None, :], x.T)).reshape(A.shape[:-1] + x.shape[1:])
+    def digit_map(self, A):
+        """dot_map on digit vectors: x (K width,) or (K width, c) -> A @ x as
+        (m width,) or (m width, c), for a fixed A (m, K); here vsum of vmul."""
+        A = _as_codes(A)
+        return lambda x: self.vsum(self.vmul(A[..., None, :], x.T)).reshape(A.shape[:-1] + x.shape[1:])
 
-        return apply
+    def to_digits(self, X) -> np.ndarray:
+        """Codes (L, ...) as digit vectors (L width, ...), entry i's digits
+        (decode's) in rows i width .. i width + width - 1; at width 1 codes."""
+        if self.width == 1:
+            return X
+        return np.moveaxis(self.decode(X), -1, 1).reshape((len(X) * self.width,) + np.shape(X)[1:])
+
+    def from_digits(self, D) -> np.ndarray:
+        if self.width == 1:
+            return D
+        return self.encode(np.moveaxis(D.reshape((len(D) // self.width, self.width) + D.shape[1:]), 1, -1))
 
     def horner(self, C, z) -> np.ndarray:
         """sum_k C[k] z**k over the first axis of C, with z broadcast against
@@ -276,10 +293,12 @@ class PrimeField(FieldCtx):
             return A @ x % self.p
         return self._int_gate.limb_mod(A.__matmul__, x, K)
 
-    def dot_map(self, A):
+    def digit_map(self, A):
         # A converted to float64 (and split into limbs past the float gate)
         # once; each call is one BLAS product
         return _backend.matmul_map(A, self.p)
+
+    dot_map = digit_map
 
     # polynomial-coefficient convolution: exact on both paths
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,6 +326,9 @@ class PrimeField(FieldCtx):
 
 
 _LOG_TABLE_LIMIT = 8192  # build multiplicative log/antilog tables below this size
+# Largest R(A), (m k) x (K k) base codes, that digit_map prepares; past it
+# A's digit planes and the pair fold win (measured; sweep in BENCH_26.json).
+DIGIT_MAP_MAX = 1 << 17
 
 
 class ExtField(FieldCtx):
@@ -336,9 +358,12 @@ class ExtField(FieldCtx):
         # reduction matrix: row i holds t^(k+i) mod m, i = 0..k-2
         self._red = np.array(_reduction_rows(base, modulus))
         self._fold = base.dot_map(self._red.T)
-        # pair-fold map: column i k + j holds the digits of t^(i+j) mod m
+        # pair-fold map: column i k + j holds the digits of t^(i+j) mod m;
+        # pair map: row i k + j, column a holds digit i of t^(a+j)
         powers = np.concatenate([np.eye(k, dtype=np.int64), self._red])
-        self._pair_fold = base.dot_map(powers[np.add.outer(np.arange(k), np.arange(k)).ravel()].T)
+        pairs = powers[np.add.outer(np.arange(k), np.arange(k))]
+        self._pair_fold = base.dot_map(pairs.reshape(k * k, k).T)
+        self._pair_map = base.dot_map(pairs.transpose(2, 1, 0).reshape(k * k, k))
         self._place = base.q ** np.arange(k, dtype=np.int64)
         self._digits = None
         self._exp = None
@@ -346,6 +371,8 @@ class ExtField(FieldCtx):
         if self.q <= _LOG_TABLE_LIMIT:
             self._digits = self.decode(np.arange(self.q, dtype=np.int64))
             self._build_log_tables()
+        # characteristic 2 with log tables keeps codes: gathers and xor win
+        self.width = 1 if self.p == 2 and self._exp is not None else k
         # Frobenius x -> x^Q is base-linear: row i holds t^(Q i) mod m
         tq = self.pow_(int(self._place[1]), base.q)
         self._frob = base.dot_map(self.decode(np.array([self.pow_(tq, i) for i in range(k)])).T)
@@ -439,7 +466,7 @@ class ExtField(FieldCtx):
         return self.encode(self.base.vsum(np.swapaxes(self.decode(a), -1, -2)))
 
     @staticmethod
-    def _digit_map(D: np.ndarray, MT) -> np.ndarray:
+    def _times(D: np.ndarray, MT) -> np.ndarray:
         """Digits D (last axis r) times a base-field matrix M (r, c), given
         as MT = base.dot_map(M.T): one base product for every row of D."""
         out = MT(D.reshape(-1, D.shape[-1]).T)
@@ -448,13 +475,13 @@ class ExtField(FieldCtx):
     def _reduce_planes(self, C: np.ndarray) -> np.ndarray:
         # C has 2k-1 coefficient planes on the last axis; fold the high ones.
         k = self.deg
-        return self.base.vadd(C[..., :k], self._digit_map(C[..., k:], self._fold))
+        return self.base.vadd(C[..., :k], self._times(C[..., k:], self._fold))
 
     def _sum_planes(self, P: np.ndarray) -> np.ndarray:
         """Digit-pair products P[..., i, j] summed into the k digits of
         sum_ij P_ij t^(i+j) mod m: one base product of the k^2 pairs with the
         prepared pair-fold map, which sums and folds at once."""
-        return self._digit_map(P.reshape(P.shape[:-2] + (self.deg**2,)), self._pair_fold)
+        return self._times(P.reshape(P.shape[:-2] + (self.deg**2,)), self._pair_fold)
 
     def _mul_digits(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return self._sum_planes(self.base.vmul(A[..., :, None], B[..., None, :]))
@@ -462,22 +489,21 @@ class ExtField(FieldCtx):
     def _vmul_planes(self, a, b):
         return self.encode(self._mul_digits(self.decode(a), self.decode(b)))
 
-    def dot_map(self, A):
-        # A's digit planes A_i are stacked once into one base map; each call
-        # is one base product of it with every digit x_j of x, giving every
-        # A_i x_j, and one pair-fold product.  Characteristic 2 with log
-        # tables keeps FieldCtx's gathers and xor, which measure faster there
-        if self.p == 2 and self._exp is not None:
-            return super().dot_map(A)
-        A = _as_codes(A)
-        planes = self.base.dot_map(np.ascontiguousarray(np.swapaxes(self.decode(A), -1, -2)))
+    def digit_map(self, A):
+        # one base map: R(A), block (r, c) column j the digits of A[r, c] t^j,
+        # up to DIGIT_MAP_MAX codes, else planes A_i giving A_i x_j, then the pair fold
+        if self.width == 1:
+            return super().digit_map(A)
+        (M, K), k, D = np.shape(A), self.deg, self.decode(A)
+        if M * K * k * k <= DIGIT_MAP_MAX:
+            R = self._pair_map(D.reshape(M * K, k).T).reshape(k, k, M, K)
+            return self.base.dot_map(R.transpose(2, 0, 3, 1).reshape(M * k, K * k))
+        planes = self.base.dot_map(np.ascontiguousarray(np.swapaxes(D, 1, 2)))
 
         def apply(x):
-            X = self.decode(x)  # x.shape + (k,)
-            P = planes(X.reshape(len(X), math.prod(X.shape[1:])))
-            # P[..., i, (c,) j] = A_i x_j; the digit pair goes last
-            P = P.reshape(A.shape[:-1] + (self.deg,) + X.shape[1:])
-            return self.encode(self._sum_planes(np.swapaxes(P, A.ndim - 1, -2)))
+            c = math.prod(x.shape[1:])
+            P = planes(x.reshape(K, k * c)).reshape(M, k, k, c)  # (A_i x_j)[r, c]
+            return np.moveaxis(self._sum_planes(np.moveaxis(P, -1, 1)), -1, 1).reshape((M * k,) + x.shape[1:])
 
         return apply
 
@@ -495,9 +521,9 @@ class ExtField(FieldCtx):
         # Itoh-Tsujii: a^-1 = r / N(a), where r is the product of the
         # conjugates a^(Q^i), i = 1..k-1, and the norm N(a) = a r is in the base
         D = self.decode(a)
-        conj = r = self._digit_map(D, self._frob)
+        conj = r = self._times(D, self._frob)
         for _ in range(self.deg - 2):
-            conj = self._digit_map(conj, self._frob)
+            conj = self._times(conj, self._frob)
             r = self._mul_digits(r, conj)
         norm = self._mul_digits(D, r)[..., 0]
         return self.encode(self.base.vmul(r, self.base.vinv(norm)[..., None]))

@@ -25,14 +25,15 @@ half's last deg S columns only, down to leaves of at most
 LEAF_INNER_MAX // n columns.  A leaf is lifted column by column, u_c from
 v_c and the k previous columns, through one dense map
 [A | -A S_1 | ... | -A S_k] with A = S(0)^{-1} (S_j^T and S(0)^{-T} when
-transposed), prepared by ctx.dot_map once per solve, or once per dict of
-maps that a caller hands to its solves (a normalform division program
+transposed), prepared by ctx.digit_map once per solve, or once per dict
+of maps that a caller hands to its solves (a normalform division program
 hands its own to every solve it makes); the map is dropped with the solve
-or with the dict, so nothing of it stays on S.  A leaf of width 1 (a
-width-1 solve, or n above LEAF_INNER_MAX / 2) is the k = 0 map [A].  A
-window of at least n (deg S + 1) columns whose leaf map holds at most
-ONE_LEAF_MAP_MAX codes is one leaf, with no halving.  Every S(0)^{-1}, in
-either direction, comes from one Bezout route on code arrays
+or with the dict, so nothing of it stays on S.  A leaf runs on base-field
+digits (one decode in, one encode out), a column one base product.  A
+leaf of width 1 (a width-1 solve, or n above LEAF_INNER_MAX / 2) is the
+k = 0 map [A].  A window of at least n (deg S + 1) columns whose leaf map
+holds at most ONE_LEAF_MAP_MAX codes is one leaf, with no halving.  Every
+S(0)^{-1}, in either direction, comes from one Bezout route on code arrays
 (_inverse_T): the unit vectors' solves in one O(n^2) recurrence seeded by
 the Bezout triple of S's outer-constant slices, read into the leaf map and
 dropped.  That triple is cached on S (const_xgcd); is_column_reduced(S)
@@ -341,8 +342,9 @@ def _inverse_T(S: SylvMat) -> np.ndarray:
 def _leaf_map(S: SylvMat, transposed: bool, k: int):
     """x -> A [x_0 - S_1 x_1 - ... - S_k x_k] for x = [x_0; ...; x_k] of
     n(k + 1) codes, A = S(0)^{-1}: the map [A | -A S_1 | ... | -A S_k],
-    filled in place and prepared by one ctx.dot_map.  Transposed, S_j^T and
-    A = S(0)^{-T} take their places.  The caller owns it for one solve."""
+    filled in place and prepared by one ctx.digit_map, so x and the result
+    are digit vectors (see _lift).  Transposed, S_j^T and A = S(0)^{-T}
+    take their places.  The caller owns it for one solve."""
     ctx, n = S.ctx, S.n
     A = _inverse_T(S)
     A = A if transposed else A.T
@@ -352,22 +354,23 @@ def _leaf_map(S: SylvMat, transposed: bool, k: int):
     apply_A = ctx.dot_map(A)
     for j in range(1, k + 1):
         M[:, n * j : n * (j + 1)] = ctx.vneg(apply_A(layers[j].T if transposed else layers[j]))
-    return ctx.dot_map(M)
+    return ctx.digit_map(M)
 
 
-def _lift(leaf, k: int, V: np.ndarray) -> np.ndarray:
+def _lift(ctx, leaf, k: int, V: np.ndarray) -> np.ndarray:
     """U (n, w, ...) with u_c = leaf([v_c; u_{c-1}; ...; u_{c-k}]), u_c = 0
     for c < 0: one leaf product per column (x-adic lifting), on every
-    right-hand side along V's trailing axis at once.  Row w - 1 - c of the
-    buffer holds v_c, then u_c, so each argument is a contiguous slice."""
+    right-hand side along V's trailing axes at once, on ctx's digit vectors
+    (one to_digits, one from_digits).  Row w - 1 - c of the buffer holds
+    v_c, then u_c, so each argument is a contiguous slice."""
     n, w = V.shape[:2]
     rhs = V.shape[2:]
-    T = np.zeros((w + k, n) + rhs, dtype=np.int64)
-    T[:w] = np.swapaxes(V[:, ::-1], 0, 1)
+    T = np.zeros((w + k, n * ctx.width) + rhs, dtype=np.int64)
+    T[:w] = np.swapaxes(ctx.to_digits(V[:, ::-1]), 0, 1)
     arg = (-1,) + rhs
     for r in range(w - 1, -1, -1):
         T[r] = leaf(T[r : r + k + 1].reshape(arg))
-    return np.swapaxes(T[w - 1 :: -1], 0, 1)
+    return ctx.from_digits(np.swapaxes(T[w - 1 :: -1], 0, 1))
 
 
 def _check_order(l: int) -> None:
@@ -394,9 +397,10 @@ def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int, maps: dic
     with (sum_j S_j^T outer^j) U = V (mod outer^l).  The window is halved,
     the low half solved first and the high half against the residual that
     the low half's last deg S columns leave, down to leaves of width at most
-    b = _leaf_width(S, l), each lifted column by column through one dense
-    map of inner dimension n (k + 1), k = min(b - 1, deg S); at b = 1 that
-    is the k = 0 map [A], one application of S(0)^{-1} per column.  The leaf
+    b = _leaf_width(S, l), each lifted column by column on base digits
+    (_lift) through one ctx.digit_map of inner dimension n (k + 1),
+    k = min(b - 1, deg S); at b = 1 that is the k = 0 map [A], one
+    application of S(0)^{-1} per column.  The leaf
     map is read from maps[(transposed, k)], or built and stored there:
     whoever passes maps owns the maps in it and their lifetime (a
     _DivisionProgram, for every solve it makes against S).  Without maps,
@@ -413,7 +417,7 @@ def _solve_series(S: SylvMat, transposed: bool, V: np.ndarray, l: int, maps: dic
     if (transposed, k) not in maps:
         maps[transposed, k] = _leaf_map(S, transposed, k)
     leaf_map = maps[transposed, k]
-    return _halve(S, mv, lambda R: _lift(leaf_map, k, R), b, {}, V, l)
+    return _halve(S, mv, lambda R: _lift(S.ctx, leaf_map, k, R), b, {}, V, l)
 
 
 def _halve(S, mv, leaf, b, memo, V, l) -> np.ndarray:

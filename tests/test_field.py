@@ -923,6 +923,84 @@ def test_char_two_log_table_dot_map_prepares_no_base_map(monkeypatch):
     assert len(calls) == 1
 
 
+_DIGIT_MAP_FIELDS = {
+    "F65537": PrimeField(65537),
+    "2^31-1": PrimeField(2**31 - 1),
+    "F7^3": build_extension(7, 343, random.Random(3)),
+    "F3^6": build_extension(3, 3**6, random.Random(12)),
+    "F5^4": build_extension(5, 5**4, random.Random(13)),
+    "F7^5": build_extension(7, 7**5, random.Random(18)),
+    "F101^2": build_extension(101, 101**2, random.Random(4)),
+    "F101^3": build_extension(101, 101**3, random.Random(7)),
+    "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+    "F7^2^2 (tower)": extend_field(build_extension(7, 49, random.Random(16)), 7**4, random.Random(17)),
+    "F2^9 (tables)": build_extension(2, 2**9, random.Random(6)),
+    "F2^15 (no tables)": build_extension(2, 2**15, random.Random(6)),
+}
+
+
+def _vsum_vmul(F, A, x):
+    # A @ x as the sum of elementwise products, with no prepared map
+    return F.vsum(F.vmul(A[..., None, :], x.T)).reshape(A.shape[:-1] + x.shape[1:])
+
+
+@pytest.mark.parametrize("regime", ["restriction", "planes"])
+@pytest.mark.parametrize("F", list(_DIGIT_MAP_FIELDS.values()), ids=list(_DIGIT_MAP_FIELDS))
+def test_digit_map_matches_vsum_vmul(F, regime, monkeypatch):
+    # each regime forced through the size rule; digits in and digits out,
+    # and dot_map, built on digit_map, on codes with any leading axes
+    monkeypatch.setattr("sylres.field.DIGIT_MAP_MAX", 1 << 62 if regime == "restriction" else -1)
+    rng = random.Random(f"digit-map-{F!r}")
+    edge = [F.q - 1, 1, 0, F.q - 2]
+    for m, K in ((5, 7), (0, 7), (5, 0), (1, 1), (12, 33)):
+        A = _codes(F, rng, (m, K), edge)
+        apply = F.digit_map(A)
+        for xs in ((K,), (K, 3), (K, 0)):
+            x = _codes(F, rng, xs, edge[::-1])
+            got = apply(F.to_digits(x))
+            assert got.shape == (m * F.width,) + xs[1:]
+            assert np.array_equal(F.from_digits(got), _vsum_vmul(F, A, x)), (m, K, xs)
+    for shape in ((2, 3, 7), (7,), (0, 4, 7), (3, 0)):
+        A = _codes(F, rng, shape, edge)
+        for xs in (shape[-1:], shape[-1:] + (2,)):
+            x = _codes(F, rng, xs, edge)
+            got = F.dot_map(A)(x)
+            assert got.shape == shape[:-1] + xs[1:]
+            assert np.array_equal(got, _vsum_vmul(F, A, x)), (shape, xs)
+
+
+@pytest.mark.parametrize("F", list(_DIGIT_MAP_FIELDS.values()), ids=list(_DIGIT_MAP_FIELDS))
+def test_digit_vectors_hold_each_entry_in_width_rows(F):
+    rng = random.Random(49)
+    X = F.rand_array(rng, 5 * 3).reshape(5, 3)
+    D = F.to_digits(X)
+    assert D.shape == (5 * F.width, 3)
+    assert np.array_equal(F.from_digits(D), X)
+    if F.width == 1:
+        assert D is X
+    else:
+        assert np.array_equal(D.reshape(5, F.width, 3), np.moveaxis(F.decode(X), -1, 1))
+
+
+@pytest.mark.parametrize("name", ["F7^3", "F101^3", "F7^2^2 (tower)"])
+def test_digit_map_prepares_the_restriction_up_to_the_size_rule(name, monkeypatch):
+    # R(A) of m k x K k base codes at the rule's limit, A's k digit planes
+    # one code past it; both give the same products
+    F = _DIGIT_MAP_FIELDS[name]
+    k, m, K = F.deg, 4, 6
+    rng = random.Random(50)
+    A, x = F.rand_array(rng, m * K).reshape(m, K), F.rand_array(rng, K * 2).reshape(K, 2)
+    shapes, prepare = [], F.base.dot_map
+    monkeypatch.setattr(F.base, "dot_map", lambda M: shapes.append(np.shape(M)) or prepare(M))
+    got = []
+    for limit in (m * K * k * k, m * K * k * k - 1):
+        monkeypatch.setattr("sylres.field.DIGIT_MAP_MAX", limit)
+        got.append(F.from_digits(F.digit_map(A)(F.to_digits(x))))
+    assert shapes == [(m * k, K * k), (m, k, K)]
+    assert np.array_equal(got[0], got[1])
+    assert np.array_equal(got[0], _vsum_vmul(F, A, x))
+
+
 _VSUM_FIELDS = {
     "F7^3": build_extension(7, 343, random.Random(3)),  # log tables
     "F65537^2": build_extension(65537, 65537**2, random.Random(4)),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import sylres._backend
+import sylres.field
 import sylres.sylvester
 import sylres.upoly
 from sylres._dense import SingularMatrixError, gauss_inverse, gauss_rank
@@ -290,6 +291,7 @@ DIFF_FIELDS = {
     "F2": F2,
     "F4^2 (tower)": extend_field(_F4, 16, random.Random(2)),
     "F7^3": build_extension(7, 343, random.Random(3)),
+    "F7^2^2 (tower)": extend_field(build_extension(7, 49, random.Random(16)), 7**4, random.Random(17)),
     "F65537^2": build_extension(65537, 65538, random.Random(4)),
     "F65537": F65537,
     "F(2^31-1)": PrimeField(2**31 - 1),
@@ -681,6 +683,89 @@ def test_leaf_solves_at_module_width_match_halving_reference(p):
         V = ctx.rand_array(rng, S.n * l).reshape(S.n, l)
         assert np.array_equal(solve_window(S, V, l), _halving_reference(S, False, V, l)), l
         assert np.array_equal(sylres.sylvester.solve_window_T(S, V, l), _solve_window_T_reference(S, V, l)), l
+
+
+# the lift on base-field digits: each extension field's leaf map is one
+# digit_map, the restriction of scalars R(M) or M's digit planes by size
+_LIFT_FIELDS = {
+    "F7^3": DIFF_FIELDS["F7^3"],
+    "F3^6": build_extension(3, 3**6, random.Random(12)),
+    "F5^4": build_extension(5, 5**4, random.Random(13)),
+    "F7^5": build_extension(7, 7**5, random.Random(18)),
+    "F101^2": build_extension(101, 101**2, random.Random(4)),
+    "F101^3": build_extension(101, 101**3, random.Random(7)),
+    "F65537^2": DIFF_FIELDS["F65537^2"],
+    "F7^2^2 (tower)": DIFF_FIELDS["F7^2^2 (tower)"],
+    "F2^9 (tables)": build_extension(2, 2**9, random.Random(6)),
+    "F2^15 (no tables)": build_extension(2, 2**15, random.Random(6)),
+}
+_REGIMES = {"restriction": 1 << 62, "planes": -1}
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@pytest.mark.parametrize("leaf", [1, 2, None])
+@pytest.mark.parametrize("name", sorted(_LIFT_FIELDS))
+def test_digit_lifts_match_the_halving_reference(monkeypatch, name, leaf, regime):
+    # leaves of 1 or 2 columns, or the module's rule, which takes a window of
+    # at least n (deg S + 1) columns as one leaf, in both digit_map regimes
+    ctx, rng = _LIFT_FIELDS[name], random.Random(f"digit-lift-{name}")
+    monkeypatch.setattr(sylres.field, "DIGIT_MAP_MAX", _REGIMES[regime])
+    if leaf is not None:
+        monkeypatch.setattr(sylres.sylvester, "ONE_LEAF_MAP_MAX", -1)
+    for wrt, shape in (("y", (2, 2, 2, 2)), ("x", (3, 2, 1, 3)), ("y", (1, 0, 2, 3))):
+        S = _solvable(ctx, wrt, shape, rng)[0]
+        if leaf is not None:
+            monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", leaf * S.n)
+        for l in sorted({1, S.degree + 2, S.n * (S.degree + 1) + 1}):
+            V = ctx.rand_array(rng, S.n * l).reshape(S.n, l)
+            assert np.array_equal(solve_window(S, V, l), _halving_reference(S, False, V, l)), (shape, l)
+            UT = sylres.sylvester.solve_window_T(S, V, l)
+            assert np.array_equal(UT, _solve_window_T_reference(S, V, l)), (shape, l)
+
+
+@pytest.mark.parametrize("regime", sorted(_REGIMES))
+@pytest.mark.parametrize("name", ["F7^3", "F101^3"])
+def test_lift_of_many_right_hand_sides_equals_single_lifts(monkeypatch, name, regime):
+    # V (n, w, r): one lift carries every right-hand side along the last
+    # axis, and with k = deg S a lift of w columns is the whole solve
+    ctx, rng = _LIFT_FIELDS[name], random.Random(f"multi-rhs-{name}")
+    monkeypatch.setattr(sylres.field, "DIGIT_MAP_MAX", _REGIMES[regime])
+    S = _solvable(ctx, "y", (3, 2, 1, 3), rng)[0]
+    w, r = 7, 4
+    for transposed in (False, True):
+        for k in (0, 1, S.degree):
+            leaf = sylres.sylvester._leaf_map(S, transposed, k)
+            V = ctx.rand_array(rng, S.n * w * r).reshape(S.n, w, r)
+            U = sylres.sylvester._lift(ctx, leaf, k, V)
+            assert U.shape == V.shape
+            for j in range(r):
+                single = sylres.sylvester._lift(ctx, leaf, k, V[:, :, j])
+                assert np.array_equal(U[:, :, j], single), (transposed, k, j)
+                if k == S.degree:
+                    assert np.array_equal(single, _halving_reference(S, transposed, V[:, :, j], w))
+
+
+@pytest.mark.parametrize("name", ["F65537", "F(2^31-1)", "F4^2 (tower)", "F2^9 (tables)"])
+def test_width_one_lifts_prepare_no_restriction(monkeypatch, name):
+    # over F_p and in characteristic 2 with log tables a digit is the code:
+    # the prime field's only prepared maps are S(0)^{-1} and the leaf map
+    # itself, and the characteristic-2 field prepares no base map at all
+    ctx = {**DIFF_FIELDS, **_LIFT_FIELDS}[name]
+    assert ctx.width == 1
+    rng = random.Random(f"width-one-{name}")
+    S = _solvable(ctx, "y", (3, 2, 1, 3), rng)[0]
+    shapes, matmul_map = [], sylres._backend.matmul_map
+    monkeypatch.setattr(sylres._backend, "matmul_map", lambda A, p: shapes.append(np.shape(A)) or matmul_map(A, p))
+    for leaf in (1, 2, None):
+        monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", (leaf or 512) * S.n)
+        for l in (1, 5, S.n * (S.degree + 1) + 1):
+            V = ctx.rand_array(rng, S.n * l).reshape(S.n, l)
+            assert np.array_equal(matvec_window(S, solve_window(S, V, l), l), V)
+            sylres.sylvester.solve_window_T(S, V, l)
+    if isinstance(ctx, PrimeField):
+        assert shapes and all(rows == S.n and cols % S.n == 0 and cols <= S.n * (S.degree + 1) for rows, cols in shapes)
+    else:
+        assert shapes == []
 
 
 @pytest.mark.parametrize("transposed", [False, True])
