@@ -3,7 +3,7 @@ vectorizations between K[x,y] and polynomial vectors.
 
 A BiPoly stores the full coefficient grid g with g[i, j] the coefficient of
 x^i y^j; the grid is trimmed so the top row and top column carry the exact
-degrees.
+degrees.  The product (bimul) is field.grid_mul on the two grids.
 
 A polynomial vector of length n over K[t] is one (n, width) int64 array:
 row i holds entry i's ascending coefficients in t, zero-padded to the
@@ -21,7 +21,7 @@ import random
 
 import numpy as np
 
-from .field import FieldCtx
+from .field import FieldCtx, grid_mul
 from .upoly import UPoly, taylor_shift_rows
 
 
@@ -246,38 +246,6 @@ def bimul(f: BiPoly, g: BiPoly) -> BiPoly:
     if f.is_zero or g.is_zero:
         return BiPoly.zero(f.ctx)
     return BiPoly(f.ctx, grid_mul(f.ctx, [(f.g, g.g)]))
-
-
-def _pack(F: np.ndarray, stride: int) -> np.ndarray:
-    # rows of F laid end to end at the given stride, trailing padding trimmed
-    # so conv sizes stay tight
-    a, s = F.shape
-    out = np.zeros(a * stride, dtype=np.int64)
-    out.reshape(a, stride)[:, :s] = F
-    return out[: (a - 1) * stride + s]
-
-
-def grid_mul(ctx: FieldCtx, pairs, rows: int | None = None, memo: dict | None = None, keys=None) -> np.ndarray:
-    """sum_k F_k G_k over pairs of code grids ([i, j] the coefficient of
-    u^i v^j) by one ctx.conv_sum under v -> t, u -> t**stride, stride the
-    widest product's v-width: shape (max rows of F_k G_k, stride), or only
-    the first `rows` rows (mod u^rows), from operands truncated alike.  A
-    product of two grids is the one-pair case.  keys[k], when given, names
-    G_k for ctx.conv_sum's memo; the packed operand is keyed with its rows
-    and the stride, so one memo serves every truncation of a grid."""
-    if rows is not None:
-        pairs = [(F[:rows], G[:rows]) for F, G in pairs]
-    stride = max(0, max(F.shape[1] + G.shape[1] for F, G in pairs) - 1)
-    out = np.zeros((max(0, max(len(F) + len(G) for F, G in pairs) - 1), stride), dtype=np.int64)
-    packed, tags = [], []
-    for k, (F, G) in enumerate(pairs):
-        if F.size and G.size:
-            packed.append((_pack(F, stride), _pack(G, stride)))
-            tags.append(keys and (keys[k], len(G), stride))
-    if packed:
-        prod = ctx.conv_sum(packed, memo, tags)
-        out.reshape(-1)[: len(prod)] = prod
-    return out if rows is None else out[:rows]
 
 
 # ---------------------------------------------------------------------------

@@ -12,21 +12,25 @@ elementwise on int64 numpy arrays, vsubmul(a, c, b) = a - c b among them
 along the first axis of a coefficient array at broadcast points, and
 power() is the one square-and-multiply, for any associative product.
 The prime-field convolution kernels (schoolbook and float FFT) live in
-_backend.  conv_sum() is the sum of K full polynomial-coefficient convolutions, and
-conv(), used by upoly, its one-pair case; both are exact on both paths:
-schoolbook for each pair whose shorter operand has at most
-SCHOOLBOOK_CUTOFF coefficients, else one float FFT product of all the
-longer pairs, on small centred sign-magnitude limbs whose count an a
-priori rounding bound for K pairs fixes.  dot_map(A) is x -> A @ x for a
+_backend.  conv_sum() is the sum of K full polynomial-coefficient
+convolutions, and conv(), used by upoly, its one-pair case; over F_p both
+are exact on both paths: schoolbook for each pair whose shorter operand
+has at most SCHOOLBOOK_CUTOFF coefficients, else one float FFT product of
+all the longer pairs, on small centred sign-magnitude limbs whose count an
+a priori rounding bound for K pairs fixes.  dot_map(A) is x -> A @ x for a
 fixed A; over F_p it is one float64 BLAS product and vdot one int64 dot,
 both behind the exactness gate of _backend.Gate (K-term sums of residue
 products are exact while K (p-1)**2 is at most the accumulator's exact
-range, else computed on limbs that keep each limb sum inside it).  An
-extension field sums its conv()s, packs the digits of each into one
-base-field convolution (Kronecker substitution), and inverts without log
-tables by the Itoh-Tsujii norm.  One plane product (_sum_planes: one base
-product of the k^2 digit pairs with the prepared pair-fold map, whose column
-i k + j holds t^(i+j) mod m) serves vmul without tables, that inverse,
+range, else computed on limbs that keep each limb sum inside it).
+grid_mul() is the package's one Kronecker substitution: the sum of products
+of bivariate code grids as one conv_sum() of their rows laid end to end.
+An extension field's conv_sum() decodes its pairs into digit grids, makes
+them one base grid_mul(), and folds the 2k - 1 coefficient planes by one
+base product with the powers table (row i the digits of t^i mod m,
+i < 2k - 1, by UPoly.rem); it inverts without log tables by the
+Itoh-Tsujii norm.  One plane product (_sum_planes: one base product of the
+k^2 digit pairs with the prepared pair-fold map, whose column i k + j holds
+t^(i+j) mod m, from the same table) serves vmul without tables, that inverse,
 digit_map and the log tables, which start from the smallest primitive code
 (by the order test).  dot_map is digit_map between to_digits and
 from_digits: a digit vector holds decode's k digits per code, or the code
@@ -119,6 +123,39 @@ def _horner(C, z, step) -> np.ndarray:
     return acc if len(C) > 1 else acc.copy()
 
 
+def _pack(F: np.ndarray, stride: int) -> np.ndarray:
+    # rows of F laid end to end at the given stride, trailing padding trimmed
+    # so conv sizes stay tight
+    a, s = F.shape
+    out = np.zeros(a * stride, dtype=np.int64)
+    out.reshape(a, stride)[:, :s] = F
+    return out[: (a - 1) * stride + s]
+
+
+def grid_mul(ctx: FieldCtx, pairs, rows: int | None = None, memo: dict | None = None, keys=None) -> np.ndarray:
+    """sum_k F_k G_k over pairs of code grids ([i, j] the coefficient of
+    u^i v^j) by one ctx.conv_sum under v -> t, u -> t**stride, stride the
+    widest product's v-width: shape (max rows of F_k G_k, stride), or only
+    the first `rows` rows (mod u^rows), from operands truncated alike.  A
+    product of two grids is the one-pair case.  keys[k], when given, names
+    G_k for ctx.conv_sum's memo (None leaves it unkeyed); the packed operand
+    is keyed with its rows and the stride, so one memo serves every
+    truncation of a grid."""
+    if rows is not None:
+        pairs = [(F[:rows], G[:rows]) for F, G in pairs]
+    stride = max(0, max(F.shape[1] + G.shape[1] for F, G in pairs) - 1)
+    out = np.zeros((max(0, max(len(F) + len(G) for F, G in pairs) - 1), stride), dtype=np.int64)
+    packed, tags = [], []
+    for k, (F, G) in enumerate(pairs):
+        if F.size and G.size:
+            packed.append((_pack(F, stride), _pack(G, stride)))
+            tags.append(None if keys is None or keys[k] is None else (keys[k], len(G), stride))
+    if packed:
+        prod = ctx.conv_sum(packed, memo, tags)
+        out.reshape(-1)[: len(prod)] = prod
+    return out if rows is None else out[:rows]
+
+
 class FieldCtx:
     """Shared interface of PrimeField and ExtField."""
 
@@ -162,21 +199,6 @@ class FieldCtx:
         """a - c * b elementwise, c broadcast against b: one elimination
         step (Berlekamp-Massey, Euclid, division, Horner, Gauss)."""
         return self.vsub(a, self.vmul(c, b))
-
-    def conv_sum(self, pairs, memo: dict | None = None, keys=None) -> np.ndarray:
-        """sum_k conv(a_k, b_k) over the pairs (a_k, b_k), each product
-        zero-extended to the longest; conv is the one-pair case.  keys name
-        the b_k whose transforms a field may keep in memo (PrimeField); here
-        the products are summed one by one."""
-        return self._add_parts([self.conv(a, b) for a, b in pairs])
-
-    def _add_parts(self, parts) -> np.ndarray:
-        # the parts are fresh products, so the longest one takes the sum
-        out = max(parts, key=len)
-        for part in parts:
-            if part is not out:
-                out[: len(part)] = self.vadd(out[: len(part)], part)
-        return out
 
     def dot_map(self, A):
         """x -> A @ x over the field for a fixed A (..., K) and x (K,) or
@@ -322,7 +344,12 @@ class PrimeField(FieldCtx):
         if long:
             keys = keys and [keys[k] for k in long]
             parts.append(_backend.fft_conv_mod([pairs[k] for k in long], self.p, memo, keys))
-        return self._add_parts(parts)
+        # the parts are fresh products, so the longest one takes the sum
+        out = max(parts, key=len)
+        for part in parts:
+            if part is not out:
+                out[: len(part)] = self.vadd(out[: len(part)], part)
+        return out
 
 
 _LOG_TABLE_LIMIT = 8192  # build multiplicative log/antilog tables below this size
@@ -355,12 +382,11 @@ class ExtField(FieldCtx):
         self.k = base.k * k
         self.deg = k
         self.q = base.q**k
-        # reduction matrix: row i holds t^(k+i) mod m, i = 0..k-2
-        self._red = np.array(_reduction_rows(base, modulus))
-        self._fold = base.dot_map(self._red.T)
-        # pair-fold map: column i k + j holds the digits of t^(i+j) mod m;
+        # plane fold: column i holds the digits of t^i mod m, i < 2k - 1;
+        # pair-fold map: column i k + j those of t^(i+j);
         # pair map: row i k + j, column a holds digit i of t^(a+j)
-        powers = np.concatenate([np.eye(k, dtype=np.int64), self._red])
+        powers = _reduction_rows(base, modulus)
+        self._fold = base.dot_map(powers.T)
         pairs = powers[np.add.outer(np.arange(k), np.arange(k))]
         self._pair_fold = base.dot_map(pairs.reshape(k * k, k).T)
         self._pair_map = base.dot_map(pairs.transpose(2, 1, 0).reshape(k * k, k))
@@ -472,11 +498,6 @@ class ExtField(FieldCtx):
         out = MT(D.reshape(-1, D.shape[-1]).T)
         return out.T.reshape(D.shape[:-1] + out.shape[:1])
 
-    def _reduce_planes(self, C: np.ndarray) -> np.ndarray:
-        # C has 2k-1 coefficient planes on the last axis; fold the high ones.
-        k = self.deg
-        return self.base.vadd(C[..., :k], self._times(C[..., k:], self._fold))
-
     def _sum_planes(self, P: np.ndarray) -> np.ndarray:
         """Digit-pair products P[..., i, j] summed into the k digits of
         sum_ij P_ij t^(i+j) mod m: one base product of the k^2 pairs with the
@@ -529,18 +550,19 @@ class ExtField(FieldCtx):
         return self.encode(self.base.vmul(r, self.base.vinv(norm)[..., None]))
 
     def conv(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        la, lb = len(a), len(b)
-        if la == 0 or lb == 0:
+        return self.conv_sum(((a, b),))
+
+    def conv_sum(self, pairs, memo=None, keys=None):
+        # Kronecker substitution on digit grids ([i, j] digit j of
+        # coefficient i): the pairs' products are one base grid_mul (keys
+        # name its spectra in memo), whose 2k - 1 planes one base product
+        # folds; pairs with an empty operand add nothing
+        live = [n for n, (a, b) in enumerate(pairs) if len(a) and len(b)]
+        if not live:
             return np.zeros(0, dtype=np.int64)
-        # Kronecker substitution: digits packed into rows of stride 2k - 1,
-        # so one base convolution yields every coefficient plane, no overlap
-        s = 2 * self.deg - 1
-        A = np.zeros((la, s), dtype=np.int64)
-        B = np.zeros((lb, s), dtype=np.int64)
-        A[:, : self.deg] = self.decode(a)
-        B[:, : self.deg] = self.decode(b)
-        C = self.base.conv(A.ravel(), B.ravel())[: (la + lb - 1) * s]
-        return self.encode(self._reduce_planes(C.reshape(-1, s)))
+        grids = [(self.decode(pairs[n][0]), self.decode(pairs[n][1])) for n in live]
+        P = grid_mul(self.base, grids, None, memo, keys and [keys[n] for n in live])
+        return self.encode(self._times(P, self._fold))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -574,21 +596,12 @@ def _is_irreducible(base: FieldCtx, m: np.ndarray) -> bool:
     return all(pgcd(powers[d // ell] - t, mod.g).deg == 0 for ell in _prime_factors(d))
 
 
-def _reduction_rows(base: FieldCtx, m: np.ndarray) -> list[np.ndarray]:
-    k = len(m) - 1
-    rows = []
-    prev = base.vneg(m[:k].copy())  # t^k mod m
-    rows.append(prev)
-    for _ in range(k - 2):
-        # multiply previous row by t and reduce once
-        nxt = np.zeros(k, dtype=np.int64)
-        nxt[1:] = prev[: k - 1]
-        hi = int(prev[k - 1])
-        if hi:
-            nxt = base.vadd(nxt, base.vmul(rows[0], np.int64(hi)))
-        rows.append(nxt)
-        prev = nxt
-    return rows
+def _reduction_rows(base: FieldCtx, m: np.ndarray) -> np.ndarray:
+    """Row i holds the digits of t^i mod m, i < 2k - 1 (k = deg m)."""
+    from .upoly import UPoly  # upoly imports this module
+
+    k, g = len(m) - 1, UPoly(base, m)
+    return np.array([UPoly.monomial(base, i).rem(g).padded(k) for i in range(2 * k - 1)])
 
 
 def random_irreducible(base: FieldCtx, degree: int, rng: random.Random) -> np.ndarray:

@@ -134,8 +134,9 @@ def pow_mod(basis: IdealBasis, f: BiPoly, e: int) -> BiPoly:
             programs[key] = NormalFormProgram(basis, *key)
         return programs[key].forward(gh)
 
-    one = normal_form(basis, BiPoly.one(basis.ctx))
-    return power(normal_form(basis, f), e, mul, one)
+    if e == 0:
+        return normal_form(basis, BiPoly.one(basis.ctx))
+    return power(normal_form(basis, f), e, mul, None)
 
 
 # ---------------------------------------------------------------------------

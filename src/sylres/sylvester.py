@@ -16,7 +16,7 @@ ascending outer coefficients (see bipoly).  The structured products
 solve_window_T) work on such arrays only; matvec, matvec_T,
 trunc_inv_apply and trunc_inv_apply_T are their list[UPoly] adapters,
 converting once at entry and once at exit.
-S @ W is one bipoly.grid_mul of two pairs (one spectral product when FFT
+S @ W is one field.grid_mul of two pairs (one spectral product when FFT
 sized); its transpose is one grid_mul per generator.  A truncated solve
 transforms each generator grid once per (rows, FFT length) in a memo it
 owns and drops on return.
@@ -48,7 +48,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._dense import SingularMatrixError
-from .bipoly import BiPoly, IdealBasis, fit, grid_mul, to_array, to_list
+from .bipoly import BiPoly, IdealBasis, fit, to_array, to_list
+from .field import grid_mul
 from .upoly import UPoly, xgcd
 
 

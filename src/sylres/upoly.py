@@ -13,7 +13,7 @@ every quotient by (x - point) formed at once by synthetic division and
 scaled as it is formed); both are O(n^2) array passes, which beat a
 subproduct tree at every size this package reaches.  The Taylor shift
 (taylor_shift_rows) is array Horner on short blocks of every row, joined
-by one conv per doubling level.  The update steps of division, Euclid,
+by one grid_mul per doubling level.  The update steps of division, Euclid,
 Horner and Berlekamp-Massey are one ctx.vsubmul each, a single reduction
 over F_p.
 """
@@ -24,7 +24,7 @@ import random
 
 import numpy as np
 
-from .field import FieldCtx, power
+from .field import FieldCtx, grid_mul, power
 
 
 class UPoly:
@@ -254,11 +254,11 @@ def taylor_shift_rows(ctx: FieldCtx, G: np.ndarray, alpha: int) -> np.ndarray:
     blocks.  Array Horner shifts every block of every row at once:
     acc <- acc (x + alpha) + c_i is one vsubmul per coefficient.  Then k
     doubling levels join neighbouring blocks, lo + (x + alpha)**s hi for
-    the block length s: the high blocks are laid at stride 2s, so their
-    products with (x + alpha)**s, of length 2s, do not overlap, and a level
-    is one conv and one vadd.  (x + alpha)**b comes from one power() and is
-    squared from level to level.  For n <= _SHIFT_BLOCK this is Horner
-    alone.  Horner on whole rows makes n vector steps of length n; here
+    the block length s: the high blocks' products with (x + alpha)**s are
+    one grid_mul of their grid with the one-row grid of (x + alpha)**s, so
+    a level is one product and one vadd.  (x + alpha)**b comes from one
+    power() and is squared from level to level.  For n <= _SHIFT_BLOCK this
+    is Horner alone.  Horner on whole rows makes n vector steps of length n; here
     there are b steps and k levels, each one product of length b 2**k."""
     G = np.asarray(G, dtype=np.int64)
     rows, n = G.shape
@@ -278,9 +278,7 @@ def taylor_shift_rows(ctx: FieldCtx, G: np.ndarray, alpha: int) -> np.ndarray:
         s = b << level
         # (x + alpha)**s: one power() on the first level, squared after that
         pw = ctx.conv(pw, pw) if level else power(np.array([alpha, 1], dtype=np.int64), b, ctx.conv, None)
-        hi = np.zeros((len(acc) // 2, 2 * s), dtype=np.int64)
-        hi[:, :s] = acc[1::2]
-        out = ctx.conv(hi.ravel(), pw)[: hi.size].reshape(hi.shape)
+        out = grid_mul(ctx, [(acc[1::2], pw[None, :])])
         out[:, :s] = ctx.vadd(out[:, :s], acc[0::2])
         acc = out
     return acc[:, :n]

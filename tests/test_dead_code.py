@@ -110,3 +110,14 @@ def test_no_unread_private_constants():
                 if ident.startswith("_") and not ident.startswith("__") and ident not in read:
                     unread.append(f"{name}:{node.lineno} {ident}")
     assert unread == []
+
+
+def test_no_definition_in_two_modules():
+    # one copy of each helper: a module-level function or class name is
+    # defined by one module of the package only
+    owners = {}
+    for name, tree in _modules().items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owners.setdefault(node.name, []).append(name)
+    assert {ident: mods for ident, mods in owners.items() if len(mods) > 1} == {}

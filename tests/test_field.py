@@ -13,6 +13,7 @@ from sylres.field import (
     PrimeField,
     build_extension,
     extend_field,
+    grid_mul,
     is_probable_prime,
     random_irreducible,
     working_field,
@@ -671,13 +672,24 @@ def test_schoolbook_limb_split_past_the_single_product_gate():
 # -- extension fields: Kronecker-packed conv and the Itoh-Tsujii inverse ----
 
 
+def _reference_high_powers(F):
+    """Digits of t^(k+i) mod m, i < k - 1, by shift and subtract."""
+    k, base, m = F.deg, F.base, [int(c) for c in F.modulus]
+    row, rows = [0] * (k - 1) + [1], []  # t^(k-1)
+    for _ in range(k - 1):
+        hi, row = row[-1], [0] + row[:-1]
+        row = [base.sub(c, base.mul(hi, mc)) for c, mc in zip(row, m)]
+        rows.append(row)
+    return rows
+
+
 def _reference_reduce_planes(F, C):
     """The plane fold as a k x k loop of base multiplies."""
-    k = F.deg
+    k, red = F.deg, _reference_high_powers(F)
     out = C[..., :k].copy()
     for i in range(2 * k - 2, k - 1, -1):
         for j in range(k):
-            term = F.base.vmul(C[..., i], np.int64(F._red[i - k][j]))
+            term = F.base.vmul(C[..., i], np.int64(red[i - k][j]))
             out[..., j] = F.base.vadd(out[..., j], term)
     return out
 
@@ -709,6 +721,7 @@ _EXT_CONV_FIELDS = {
     "F4^2 (tower)": extend_field(build_extension(2, 4, random.Random(1)), 16, random.Random(2)),
     "F101^2": build_extension(101, 101**2, random.Random(4)),
     "F65537^2": build_extension(65537, 65537**2, random.Random(4)),
+    "F2^15 (no tables)": build_extension(2, 2**15, random.Random(6)),
 }
 
 
@@ -720,9 +733,51 @@ def test_ext_conv_matches_the_plane_loop_reference(F):
             got = F.conv(a, b)
             assert np.array_equal(got, _reference_ext_conv(F, a, b)), (F, la, lb)
     assert len(F.conv(np.zeros(0, dtype=np.int64), F.rand_array(rng, 3))) == 0
-    # the folded planes also drive vmul without log tables
-    C = np.array([F.base.rand_array(rng, 2 * F.deg - 1) for _ in range(20)])
-    assert np.array_equal(F._reduce_planes(C), _reference_reduce_planes(F, C))
+
+
+def _summed_convs(F, pairs):
+    """sum of F.conv over the pairs, zero-extended to the longest product."""
+    parts = [F.conv(a, b) for a, b in pairs]
+    out = np.zeros(max(len(part) for part in parts), dtype=np.int64)
+    for part in parts:
+        out[: len(part)] = F.vadd(out[: len(part)], part)
+    return out
+
+
+@pytest.mark.parametrize("F", list(_EXT_CONV_FIELDS.values()), ids=list(_EXT_CONV_FIELDS))
+def test_ext_conv_sum_is_the_sum_of_single_convs(F):
+    # K pairs are one base grid_mul of digit grids and one plane fold; a
+    # pair with an empty operand adds nothing, and all-empty pairs give an
+    # empty sum
+    rng = random.Random(41)
+    empty = np.zeros(0, dtype=np.int64)
+    shapes = [
+        ((5, 9), (30, 2)),
+        ((70, 200), (1, 1)),
+        ((64, 65), (3, 140), (17, 17)),
+        ((12, 0), (4, 7)),
+        ((0, 40), (9, 9), (1, 150)),
+    ]
+    for lens in shapes:
+        pairs = [(F.rand_array(rng, la), F.rand_array(rng, lb)) for la, lb in lens]
+        got = F.conv_sum(pairs)
+        assert np.array_equal(got, _summed_convs(F, pairs)), (F, lens)
+    for pairs in ([(empty, empty), (empty, F.rand_array(rng, 4))], [(F.rand_array(rng, 3), empty)] * 3):
+        assert len(F.conv_sum(pairs)) == 0
+
+
+@pytest.mark.parametrize("F", [PrimeField(101), _EXT_CONV_FIELDS["F101^2"]], ids=["F101", "F101^2"])
+def test_grid_mul_leaves_a_pair_without_a_key_unkeyed(F):
+    # FFT-sized grids through one memo: the keyed operand is transformed
+    # once, while an operand whose key is None is never read from the memo,
+    # so a second operand of the same shape gives its own product
+    rng = random.Random(42)
+    A, B, G, H1, H2 = (F.rand_array(rng, 20 * 20).reshape(20, 20) for _ in range(5))
+    memo = {}
+    for H in (H1, H2):
+        want = grid_mul(F, [(A, G), (B, H)])
+        assert np.array_equal(grid_mul(F, [(A, G), (B, H)], None, memo, ("g", None)), want)
+    assert memo  # the keyed operand's spectra were kept
 
 
 def _fermat_inv(F, a):

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import sylres.normalform
 from sylres.bipoly import BiPoly, IdealBasis, bimul, vec_x, vec_y
 from sylres.field import PrimeField
 from sylres.normalform import (
@@ -164,6 +165,29 @@ def test_pow_mod_matches_repeated_mul_mod():
         for e in range(18):
             assert pow_mod(basis, f, e) == want, e
             want = mul_mod(basis, want, f)
+
+
+def test_pow_mod_reduces_one_only_for_exponent_zero(monkeypatch):
+    # power() returns its `one` only for e = 0, so only then does pow_mod
+    # build phi(1): for e >= 1 no program of bidegree (0, 0) is made
+    rng = random.Random(28)
+    basis = random_basis(F65537, 3, 3, rng)
+    f = BiPoly.random(F65537, 2, 2, rng)
+    one = normal_form(basis, BiPoly.one(F65537))
+    built = []
+
+    class Spy(NormalFormProgram):
+        def __init__(self, basis, delta, eta):
+            built.append((delta, eta))
+            super().__init__(basis, delta, eta)
+
+    monkeypatch.setattr(sylres.normalform, "NormalFormProgram", Spy)
+    assert pow_mod(basis, f, 0) == one
+    assert built == [(0, 0)]
+    for e in (1, 2, 5):
+        built.clear()
+        pow_mod(basis, f, e)
+        assert built and (0, 0) not in built, (e, built)
 
 
 def test_program_forward_matches_normal_form():

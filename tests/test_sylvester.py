@@ -10,8 +10,8 @@ import sylres.field
 import sylres.sylvester
 import sylres.upoly
 from sylres._dense import SingularMatrixError, gauss_inverse, gauss_rank
-from sylres.bipoly import BiPoly, IdealBasis, bimul, fit, grid_mul, to_array, to_list, vec_x, vec_y
-from sylres.field import PrimeField, build_extension, extend_field
+from sylres.bipoly import BiPoly, IdealBasis, bimul, fit, to_array, to_list, vec_x, vec_y
+from sylres.field import PrimeField, build_extension, extend_field, grid_mul
 from sylres.normalform import LinearForm, NormalFormProgram, normal_form
 from sylres.sylvester import (
     NotColumnReducedError,
@@ -527,6 +527,49 @@ def test_truncated_solves_transform_each_generator_once_per_length(monkeypatch):
             assert np.array_equal(matvec_window(S, U, 64), V)
         else:
             assert np.array_equal(U, _solve_window_T_reference(S, V, 64))
+
+
+_EXT_SOLVE_FIELDS = {"F7^3": DIFF_FIELDS["F7^3"], "F101^2": build_extension(101, 101**2, random.Random(4))}
+
+
+@pytest.mark.parametrize("name", sorted(_EXT_SOLVE_FIELDS))
+def test_extension_products_and_halving_solves_match_dense_form(monkeypatch, name):
+    # over an extension field each grid product is one base grid_mul of
+    # digit grids and one plane fold: S @ W, and a solve halved down to
+    # one-column leaves, against dense_form's products
+    ctx, rng = _EXT_SOLVE_FIELDS[name], random.Random(f"ext-solve-{name}")
+    monkeypatch.setattr(sylres.sylvester, "ONE_LEAF_MAP_MAX", -1)
+    for wrt, shape in (("y", (3, 4, 3, 4)), ("x", (2, 3, 4, 2)), ("y", (1, 0, 2, 3))):
+        S = _solvable(ctx, wrt, shape, rng)[0]
+        monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", S.n)
+        for l in (1, S.degree + 3, 24):
+            W = ctx.rand_array(rng, S.n * l).reshape(S.n, l)
+            assert np.array_equal(matvec_window(S, W, l), _dense_product(S, W, l)), (wrt, shape, l)
+            U = solve_window(S, W, l)
+            assert np.array_equal(_dense_product(S, U, l), W), (wrt, shape, l)
+
+
+def test_extension_halving_solve_keeps_digit_grid_spectra(monkeypatch):
+    # over F_{101^2} the generators' digit grids give FFT-sized base
+    # products here: a halving solve keys their spectra in its memo, each
+    # transformed once per length, and equals the memo-free reference
+    ctx, rng = _EXT_SOLVE_FIELDS["F101^2"], random.Random(24)
+    monkeypatch.setattr(sylres.sylvester, "ONE_LEAF_MAP_MAX", -1)
+    S = _solvable(ctx, "y", (6, 6, 6, 6), rng)[0]
+    monkeypatch.setattr(sylres.sylvester, "LEAF_INNER_MAX", S.n)
+    V = ctx.rand_array(rng, S.n * 48).reshape(S.n, 48)
+    transformed, products = [], []
+    _count_calls(monkeypatch, sylres._backend, "_limb_spectra", transformed)
+    _count_calls(monkeypatch, sylres._backend, "fft_conv_mod", products)
+    U = solve_window(S, V, 48)
+    monkeypatch.undo()
+    assert any(memo is not None and any(key is not None for key in keys) for _, _, memo, keys in products)
+    generators = [
+        (v.tobytes(), N) for (pairs, *_), (vs, _, _, _, N) in zip(products, transformed) for v in vs[len(pairs) :]
+    ]
+    assert len(generators) == len(set(generators))
+    assert len(generators) < sum(len(pairs) for pairs, *_ in products)
+    assert np.array_equal(U, _halving_reference(S, False, V, 48))
 
 
 def _halving_reference(S, transposed, V, l):
